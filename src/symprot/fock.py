@@ -3,20 +3,27 @@
 The N-photon basis over M modes is the set of occupation vectors summing to
 N, listed in lexicographically decreasing order; the order is part of the
 serialization contract (see schemas/fock_state.schema.json). Lifting a
-single-particle matrix S to the N-photon space uses the permanent formula
+single-particle matrix S maps each basis state to a product of creation
+operators,
+
+    lift(S) |n> = prod_j (A_j^dag)^{n_j} |0> / sqrt(n_j!),   A_j^dag = sum_i S_ij a_i^dag,
+
+built one photon at a time: the column of |n> is A_j^dag applied to the
+column of |n - e_j>, divided by sqrt(n_j), where j is the first occupied
+mode of n (the SLOS recursion of Heurtel et al., arXiv:2206.10549). Each of
+the N levels costs M products of dim x dim arrays, O(N * M * dim^2) in all.
+The permanent formula
 
     <n'| lift(S) |n> = Per(S[n', n]) / sqrt(prod_i n_i! * prod_j n'_j!)
 
-where S[n', n] repeats column j of S n_j times and row i n'_i times.
-Permanents are evaluated with Ryser's formula in Gray-code order; the subset
-sum is accumulated sequentially per permanent, with vectorization only across
-independent matrix elements.
+(S[n', n] repeats column j of S n_j times and row i n'_i times) is kept as
+``permanent_ryser`` and ``permanent_naive``, the independent oracles the
+tests check the lift against.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -110,11 +117,28 @@ class FockBasis:
         return np.array([int(np.dot(occ, ms)) for occ in self.states])
 
     @cached_property
-    def _norms(self) -> np.ndarray:
-        # sqrt(prod_i n_i!) per basis state
-        return np.array(
-            [math.sqrt(math.prod(math.factorial(k) for k in occ)) for occ in self.states]
-        )
+    def _ladder(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Creation-operator tables for the lift, one entry per photon number k = 1..N.
+
+        Over the k-photon states n (rows) and modes i (columns), ``lower[n, i]``
+        is the index of n - e_i among the (k-1)-photon states (0 where
+        n_i = 0) and ``root[n, i] = sqrt(n_i)``; ``first[n]`` is the first
+        occupied mode j of n, so ``lower[n, first[n]]`` is its parent column.
+        """
+        m = len(self.space)
+        below = {(0,) * m: 0}
+        levels = []
+        for k in range(1, self.n_photons + 1):
+            states = self.states if k == self.n_photons else tuple(_occupations(m, k))
+            occ = np.array(states, dtype=np.intp)
+            lower = np.zeros_like(occ)
+            for row, state in enumerate(states):
+                for i, count in enumerate(state):
+                    if count:
+                        lower[row, i] = below[state[:i] + (count - 1,) + state[i + 1 :]]
+            levels.append((lower, np.sqrt(occ), np.argmax(occ > 0, axis=1)))
+            below = {state: row for row, state in enumerate(states)}
+        return tuple(levels)
 
     def ket(self, i: int) -> str:
         """Render basis state i in ket notation, e.g. ``|1,0,0,1>``."""
@@ -238,37 +262,6 @@ def permanent_naive(matrix: np.ndarray) -> complex:
     return total
 
 
-def _ryser_batch(batch: np.ndarray) -> np.ndarray:
-    """Permanents of a stack of same-size square matrices, shape (P, n, n).
-
-    Same Gray-code term order as permanent_ryser within each permanent; the
-    batch dimension only evaluates independent permanents side by side.
-    """
-    p, n, _ = batch.shape
-    if n == 0:
-        return np.ones(p, dtype=complex)
-    row_sums = np.zeros((p, n), dtype=complex)
-    total = np.zeros(p, dtype=complex)
-    gray = 0
-    popcount = 0
-    for k in range(1, 1 << n):
-        bit = k & -k
-        j = bit.bit_length() - 1
-        if gray & bit:
-            row_sums -= batch[:, :, j]
-            popcount -= 1
-        else:
-            row_sums += batch[:, :, j]
-            popcount += 1
-        gray ^= bit
-        term = np.prod(row_sums, axis=1)
-        if (n - popcount) % 2 == 0:
-            total += term
-        else:
-            total -= term
-    return total
-
-
 @dataclass(frozen=True)
 class LiftedOperator:
     """A single-particle matrix lifted to an N-photon basis."""
@@ -282,10 +275,6 @@ class LiftedOperator:
         return FockState(self.basis, self.matrix @ state.amplitudes)
 
 
-# cap on the temporary (rows x cols_chunk, N, N) submatrix stack, in complex entries
-_LIFT_CHUNK_ENTRIES = 1 << 21
-
-
 def lift(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
     """Second-quantize a single-particle matrix on the given N-photon basis.
 
@@ -296,25 +285,16 @@ def lift(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
     m = len(basis.space)
     if a.shape != (m, m):
         raise ValueError(f"matrix must be {m}x{m} for this space, got {a.shape}")
-    dim = len(basis)
-    n = basis.n_photons
-    if n == 0:
-        return LiftedOperator(basis, np.ones((1, 1), dtype=complex))
-
-    # reps[i] lists each mode index occ[j] times; row/column repetition pattern
-    reps = np.array(
-        [np.repeat(np.arange(m), occ) for occ in basis.states], dtype=np.intp
-    )
-    norms = basis._norms
-    out = np.empty((dim, dim), dtype=complex)
-    chunk = max(1, _LIFT_CHUNK_ENTRIES // (dim * n * n))
-    for start in range(0, dim, chunk):
-        cols = np.arange(start, min(start + chunk, dim))
-        # sub[r, c, i, j] = a[reps[r][i], reps[col][j]]
-        sub = a[reps[:, None, :, None], reps[cols][None, :, None, :]]
-        perms = _ryser_batch(sub.reshape(-1, n, n)).reshape(dim, cols.size)
-        out[:, cols] = perms / (norms[:, None] * norms[cols][None, :])
-    return LiftedOperator(basis, out)
+    cols = np.ones((1, 1), dtype=complex)
+    for lower, root, first in basis._ladder:
+        rows = np.arange(len(first))
+        # column of n - e_j divided by sqrt(n_j), j the first occupied mode of n
+        parents = cols[:, lower[rows, first]] / root[rows, first]
+        cols = np.zeros((len(first), len(first)), dtype=complex)
+        for i in range(m):
+            # <n'| S_ij a_i^dag |v> = S_ij sqrt(n'_i) v[n' - e_i]
+            cols += np.outer(root[:, i], a[i, first]) * parents[lower[:, i]]
+    return LiftedOperator(basis, cols)
 
 
 def lift_jz(basis: FockBasis) -> LiftedOperator:

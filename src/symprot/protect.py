@@ -80,6 +80,29 @@ class ProtectionReport:
         object.__setattr__(self, "residuals", np.asarray(self.residuals, dtype=float))
 
 
+def _sample_scalar_action(basis: FockBasis, vectors: np.ndarray, cfg: CertificationConfig):
+    """Per-draw eigenvalues and residuals of lift(S_i) on the span of ``vectors``.
+
+    ``vectors`` holds d orthonormal columns V, and S_i is the i-th draw of
+    the sample stream ``certify`` documents. The eigenvalue is
+    lam_i = tr(V^dag lift(S_i) V) / d and the residual is the Frobenius norm
+    of lift(S_i) V - lam_i V.
+    """
+    sampler = ScatterSampler(
+        seed=cfg.seed, unitary=cfg.unitary, genericity_floor=cfg.genericity_floor
+    )
+    d = vectors.shape[1]
+    eigenvalues = np.empty(cfg.n_samples, dtype=complex)
+    residuals = np.empty(cfg.n_samples, dtype=float)
+    for i in range(cfg.n_samples):
+        scattering = sampler.sample(basis.space)
+        image = lift(scattering.matrix, basis).matrix @ vectors
+        lam = np.trace(vectors.conj().T @ image) / d
+        eigenvalues[i] = lam
+        residuals[i] = float(np.linalg.norm(image - lam * vectors))
+    return eigenvalues, residuals
+
+
 def certify(state: FockState, cfg: CertificationConfig = CertificationConfig()) -> ProtectionReport:
     """Test a normalized state against cfg.n_samples generic scattering lifts.
 
@@ -90,19 +113,9 @@ def certify(state: FockState, cfg: CertificationConfig = CertificationConfig()) 
     """
     if not state.is_normalized():
         raise ValueError(f"state must be normalized (norm {state.norm:.3e})")
-    sampler = ScatterSampler(
-        seed=cfg.seed, unitary=cfg.unitary, genericity_floor=cfg.genericity_floor
+    eigenvalues, residuals = _sample_scalar_action(
+        state.basis, state.amplitudes[:, None], cfg
     )
-    basis = state.basis
-    psi = state.amplitudes
-    eigenvalues = np.empty(cfg.n_samples, dtype=complex)
-    residuals = np.empty(cfg.n_samples, dtype=float)
-    for i in range(cfg.n_samples):
-        scattering = sampler.sample(basis.space)
-        phi = lift(scattering.matrix, basis).matrix @ psi
-        lam = np.vdot(psi, phi)
-        eigenvalues[i] = lam
-        residuals[i] = float(np.linalg.norm(phi - lam * psi))
     worst = int(np.argmax(residuals))
     protected = residuals[worst] < cfg.residual_tol
     return ProtectionReport(
@@ -305,21 +318,12 @@ def _mirror_parity_of(state: FockState, mirror_matrix: np.ndarray, tol: float = 
 
 def _certify_subspace(basis, idx, cand, m_tot, cfg) -> ProtectedSubspace | None:
     """Scalar-action test of a d > 1 candidate against fresh generic samples."""
-    dim = len(basis)
-    d = cand.shape[1]
-    vectors = np.zeros((dim, d), dtype=complex)
+    vectors = np.zeros((len(basis), cand.shape[1]), dtype=complex)
     vectors[idx, :] = cand
-    sampler = ScatterSampler(
-        seed=cfg.seed, unitary=cfg.unitary, genericity_floor=cfg.genericity_floor
-    )
-    worst = 0.0
-    for _ in range(cfg.n_samples):
-        scattering = sampler.sample(basis.space)
-        image = lift(scattering.matrix, basis).matrix @ vectors
-        lam = np.trace(vectors.conj().T @ image) / d
-        worst = max(worst, float(np.linalg.norm(image - lam * vectors)))
-        if worst >= cfg.residual_tol:
-            return None
+    _, residuals = _sample_scalar_action(basis, vectors, cfg)
+    worst = float(np.max(residuals))
+    if worst >= cfg.residual_tol:
+        return None
     return ProtectedSubspace(basis=basis, vectors=vectors, m_tot=m_tot, worst_residual=worst)
 
 

@@ -1,9 +1,11 @@
 """Independent oracles for the test suite.
 
-These deliberately avoid the library's own algorithms: the second-quantized
+These deliberately share no code with the library: the second-quantized
 action is computed by expanding polynomials in commuting creation operators
-(no permanents), so agreement with the permanent-based lift is a genuine
-cross-check.
+term by term in plain dictionaries. The library's lift builds the same
+products by a vectorized recursion, so the permanent formula (checked with
+``permanent_naive`` and ``permanent_ryser`` in test_fock.py) is the
+independent method; ``permanent_expansion`` below cross-checks those two.
 """
 
 import math

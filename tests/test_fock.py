@@ -1,6 +1,7 @@
 """Fock bases, permanents, and lifting mode-space matrices to photon number N."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ def test_single_photon_lift_is_the_matrix_itself():
     ids=["h0-2", "h0-4", "hm-2", "hm-3"],
 )
 def test_lift_matches_the_polynomial_oracle(space, n):
-    """Permanent-based lift equals the creation-operator expansion."""
+    """The recursive lift equals the term-by-term polynomial expansion."""
     rng = np.random.default_rng(31)
     m = len(space)
     basis = enumerate_basis(space, n)
@@ -224,6 +225,47 @@ def test_lift_matches_the_polynomial_oracle(space, n):
         assert np.allclose(
             lift(S, basis).matrix, lift_oracle(S, basis), atol=1e-11, rtol=0
         )
+
+
+def _permanent_entry(S, out_occ, in_occ, permanent):
+    """<n'| lift(S) |n> = Per(S[n', n]) / sqrt(prod_i n_i! * prod_j n'_j!)."""
+    rows = np.repeat(np.arange(len(out_occ)), out_occ)
+    cols = np.repeat(np.arange(len(in_occ)), in_occ)
+    norm = math.sqrt(math.prod(math.factorial(k) for k in out_occ + in_occ))
+    return permanent(S[np.ix_(rows, cols)]) / norm
+
+
+@pytest.mark.parametrize("permanent", [permanent_naive, permanent_ryser], ids=["naive", "ryser"])
+@pytest.mark.parametrize(
+    "space,n", [(h0(), 3), (hm(1), 3), (direct_sum(h0(), hm(1)), 2)],
+    ids=["h0-3", "hm-3", "h0+hm-2"],
+)
+def test_lift_matches_the_permanent_formula(space, n, permanent):
+    """Every lifted entry equals the permanent of the repeated submatrix."""
+    rng = np.random.default_rng(37)
+    m = len(space)
+    S = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) / np.sqrt(m)
+    assert not np.allclose(S, S.T)
+    basis = enumerate_basis(space, n)
+    expected = np.array(
+        [[_permanent_entry(S, out, inp, permanent) for inp in basis.states] for out in basis.states]
+    )
+    assert np.allclose(lift(S, basis).matrix, expected, atol=1e-11, rtol=0)
+
+
+def test_lift_peak_memory_is_a_few_output_matrices():
+    """Temporaries of the lift stay O(dim^2): at most 8x the lifted matrix."""
+    basis = enumerate_basis(hm(1), 8)
+    S = ScatterSampler(seed=4).sample(hm(1)).matrix
+    out = lift(S, basis).matrix  # warm call: builds the cached basis tables
+    tracemalloc.start()
+    try:
+        lift(S, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 165
+    assert peak <= 8 * out.nbytes
 
 
 def test_lift_apply_matches_matrix_action():

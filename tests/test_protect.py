@@ -18,9 +18,11 @@ from symprot import (
     named_state,
     pair_power,
     product_state,
+    sector_split,
     state_from_amplitudes,
     verify_pair_uniqueness,
 )
+from symprot.protect import _certify_subspace
 
 CFG = CertificationConfig(n_samples=24, seed=0)
 
@@ -192,6 +194,36 @@ def test_product_of_protected_rays_is_protected():
         alpha, beta = S[0, 0], S[0, 1]
         det_m = np.linalg.det(S[2:4, 2:4])
         assert abs(lam - (alpha**2 - beta**2) * det_m) < 1e-12
+
+
+def test_subspace_certification_accepts_a_protected_ray():
+    psi = pair_power(1, 1)
+    idx = sector_split(psi.basis)[0]
+    sub = _certify_subspace(psi.basis, idx, psi.amplitudes[idx, None], 0, CFG)
+    assert sub is not None
+    assert sub.dimension == 1
+    assert sub.worst_residual < CFG.residual_tol
+    assert np.allclose(sub.vectors[:, 0], psi.amplitudes, atol=1e-15, rtol=0)
+
+
+def test_subspace_certification_rejects_distinct_eigenvalues():
+    """|2,0>' and |0,2>' are both protected, with eigenvalues (a+b)^2 and (a-b)^2."""
+    cand = np.column_stack([mirror_fock(2, 0).amplitudes, mirror_fock(0, 2).amplitudes])
+    basis = enumerate_basis(h0(), 2)
+    idx = list(range(len(basis)))
+    assert np.allclose(cand.conj().T @ cand, np.eye(2), atol=1e-15, rtol=0)
+    for k in range(2):
+        assert _certify_subspace(basis, idx, cand[:, [k]], 0, CFG) is not None
+    assert _certify_subspace(basis, idx, cand, 0, CFG) is None
+
+
+def test_subspace_certification_rejects_an_unprotected_direction():
+    psi = pair_power(1, 1)
+    idx = sector_split(psi.basis)[0]
+    rng = np.random.default_rng(3)
+    noise = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+    cand, _ = np.linalg.qr(np.column_stack([psi.amplitudes[idx], noise]))
+    assert _certify_subspace(psi.basis, idx, cand, 0, CFG) is None
 
 
 # ---------------------------------------------------------------------------
