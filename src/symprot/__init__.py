@@ -15,6 +15,7 @@ from .scatter import (
     SymmetricScattering,
     ValidationReport,
     eigen_modes,
+    family_generators,
     validate_scattering,
 )
 from .fock import (
@@ -24,6 +25,7 @@ from .fock import (
     LiftedOperator,
     enumerate_basis,
     lift,
+    lift_generator,
     lift_jz,
     lift_mirror,
     max_photons,

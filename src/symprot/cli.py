@@ -129,15 +129,13 @@ def _cmd_certify(args) -> int:
 def _cmd_search(args) -> int:
     space = serialize.parse_space(args.space)
     cfg = CertificationConfig(n_samples=args.samples, seed=args.seed)
-    result = find_protected(
-        space, args.n, cfg, sector=args.sector, max_samples=args.max_samples
-    )
+    result = find_protected(space, args.n, cfg, sector=args.sector)
     payload = {
         "schema": serialize.SCHEMA_TAG,
         "command": "search",
         "space": serialize.space_to_json(space),
         "n": args.n,
-        "verdict": "inconclusive" if result.verdict is Verdict.INCONCLUSIVE else "protected",
+        "verdict": result.verdict.value,
         "samples_used": result.samples_used,
         "sectors": list(result.sectors),
         "rays": [
@@ -164,8 +162,6 @@ def _cmd_search(args) -> int:
                 lines.append(f"    {amp.real:+.6f}{amp.imag:+.6f}j  {basis.ket(i)}")
     for sub in result.subspaces:
         lines.append(f"  subspace dim {sub.dimension} at m_tot = {sub.m_tot}")
-    if result.verdict is Verdict.INCONCLUSIVE:
-        lines.append(f"inconclusive after {result.samples_used} samples")
     _emit(payload, lines, args.output)
     return 0
 
@@ -355,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="photon number")
     p.add_argument("--sector", type=int, help="restrict to one total-angular-momentum sector")
     p.add_argument("--samples", type=int, default=64, help="certification samples per ray")
-    p.add_argument("--max-samples", type=int, default=32, help="search sample cap")
     common(p)
     p.set_defaults(func=_cmd_search)
 

@@ -44,6 +44,7 @@ __all__ = [
     "permanent_ryser",
     "permanent_naive",
     "lift",
+    "lift_generator",
     "lift_jz",
     "lift_mirror",
     "postselect_projector",
@@ -295,6 +296,33 @@ def lift(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
             # <n'| S_ij a_i^dag |v> = S_ij sqrt(n'_i) v[n' - e_i]
             cols += np.outer(root[:, i], a[i, first]) * parents[lower[:, i]]
     return LiftedOperator(basis, cols)
+
+
+def lift_generator(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
+    """Lift of a single-particle generator: dGamma(E) = sum_ij E_ij a_i^dag a_j.
+
+    The derivative of ``lift`` at the identity, so lift(expm(E)) =
+    expm(lift_generator(E)). Each nonzero E_ij fills at most one entry per
+    column, so past the dense output the cost is O(nnz(E) * dim).
+    """
+    a = np.asarray(matrix, dtype=complex)
+    m = len(basis.space)
+    if a.shape != (m, m):
+        raise ValueError(f"matrix must be {m}x{m} for this space, got {a.shape}")
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    if basis.n_photons:
+        lower = basis._ladder[-1][0]
+        occ = np.array(basis.states)
+        rows, modes = np.nonzero(occ)
+        # upper[p, i] is the index of p + e_i, for p an (N-1)-photon state
+        upper = np.zeros((lower.max() + 1, m), dtype=np.intp)
+        upper[lower[rows, modes], modes] = rows
+        for i, j in zip(*np.nonzero(a)):
+            # a_i^dag a_j |n> = sqrt(n'_i n_j) |n'> with n' = n - e_j + e_i
+            cols = np.flatnonzero(occ[:, j])
+            image = upper[lower[cols, j], i]
+            out[image, cols] += a[i, j] * np.sqrt(occ[image, i] * occ[cols, j])
+    return LiftedOperator(basis, out)
 
 
 def lift_jz(basis: FockBasis) -> LiftedOperator:

@@ -2,23 +2,27 @@
 
 A state is protected when every scattering matrix of the symmetric family
 maps it to a scalar multiple of itself. ``certify`` tests a given state
-against a stream of generic random samples; ``find_protected`` discovers all
+against a stream of generic random samples. ``find_protected`` discovers all
 protected rays (and any higher-dimensional protected subspaces) of an
-N-photon space by intersecting eigenspaces of independently sampled lifts,
-sector by sector in total angular momentum.
+N-photon space exactly, sector by sector in total angular momentum. The
+family is Zariski-dense in GL(2) on each hm block and in the torus spanned
+by I and X on h0, so a state is protected iff it spans a one-dimensional
+representation of the family's Lie algebra (``family_generators``): the
+lifted sl(2) generators annihilate it and it is an eigenvector of the lifted
+commuting ones. The search finds these spaces without random draws, then
+certifies each one.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, FockState, enumerate_basis, lift, lift_mirror, sector_split
+from .fock import FockBasis, FockState, enumerate_basis, lift, lift_generator, lift_mirror, sector_split
 from .modes import ModeSpace, hm
-from .scatter import ScatterSampler
+from .scatter import ScatterSampler, family_generators
 from .states import pair_expansion_coefficients, pair_power
 
 __all__ = [
@@ -34,20 +38,15 @@ __all__ = [
     "verify_pair_uniqueness",
 ]
 
-# candidate profile must repeat this many times before a sector is settled
-_STABLE_ROUNDS = 2
-_MIN_SAMPLES = 3
-
-
 class Verdict(enum.Enum):
     PROTECTED = "protected"
     NOT_PROTECTED = "not_protected"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
 class CertificationConfig:
-    """Sampling and tolerance knobs shared by certify and find_protected."""
+    """Certification draws and pass mark; ``cluster_tol`` is the relative
+    singular-value cut of find_protected's generator kernel."""
 
     n_samples: int = 64
     residual_tol: float = 1e-10
@@ -155,55 +154,33 @@ class ProtectedSubspace:
 class SearchResult:
     rays: tuple[ProtectedRay, ...]
     subspaces: tuple[ProtectedSubspace, ...]
-    verdict: Verdict  # PROTECTED-search complete vs INCONCLUSIVE
-    samples_used: int
+    verdict: Verdict  # always PROTECTED: the exact search is complete
+    samples_used: int  # certification draws: n_samples per candidate eigenspace
     sectors: tuple[int, ...]
 
 
-def _cluster_eigenspaces(block: np.ndarray, tol: float):
-    """Orthonormal bases of the eigenvalue clusters of a square matrix.
+def _joint_eigenspaces(sl2, commuting, dim: int, tol: float):
+    """Protected candidates of one m_tot sector, as orthonormal column blocks.
 
-    Returns None when an eigenvector cluster is rank deficient (defective or
-    ill-conditioned draw; the caller resamples).
+    ``sl2`` and ``commuting`` are the sector blocks of the lifted family
+    generators. The joint kernel of ``sl2`` comes from one thin SVD of the
+    stacked blocks, cutting singular values at ``tol`` relative to the
+    largest. The kernel is then split into joint eigenspaces of the
+    commuting Hermitian generators, whose lifted spectra are integers.
     """
-    evals, evecs = np.linalg.eig(block)
-    n = evals.size
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    cut = tol * scale
-    # connected components of the eigenvalue proximity graph
-    unassigned = set(range(n))
-    groups: list[list[int]] = []
-    while unassigned:
-        seed_idx = min(unassigned)
-        comp = {seed_idx}
-        frontier = [seed_idx]
-        while frontier:
-            i = frontier.pop()
-            near = [j for j in unassigned - comp if abs(evals[i] - evals[j]) <= cut]
-            comp.update(near)
-            frontier.extend(near)
-        unassigned -= comp
-        groups.append(sorted(comp))
-    spaces = []
-    for comp in groups:
-        v = evecs[:, comp]
-        sv = np.linalg.svd(v, compute_uv=False)
-        if sv[-1] < 1e-8:
-            return None
-        q, _ = np.linalg.qr(v)
-        spaces.append(q)
+    spaces = [np.eye(dim, dtype=complex)]
+    if sl2:
+        _, s, vh = np.linalg.svd(np.vstack(sl2), full_matrices=False)
+        rank = int(np.sum(s > tol * s[0]))
+        spaces = [vh[rank:].conj().T]
+    for gen in commuting:
+        split = []
+        for q in spaces:
+            values, vecs = np.linalg.eigh(q.conj().T @ gen @ q)
+            labels = np.round(values)
+            split += [q @ vecs[:, labels == v] for v in np.unique(labels)]
+        spaces = split
     return spaces
-
-
-def _intersect(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | None:
-    """Intersection of two subspaces via principal angles (None if trivial)."""
-    m = a.conj().T @ b
-    u, s, _ = np.linalg.svd(m)
-    k = int(np.sum(s > 1.0 - tol))
-    if k == 0:
-        return None
-    q, _ = np.linalg.qr(a @ u[:, :k])
-    return q
 
 
 def _ray_sort_key(state: FockState, m_tot: int):
@@ -216,17 +193,16 @@ def find_protected(
     n_photons: int,
     cfg: CertificationConfig = CertificationConfig(),
     sector: int | None = None,
-    max_samples: int = 32,
 ) -> SearchResult:
     """All protected rays (and subspaces) of the N-photon space.
 
-    Search phase: sample Haar-unitary members of the symmetric family, lift,
-    restrict to each total-angular-momentum sector, eigendecompose, and
-    intersect eigenspace candidates across samples until the candidate
-    dimension profile is stable; sectors that fail to stabilize within
-    max_samples render the search INCONCLUSIVE. Certification phase: each
-    surviving candidate is certified against cfg's sampling class; rays are
-    phase-fixed and carry their mirror parity on the m_tot = 0 sector.
+    Search phase, exact and sample-free: per total-angular-momentum sector,
+    the candidates are the joint eigenspaces of the lifted commuting
+    generators within the joint kernel of the lifted sl(2) generators
+    (``family_generators``); ``cfg.cluster_tol`` is the relative rank cut
+    of the kernel. Certification phase: each candidate is certified against
+    cfg's sampling class with cfg.n_samples draws; rays are phase-fixed and
+    carry their mirror parity on the m_tot = 0 sector.
     """
     basis = enumerate_basis(space, n_photons)
     sectors = sector_split(basis)
@@ -234,55 +210,22 @@ def find_protected(
         if sector not in sectors:
             raise ValueError(f"no m_tot = {sector} sector at N = {n_photons}")
         sectors = {sector: sectors[sector]}
-
-    sampler = ScatterSampler(
-        seed=cfg.seed, unitary=True, genericity_floor=cfg.genericity_floor
+    # lift one generator at a time and keep only its sector blocks
+    sl2, commuting = (
+        [{m: full[np.ix_(idx, idx)] for m, idx in sectors.items()}
+         for full in (lift_generator(g, basis).matrix for g in gens)]
+        for gens in family_generators(space)
     )
-    state_by_sector = {
-        m: {"candidates": None, "profile": None, "stable": 0, "done": False}
-        for m in sectors
-    }
-    samples_used = 0
-    while samples_used < max_samples and not all(st["done"] for st in state_by_sector.values()):
-        scattering = sampler.sample(space)
-        lifted = lift(scattering.matrix, basis).matrix
-        samples_used += 1
-        for m, idx in sectors.items():
-            st = state_by_sector[m]
-            if st["done"]:
-                continue
-            block = lifted[np.ix_(idx, idx)]
-            spaces = _cluster_eigenspaces(block, cfg.cluster_tol)
-            if spaces is None:
-                continue  # defective draw for this sector; use the next sample
-            if st["candidates"] is None:
-                st["candidates"] = spaces
-                st["profile"] = sorted(s.shape[1] for s in spaces)
-                continue
-            survivors = []
-            for cand in st["candidates"]:
-                for eig_space in spaces:
-                    inter = _intersect(cand, eig_space, cfg.cluster_tol)
-                    if inter is not None:
-                        survivors.append(inter)
-            st["candidates"] = survivors
-            profile = sorted(s.shape[1] for s in survivors)
-            st["stable"] = st["stable"] + 1 if profile == st["profile"] else 0
-            st["profile"] = profile
-            if not survivors or (st["stable"] >= _STABLE_ROUNDS and samples_used >= _MIN_SAMPLES):
-                st["done"] = True
-
-    inconclusive = any(not st["done"] for st in state_by_sector.values())
 
     rays: list[ProtectedRay] = []
     subspaces: list[ProtectedSubspace] = []
     mirror_full = lift_mirror(basis).matrix
     dim = len(basis)
+    samples_used = 0
     for m, idx in sectors.items():
-        st = state_by_sector[m]
-        if not st["candidates"]:
-            continue
-        for cand in st["candidates"]:
+        blocks = ([g[m] for g in sl2], [g[m] for g in commuting])
+        for cand in _joint_eigenspaces(*blocks, len(idx), cfg.cluster_tol):
+            samples_used += cfg.n_samples
             if cand.shape[1] == 1:
                 amps = np.zeros(dim, dtype=complex)
                 amps[idx] = cand[:, 0]
@@ -301,7 +244,7 @@ def find_protected(
     return SearchResult(
         rays=tuple(rays),
         subspaces=tuple(subspaces),
-        verdict=Verdict.INCONCLUSIVE if inconclusive else Verdict.PROTECTED,
+        verdict=Verdict.PROTECTED,
         samples_used=samples_used,
         sectors=tuple(sectors),
     )

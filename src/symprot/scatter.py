@@ -10,8 +10,9 @@ block shape
 
 ``ScatterSampler`` draws random members of the family (Haar-unitary or
 subunitary) with a genericity floor on the block determinant and on the
-eigenvalue gap, so that downstream eigenspace searches see well-separated
-spectra. Streams are deterministic in the seed.
+eigenvalue gap, so that certification sees well-separated spectra. Streams
+are deterministic in the seed. ``family_generators`` is a basis of the
+family's Lie algebra, which the exact protected-state search lifts.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "validate_scattering",
     "eigen_modes",
     "EigenMode",
+    "family_generators",
 ]
 
 
@@ -201,6 +203,27 @@ def _assemble(space: ModeSpace, comps, blocks) -> np.ndarray:
             mat[offset + 2 : offset + 4, offset + 2 : offset + 4] = _FLIP @ block @ _FLIP
             offset += 4
     return mat
+
+
+def family_generators(space: ModeSpace) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """A basis ``(sl2, commuting)`` of the family's Lie algebra.
+
+    ``sl2`` holds E12, E21 and E11 - E22 of every hm block; ``commuting``
+    holds every component's identity and, on h0, the swap X.
+    """
+    comps = space.components if space.kind == "sum" else (space,)
+    sl2, commuting = [], []
+    for k, sp in enumerate(comps):
+        def embed(*block):
+            blocks = [np.reshape(block, (2, 2)) * (c == k) for c in range(len(comps))]
+            return _assemble(space, comps, blocks)
+
+        commuting.append(embed(1, 0, 0, 1))
+        if sp.kind == "h0":
+            commuting.append(embed(0, 1, 1, 0))
+        else:
+            sl2 += [embed(0, 1, 0, 0), embed(0, 0, 1, 0), embed(1, 0, 0, -1)]
+    return sl2, commuting
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from hypothesis import given, settings, strategies as st
 
 from symprot import (
@@ -16,6 +17,7 @@ from symprot import (
     h0,
     hm,
     lift,
+    lift_generator,
     lift_jz,
     lift_mirror,
     max_photons,
@@ -266,6 +268,48 @@ def test_lift_peak_memory_is_a_few_output_matrices():
         tracemalloc.stop()
     assert len(basis) == 165
     assert peak <= 8 * out.nbytes
+
+
+def _random_matrix(rng, m):
+    return (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) / np.sqrt(m)
+
+
+@pytest.mark.parametrize(
+    "space,n",
+    [(h0(), 3), (hm(1), 3), (direct_sum(h0(), hm(1)), 2), (hm(1), 0), (hm(1), 1)],
+    ids=["h0-3", "hm-3", "h0+hm-2", "hm-0", "hm-1"],
+)
+def test_lifted_generator_exponentiates_to_the_lift(space, n):
+    """lift(expm(E)) = expm(dGamma(E)) for a non-symmetric complex E."""
+    rng = np.random.default_rng(41)
+    E = _random_matrix(rng, len(space))
+    assert not np.allclose(E, E.T)
+    basis = enumerate_basis(space, n)
+    assert np.allclose(
+        lift(expm(E), basis).matrix, expm(lift_generator(E, basis).matrix), atol=1e-11, rtol=0
+    )
+
+
+def test_lifted_generators_keep_the_commutator():
+    """[dGamma(A), dGamma(B)] = dGamma([A, B])."""
+    rng = np.random.default_rng(43)
+    space = direct_sum(h0(), hm(1))
+    basis = enumerate_basis(space, 3)
+    A, B = _random_matrix(rng, len(space)), _random_matrix(rng, len(space))
+    dA, dB = lift_generator(A, basis).matrix, lift_generator(B, basis).matrix
+    expected = lift_generator(A @ B - B @ A, basis).matrix
+    assert np.allclose(dA @ dB - dB @ dA, expected, atol=1e-11, rtol=0)
+
+
+def test_lifted_jz_generator_is_lift_jz():
+    for space, n in ((h0(), 2), (hm(2), 3), (direct_sum(h0(), hm(1)), 2)):
+        basis = enumerate_basis(space, n)
+        assert np.array_equal(lift_generator(space.jz, basis).matrix, lift_jz(basis).matrix)
+
+
+def test_lift_generator_shape_validation():
+    with pytest.raises(ValueError):
+        lift_generator(np.eye(3), enumerate_basis(h0(), 2))
 
 
 def test_lift_apply_matches_matrix_action():

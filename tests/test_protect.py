@@ -34,6 +34,10 @@ def certification_stream(cfg):
     )
 
 
+def vacuum(space):
+    return state_from_amplitudes(enumerate_basis(space, 0), {(0,) * len(space): 1.0})
+
+
 def test_singlet_certifies_protected():
     report = certify(named_state("psi4"), CFG)
     assert report.verdict is Verdict.PROTECTED
@@ -151,9 +155,39 @@ def test_search_is_seed_robust():
     a = find_protected(h0(), 4, CertificationConfig(n_samples=12, seed=0))
     b = find_protected(h0(), 4, CertificationConfig(n_samples=12, seed=1))
     assert len(a.rays) == len(b.rays) == 5
-    for ray in a.rays:
-        best = max(abs(ray.state.overlap(other.state)) for other in b.rays)
-        assert best > 1 - 1e-8
+    for ray, other in zip(a.rays, b.rays):
+        assert np.array_equal(ray.state.amplitudes, other.state.amplitudes)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_search_finds_the_eight_photon_pair_power(m):
+    result = find_protected(hm(m), 8, CFG)
+    assert len(result.rays) == 1
+    assert not result.subspaces
+    assert abs(result.rays[0].state.overlap(pair_power(m, 4))) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("n,count", [(2, 5), (3, 8)])
+def test_search_on_three_components_finds_the_product_rays(n, count):
+    """Every ray is a product of component rays: mirror Fock states on h0
+    times a pair power (or vacuum) on each hm block."""
+    result = find_protected(direct_sum(h0(), hm(1), hm(2)), n, CFG)
+    assert len(result.rays) == count
+    assert not result.subspaces
+    assert result.samples_used == count * CFG.n_samples
+
+
+def test_search_separates_components_by_photon_number():
+    """|1,1>' x vac and vac x psi4 share the h0 swap eigenvalue 0 but are two rays."""
+    result = find_protected(direct_sum(h0(), hm(1)), 2, CFG)
+    assert len(result.rays) == 4
+    assert not result.subspaces
+    expected = [
+        product_state([mirror_fock(1, 1), vacuum(hm(1))]),
+        product_state([vacuum(h0()), named_state("psi4")]),
+    ]
+    for target in expected:
+        assert max(abs(ray.state.overlap(target)) for ray in result.rays) > 1 - 1e-9
 
 
 def test_search_rays_are_phase_fixed():
@@ -172,12 +206,6 @@ def test_search_sector_restriction():
     assert top.rays == ()
     with pytest.raises(ValueError):
         find_protected(hm(1), 2, CFG, sector=5)
-
-
-def test_search_reports_inconclusive_when_starved():
-    result = find_protected(h0(), 2, CFG, max_samples=2)
-    assert result.verdict is Verdict.INCONCLUSIVE
-    assert result.samples_used == 2
 
 
 def test_product_of_protected_rays_is_protected():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from symprot import (
     GenericityError,
@@ -9,6 +10,7 @@ from symprot import (
     SymmetricScattering,
     direct_sum,
     eigen_modes,
+    family_generators,
     h0,
     hm,
     validate_scattering,
@@ -206,3 +208,24 @@ def test_eigen_modes_rejects_direct_sums():
     s = ScatterSampler(seed=0).sample(space)
     with pytest.raises(ValueError):
         eigen_modes(s)
+
+
+# ---------------------------------------------------------------------------
+# Lie algebra of the family
+
+
+@pytest.mark.parametrize(
+    "space,n_sl2,n_commuting",
+    [(h0(), 0, 2), (hm(2), 3, 1), (direct_sum(h0(), hm(1), hm(2)), 6, 4)],
+    ids=["h0", "hm2", "h0+hm1+hm2"],
+)
+def test_family_generators_exponentiate_into_the_family(space, n_sl2, n_commuting):
+    sl2, commuting = family_generators(space)
+    assert (len(sl2), len(commuting)) == (n_sl2, n_commuting)
+    rng = np.random.default_rng(11)
+    coeffs = rng.normal(size=n_sl2 + n_commuting) + 1j * rng.normal(size=n_sl2 + n_commuting)
+    S = expm(sum(c * g for c, g in zip(coeffs, sl2 + commuting)))
+    assert validate_scattering(S / np.linalg.norm(S, 2), space).ok
+    member = ScatterSampler(seed=12, unitary=False).sample(space).matrix
+    for gen in commuting:
+        assert np.allclose(gen @ member, member @ gen, atol=1e-14, rtol=0)
