@@ -5,8 +5,9 @@ Output is canonical JSON (sorted keys, 2-space indent) by default, so runs
 with identical arguments are byte-identical; ``--output pretty`` renders a
 human-readable summary instead. Seeds default to 0. Exit codes: 0 on
 success, 1 when ``--expect protected`` is not met (or a dfs carrier is
-refused), 2 on usage errors. The SYMPROT_NMAX environment variable
-overrides the photon-number cap.
+refused), 2 on usage errors, 3 when the sampler cannot draw a generic
+scatterer within its attempts (GenericityError). The SYMPROT_NMAX
+environment variable overrides the photon-number cap.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .entangle import slater_report
 from .fock import FockState, enumerate_basis
 from .modes import ModeSpace
 from .protect import CertificationConfig, Verdict, certify, find_protected
-from .scatter import ScatterSampler, SymmetricScattering, validate_scattering
+from .scatter import GenericityError, ScatterSampler, SymmetricScattering, validate_scattering
 from .states import (
     CATALOG,
     StateRecipe,
@@ -407,6 +408,9 @@ def main(argv=None) -> int:
     except CarrierNotProtectedError as exc:
         print(f"symprot: {exc}", file=sys.stderr)
         return 1
+    except GenericityError as exc:
+        print(f"symprot: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -107,26 +107,21 @@ def transmit_bins(
     scatterings = list(scatterings)
     if len(scatterings) != qudit.d:
         raise ValueError(f"need one scattering per bin: {qudit.d} bins, {len(scatterings)} given")
-    carrier = qudit.carrier
-    psi = carrier.amplitudes
+    psi = qudit.carrier.amplitudes
     weights = np.abs(qudit.coefficients) ** 2
-    lam = np.empty(qudit.d, dtype=complex)
-    out_norm_sq = np.empty(qudit.d)
-    worst = 0.0
-    cache: dict[int, np.ndarray] = {}
-    for i, scattering in enumerate(scatterings):
-        key = id(scattering)
-        if key not in cache:
-            cache[key] = lift(scattering.matrix, carrier.basis).matrix
-        phi = cache[key] @ psi
-        lam[i] = np.vdot(psi, phi)
-        out_norm_sq[i] = float(np.vdot(phi, phi).real)
-        residual = float(np.linalg.norm(phi - lam[i] * psi))
-        worst = max(worst, residual)
-        if residual_tol is not None and residual >= residual_tol:
-            raise CarrierNotProtectedError(
-                f"bin {i}: carrier leaves its ray (residual {residual:.3e})"
-            )
+    # each distinct scattering is lifted once, all of them in one stack
+    distinct = list({id(s): s for s in scatterings}.values())
+    slot = {id(s): k for k, s in enumerate(distinct)}
+    images = lift(np.array([s.matrix for s in distinct]), qudit.carrier.basis).matrix @ psi
+    phi = images[[slot[id(s)] for s in scatterings]]
+    lam = phi @ psi.conj()
+    out_norm_sq = np.sum(np.abs(phi) ** 2, axis=1)
+    residuals = np.linalg.norm(phi - lam[:, None] * psi, axis=1)
+    if residual_tol is not None and np.any(residuals >= residual_tol):
+        i = int(np.argmax(residuals >= residual_tol))
+        raise CarrierNotProtectedError(
+            f"bin {i}: carrier leaves its ray (residual {residuals[i]:.3e})"
+        )
     success = float(np.dot(weights, out_norm_sq))
     overlap = complex(np.dot(weights, lam))
     fidelity = 0.0 if success == 0.0 else float(abs(overlap) ** 2 / success)
@@ -134,7 +129,7 @@ def transmit_bins(
         fidelity=fidelity,
         success_probability=success,
         eigenvalues=lam,
-        worst_residual=worst,
+        worst_residual=float(residuals.max()),
     )
 
 

@@ -12,7 +12,12 @@ built one photon at a time: the column of |n> is A_j^dag applied to the
 column of |n - e_j>, divided by sqrt(n_j), where j is the first occupied
 mode of n (the SLOS recursion of Heurtel et al., arXiv:2206.10549). Each of
 the N levels costs M products of dim x dim arrays, O(N * M * dim^2) in all.
-The permanent formula
+A (k, M, M) stack of matrices runs the same recursion over a leading batch
+axis, so k small lifts cost a few NumPy calls per level rather than k times
+as many. The stack is lifted in groups of at most ``_GROUP_ENTRIES`` lifted
+entries (2^14, at least one matrix per group), so the working memory of a
+lift does not grow with k; certification applies each group to its vectors
+before lifting the next. The permanent formula
 
     <n'| lift(S) |n> = Per(S[n', n]) / sqrt(prod_i n_i! * prod_j n'_j!)
 
@@ -52,6 +57,9 @@ __all__ = [
 
 DEFAULT_N_MAX = 10
 _N_MAX_ENV = "SYMPROT_NMAX"
+# lifted entries per group of a stacked lift: bounds the working memory of
+# lifting (and of applying) a stack of draws, whatever its length
+_GROUP_ENTRIES = 1 << 14
 
 
 def max_photons() -> int:
@@ -265,7 +273,8 @@ def permanent_naive(matrix: np.ndarray) -> complex:
 
 @dataclass(frozen=True)
 class LiftedOperator:
-    """A single-particle matrix lifted to an N-photon basis."""
+    """A single-particle matrix lifted to an N-photon basis: a (dim, dim)
+    matrix, or a (k, dim, dim) stack when a stack was lifted."""
 
     basis: FockBasis
     matrix: np.ndarray
@@ -276,26 +285,47 @@ class LiftedOperator:
         return FockState(self.basis, self.matrix @ state.amplitudes)
 
 
+def _groups(count: int, basis: FockBasis) -> list[slice]:
+    """Consecutive slices of a stack of ``count`` lifts, each of at most
+    ``_GROUP_ENTRIES`` lifted entries and at least one lift; an empty stack
+    is one empty group."""
+    step = max(1, _GROUP_ENTRIES // len(basis) ** 2)
+    return [slice(start, start + step) for start in range(0, max(count, 1), step)]
+
+
 def lift(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
     """Second-quantize a single-particle matrix on the given N-photon basis.
 
     Works for arbitrary complex M x M matrices (no symmetry or unitarity
-    assumed); lift(A @ B) = lift(A) @ lift(B) and lift(I) = I.
+    assumed); lift(A @ B) = lift(A) @ lift(B) and lift(I) = I. A (k, M, M)
+    stack lifts to the (k, dim, dim) stack of its lifts, computed by the
+    same recursion over a leading batch axis, one group at a time.
     """
     a = np.asarray(matrix, dtype=complex)
     m = len(basis.space)
-    if a.shape != (m, m):
-        raise ValueError(f"matrix must be {m}x{m} for this space, got {a.shape}")
-    cols = np.ones((1, 1), dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-2:] != (m, m):
+        raise ValueError(f"matrix must be {m}x{m} (or a stack of them) for this space, got {a.shape}")
+    stack = a.reshape(-1, m, m)
+    lifted = [_lift_group(stack[group], basis) for group in _groups(len(stack), basis)]
+    out = lifted[0] if len(lifted) == 1 else np.concatenate(lifted)
+    return LiftedOperator(basis, out.reshape(a.shape[:-2] + out.shape[1:]))
+
+
+def _lift_group(a: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """The SLOS recursion on a (g, M, M) stack."""
+    cols = np.ones((len(a), 1, 1), dtype=complex)
     for lower, root, first in basis._ladder:
         rows = np.arange(len(first))
         # column of n - e_j divided by sqrt(n_j), j the first occupied mode of n
-        parents = cols[:, lower[rows, first]] / root[rows, first]
-        cols = np.zeros((len(first), len(first)), dtype=complex)
-        for i in range(m):
-            # <n'| S_ij a_i^dag |v> = S_ij sqrt(n'_i) v[n' - e_i]
-            cols += np.outer(root[:, i], a[i, first]) * parents[lower[:, i]]
-    return LiftedOperator(basis, cols)
+        parents = cols[:, :, lower[rows, first]] / root[rows, first]
+        cols = np.zeros((len(a), len(first), len(first)), dtype=complex)
+        for i in range(a.shape[1]):
+            # <n'| S_ij a_i^dag |v> = S_ij sqrt(n'_i) v[n' - e_i], over the n' with n'_i > 0
+            occupied = np.flatnonzero(root[:, i])
+            term = parents[:, lower[occupied, i]]
+            term *= root[occupied, i, None] * a[:, None, i, first]
+            cols[:, occupied] += term
+    return cols
 
 
 def lift_generator(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:

@@ -11,6 +11,10 @@ representation of the family's Lie algebra (``family_generators``): the
 lifted sl(2) generators annihilate it and it is an eigenvector of the lifted
 commuting ones. The search finds these spaces without random draws, then
 certifies each one.
+
+Every certificate goes through one kernel, ``_sample_scalar_action``: it
+draws the n_samples matrices, lifts the stack a group at a time and applies
+each group to the vectors with one batched matmul.
 """
 
 from __future__ import annotations
@@ -20,7 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, FockState, enumerate_basis, lift, lift_generator, lift_mirror, sector_split
+from .fock import (
+    FockBasis,
+    FockState,
+    _groups,
+    enumerate_basis,
+    lift,
+    lift_generator,
+    lift_mirror,
+    sector_split,
+)
 from .modes import ModeSpace, hm
 from .scatter import ScatterSampler, family_generators
 from .states import pair_expansion_coefficients, pair_power
@@ -85,20 +98,19 @@ def _sample_scalar_action(basis: FockBasis, vectors: np.ndarray, cfg: Certificat
     ``vectors`` holds d orthonormal columns V, and S_i is the i-th draw of
     the sample stream ``certify`` documents. The eigenvalue is
     lam_i = tr(V^dag lift(S_i) V) / d and the residual is the Frobenius norm
-    of lift(S_i) V - lam_i V.
+    of lift(S_i) V - lam_i V. The draws are lifted as one stack, a group at
+    a time, and each group is applied to V with one batched matmul, so
+    memory stays at one group of lifts whatever n_samples is.
     """
     sampler = ScatterSampler(
         seed=cfg.seed, unitary=cfg.unitary, genericity_floor=cfg.genericity_floor
     )
-    d = vectors.shape[1]
-    eigenvalues = np.empty(cfg.n_samples, dtype=complex)
-    residuals = np.empty(cfg.n_samples, dtype=float)
-    for i in range(cfg.n_samples):
-        scattering = sampler.sample(basis.space)
-        image = lift(scattering.matrix, basis).matrix @ vectors
-        lam = np.trace(vectors.conj().T @ image) / d
-        eigenvalues[i] = lam
-        residuals[i] = float(np.linalg.norm(image - lam * vectors))
+    draws = np.array([sampler.sample(basis.space).matrix for _ in range(cfg.n_samples)])
+    images = np.concatenate(
+        [lift(draws[group], basis).matrix @ vectors for group in _groups(len(draws), basis)]
+    )
+    eigenvalues = np.einsum("nd,knd->k", vectors.conj(), images) / vectors.shape[1]
+    residuals = np.linalg.norm(images - eigenvalues[:, None, None] * vectors, axis=(1, 2))
     return eigenvalues, residuals
 
 

@@ -11,12 +11,19 @@ block shape
 ``ScatterSampler`` draws random members of the family (Haar-unitary or
 subunitary) with a genericity floor on the block determinant and on the
 eigenvalue gap, so that certification sees well-separated spectra. Streams
-are deterministic in the seed. ``family_generators`` is a basis of the
-family's Lie algebra, which the exact protected-state search lifts.
+are deterministic in the seed. Each 2x2 block is drawn and tested in closed
+form, in plain complex scalars: the determinant, the eigenvalue gap
+|sqrt(tr^2 - 4 det)|, sigma_max from the Frobenius norm and |det| (see
+``_sigma_max``), and the Haar unitary as the Q of a positive-diagonal QR,
+whose second column is fixed by the first and det(z). These match the
+LAPACK formulas (SVD, LU, eigensolver, Householder QR) to rounding and
+consume the generator in the same order. ``family_generators`` is a basis
+of the family's Lie algebra, which the exact protected-state search lifts.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +41,9 @@ __all__ = [
     "EigenMode",
     "family_generators",
 ]
+
+
+_SQRT2 = math.sqrt(2.0)
 
 
 class GenericityError(RuntimeError):
@@ -155,39 +165,56 @@ class ScatterSampler:
             if space.kind == "h0":
                 if self.unitary:
                     th1, th2 = self._rng.uniform(0.0, 2.0 * math.pi, size=2)
-                    s_plus, s_minus = np.exp(1j * th1), np.exp(1j * th2)
+                    s_plus, s_minus = cmath.exp(1j * th1), cmath.exp(1j * th2)
                     alpha, beta = (s_plus + s_minus) / 2.0, (s_plus - s_minus) / 2.0
                 else:
                     alpha, beta = self._gaussian(2)
-                block = np.array([[alpha, beta], [beta, alpha]])
+                a, b, c, d = alpha, beta, beta, alpha
+            elif self.unitary:
+                a, b, c, d = self._haar_2x2()
             else:
-                if self.unitary:
-                    block = self._haar_2x2()
-                else:
-                    block = self._gaussian(4).reshape(2, 2)
+                a, b, c, d = self._gaussian(4)
             if not self.unitary:
-                smax = float(np.linalg.norm(block, 2))
-                r = self._rng.uniform(floor, 1.0)
-                block = block * (r / smax)
-            evals = np.linalg.eigvals(block)
-            if abs(np.linalg.det(block)) > floor and abs(evals[0] - evals[1]) > floor:
-                return block
+                scale = self._rng.uniform(floor, 1.0) / _sigma_max(a, b, c, d)
+                a, b, c, d = a * scale, b * scale, c * scale, d * scale
+            det = a * d - b * c
+            # eigenvalue gap |nu_1 - nu_2| = |sqrt(tr^2 - 4 det)|
+            if abs(det) > floor and abs(cmath.sqrt((a + d) ** 2 - 4.0 * det)) > floor:
+                return np.array([[a, b], [c, d]])
         raise GenericityError(
             f"no generic sample within {self.max_attempts} attempts (floor {floor})"
         )
 
-    def _gaussian(self, n: int) -> np.ndarray:
-        z = self._rng.standard_normal(2 * n)
-        return (z[:n] + 1j * z[n:]) / math.sqrt(2.0)
+    def _gaussian(self, n: int) -> list[complex]:
+        z = self._rng.standard_normal(2 * n).tolist()
+        return [complex(re, im) / _SQRT2 for re, im in zip(z[:n], z[n:])]
 
-    def _haar_2x2(self) -> np.ndarray:
-        z = self._gaussian(4).reshape(2, 2)
-        q, r = np.linalg.qr(z)
-        # fix the QR phase ambiguity so q is Haar distributed
-        return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+    def _haar_2x2(self) -> tuple[complex, complex, complex, complex]:
+        """Q of the QR decomposition of a complex Gaussian 2x2 matrix, with
+        the phases fixed so that R has a positive diagonal (Q is then Haar
+        distributed). Row-major entries."""
+        z00, z01, z10, z11 = self._gaussian(4)
+        norm = math.hypot(abs(z00), abs(z10))
+        q00, q10 = z00 / norm, z10 / norm
+        # the second column is orthogonal to the first; its phase u makes
+        # r_11 = q_1^dag z_1 = conj(u) det(z) / |z_0| positive
+        w = z00 * z11 - z01 * z10
+        u = w / abs(w)
+        return q00, -u * q10.conjugate(), q10, u * q00.conjugate()
 
 
-_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
+def _sigma_max(a: complex, b: complex, c: complex, d: complex) -> float:
+    """Largest singular value of [[a, b], [c, d]].
+
+    sigma_max +- sigma_min = sqrt(|A|_F^2 +- 2 |det A|), and with
+    u = det / |det| each radicand is a sum of squares,
+    |A|_F^2 +- 2 |det| = |a +- u conj(d)|^2 + |b -+ u conj(c)|^2,
+    so neither cancels.
+    """
+    det = a * d - b * c
+    u = det / abs(det) if det else 1.0
+    ud, uc = u * d.conjugate(), u * c.conjugate()
+    return (math.hypot(abs(a + ud), abs(b - uc)) + math.hypot(abs(a - ud), abs(b + uc))) / 2.0
 
 
 def _assemble(space: ModeSpace, comps, blocks) -> np.ndarray:
@@ -200,7 +227,7 @@ def _assemble(space: ModeSpace, comps, blocks) -> np.ndarray:
             offset += 2
         else:
             mat[offset : offset + 2, offset : offset + 2] = block
-            mat[offset + 2 : offset + 4, offset + 2 : offset + 4] = _FLIP @ block @ _FLIP
+            mat[offset + 2 : offset + 4, offset + 2 : offset + 4] = block[::-1, ::-1]  # X block X
             offset += 4
     return mat
 
@@ -268,7 +295,7 @@ def eigen_modes(scattering: SymmetricScattering, gap_floor: float = 1e-12) -> li
             up = np.zeros((4, 1), dtype=complex)
             up[:2, 0] = v
             down = np.zeros((4, 1), dtype=complex)
-            down[2:, 0] = _FLIP @ v  # helicity-swapped partner in the -m block
+            down[2:, 0] = v[::-1]  # helicity-swapped partner in the -m block
             modes.append(EigenMode(evals[k], np.hstack([up, down])))
     modes.sort(key=lambda em: (-em.value.real, -em.value.imag))
     return modes

@@ -70,3 +70,40 @@ def permanent_expansion(matrix):
         rest = a[1:, cols[:j] + cols[j + 1 :]]
         total += a[0, j] * permanent_expansion(rest)
     return total
+
+
+def sample_block_oracle(rng, kind, unitary, floor, max_attempts=100):
+    """One 2x2 family block drawn through LAPACK, plus the rejections it took.
+
+    The reference for ``ScatterSampler``'s closed forms: it consumes ``rng``
+    in the sampler's order, takes sigma_max from the SVD, the determinant
+    and eigenvalues from LU and the eigensolver, and the Haar unitary from
+    Householder QR with the phases of R's diagonal divided out. Returns
+    ``(block, rejected)``, or ``(None, max_attempts)`` when every attempt
+    fails the genericity floor.
+    """
+
+    def gaussian(n):
+        z = rng.standard_normal(2 * n)
+        return (z[:n] + 1j * z[n:]) / math.sqrt(2.0)
+
+    for attempt in range(max_attempts):
+        if kind == "h0":
+            if unitary:
+                th1, th2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+                s_plus, s_minus = np.exp(1j * th1), np.exp(1j * th2)
+                alpha, beta = (s_plus + s_minus) / 2.0, (s_plus - s_minus) / 2.0
+            else:
+                alpha, beta = gaussian(2)
+            block = np.array([[alpha, beta], [beta, alpha]])
+        elif unitary:
+            q, r = np.linalg.qr(gaussian(4).reshape(2, 2))
+            block = q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+        else:
+            block = gaussian(4).reshape(2, 2)
+        if not unitary:
+            block = block * (rng.uniform(floor, 1.0) / np.linalg.norm(block, 2))
+        evals = np.linalg.eigvals(block)
+        if abs(np.linalg.det(block)) > floor and abs(evals[0] - evals[1]) > floor:
+            return block, attempt
+    return None, max_attempts

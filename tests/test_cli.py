@@ -107,6 +107,23 @@ def test_certify_verdict_and_expectation_gate():
     assert json.loads(bad.stdout)["verdict"] == "not_protected"
 
 
+def test_sampler_failure_exits_three(monkeypatch, capsys):
+    """A GenericityError is reported on stderr with its own exit code."""
+    from symprot import cli
+    from symprot.scatter import GenericityError, ScatterSampler
+
+    def exhausted(self, space):
+        raise GenericityError("no generic sample within 100 attempts (floor 0.001)")
+
+    monkeypatch.setattr(ScatterSampler, "sample", exhausted)
+    for argv in (["certify", "--state", "psi4", "--samples", "8"],
+                 ["dfs", "--carrier", "psi4", "--d", "2", "--samples", "8"]):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "symprot: no generic sample within 100 attempts (floor 0.001)\n"
+
+
 def test_certify_accepts_recipes_and_state_files(tmp_path):
     doc = payload("certify", "--state", "pair:m=1,N=4", "--samples", "8")
     assert doc["verdict"] == "protected"

@@ -27,6 +27,7 @@ from symprot import (
     sector_split,
     state_from_amplitudes,
 )
+from symprot.fock import _groups
 from oracles import apply_oracle, lift_oracle, permanent_expansion
 
 
@@ -270,6 +271,24 @@ def test_lift_peak_memory_is_a_few_output_matrices():
     assert peak <= 8 * out.nbytes
 
 
+@pytest.mark.parametrize(
+    "space,n,count",
+    [(h0(), 3, 5), (hm(1), 0, 4), (hm(1), 2, 0), (hm(1), 4, 40), (direct_sum(h0(), hm(1)), 2, 3)],
+    ids=["h0-3", "hm-0", "empty", "hm-4-groups", "h0+hm-2"],
+)
+def test_stacked_lift_is_the_stack_of_lifts(space, n, count):
+    """A (k, M, M) stack lifts to the lifts of its matrices, across groups."""
+    rng = np.random.default_rng(47)
+    basis = enumerate_basis(space, n)
+    m = len(space)
+    stack = np.array([_random_matrix(rng, m) for _ in range(count)]).reshape(count, m, m)
+    lifted = lift(stack, basis)
+    assert lifted.matrix.shape == (count, len(basis), len(basis))
+    assert (len(_groups(count, basis)) > 1) == (count == 40)
+    for S, L in zip(stack, lifted.matrix):
+        assert np.allclose(L, lift(S, basis).matrix, atol=1e-12, rtol=0)
+
+
 def _random_matrix(rng, m):
     return (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) / np.sqrt(m)
 
@@ -332,8 +351,10 @@ def test_lift_apply_rejects_foreign_states():
 
 
 def test_lift_shape_validation():
-    with pytest.raises(ValueError):
-        lift(np.eye(3), enumerate_basis(h0(), 2))
+    basis = enumerate_basis(h0(), 2)
+    for bad in (np.eye(3), np.eye(3)[None], np.ones((2, 2, 2, 2)), np.ones(2)):
+        with pytest.raises(ValueError):
+            lift(bad, basis)
 
 
 def test_lift_is_multiplicative():

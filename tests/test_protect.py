@@ -1,5 +1,7 @@
 """Certification of protected states and the exhaustive ray search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from symprot import (
     state_from_amplitudes,
     verify_pair_uniqueness,
 )
+from symprot.fock import _GROUP_ENTRIES
 from symprot.protect import _certify_subspace
 
 CFG = CertificationConfig(n_samples=24, seed=0)
@@ -155,6 +158,7 @@ def test_search_is_seed_robust():
     a = find_protected(h0(), 4, CertificationConfig(n_samples=12, seed=0))
     b = find_protected(h0(), 4, CertificationConfig(n_samples=12, seed=1))
     assert len(a.rays) == len(b.rays) == 5
+    assert a.samples_used == b.samples_used == 5 * 12  # five candidates, all rays
     for ray, other in zip(a.rays, b.rays):
         assert np.array_equal(ray.state.amplitudes, other.state.amplitudes)
 
@@ -188,6 +192,45 @@ def test_search_separates_components_by_photon_number():
     ]
     for target in expected:
         assert max(abs(ray.state.overlap(target)) for ray in result.rays) > 1 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "space,n",
+    [(h0(), 4), (hm(1), 4), (direct_sum(h0(), hm(1)), 2)],
+    ids=["h0-4", "hm-4", "h0+hm-2"],
+)
+def test_every_ray_carries_its_standalone_certificate(space, n):
+    """A found ray's report is the report a standalone certify of the ray
+    gives: same draws, verdict, eigenvalues and residuals."""
+    result = find_protected(space, n, CFG)
+    assert result.rays
+    for ray in result.rays:
+        alone = certify(ray.state, CFG)
+        assert ray.report.verdict is alone.verdict is Verdict.PROTECTED
+        assert ray.report.witness_sample_index is alone.witness_sample_index is None
+        assert np.allclose(ray.report.eigenvalues, alone.eigenvalues, atol=1e-12, rtol=0)
+        assert np.allclose(ray.report.residuals, alone.residuals, atol=1e-12, rtol=0)
+        assert abs(ray.report.worst_residual - alone.worst_residual) <= 1e-12
+
+
+def test_certification_memory_is_a_few_groups_of_lifts():
+    """The draws are lifted and applied a group at a time, so the peak stays
+    a small multiple of one group, not n_samples lifted matrices."""
+    psi = pair_power(1, 4)
+    cfg = CertificationConfig(n_samples=64, seed=0)
+    certify(psi, cfg)  # warm call: builds the cached basis tables
+    tracemalloc.start()
+    try:
+        certify(psi, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dim = len(psi.basis)
+    assert dim == 165
+    group_bytes = 16 * max(_GROUP_ENTRIES, dim * dim)
+    assert peak <= 8 * group_bytes
+    # the bound is far below what one stack of every lifted draw would hold
+    assert 8 * group_bytes < cfg.n_samples * 16 * dim * dim / 4
 
 
 def test_search_rays_are_phase_fixed():

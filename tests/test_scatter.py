@@ -15,6 +15,7 @@ from symprot import (
     hm,
     validate_scattering,
 )
+from oracles import sample_block_oracle
 
 
 def haar_phase():
@@ -97,6 +98,60 @@ def test_genericity_floor_can_exhaust_attempts():
     with pytest.raises(GenericityError):
         for _ in range(50):
             sampler.sample(hm(1))
+
+
+def _oracle_stream(space, unitary, floor, seed, draws):
+    """(closed-form block, LAPACK block, rejections before it) per draw."""
+    sampler = ScatterSampler(seed=seed, unitary=unitary, genericity_floor=floor)
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        expected, rejected = sample_block_oracle(rng, space.kind, unitary, floor)
+        yield sampler.sample(space).block(), expected, rejected
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("unitary", [True, False], ids=["unitary", "subunitary"])
+@pytest.mark.parametrize("space", [h0(), hm(1), hm(2)], ids=["h0", "hm1", "hm2"])
+def test_closed_form_draws_match_the_lapack_oracle(space, unitary, seed):
+    for block, expected, _ in _oracle_stream(space, unitary, 1e-3, seed, 200):
+        assert np.allclose(block, expected, atol=1e-13, rtol=0)
+
+
+@pytest.mark.parametrize(
+    "space,unitary", [(h0(), True), (h0(), False), (hm(1), False)],
+    ids=["h0-unitary", "h0-subunitary", "hm-subunitary"],
+)
+def test_rejections_consume_the_oracle_stream(space, unitary):
+    """A high floor forces rejections; every draw after one still matches,
+    so the closed forms consume the generator exactly as the oracle does."""
+    after_rejection = 0
+    for block, expected, rejected in _oracle_stream(space, unitary, 0.3, 7, 200):
+        assert np.allclose(block, expected, atol=1e-13, rtol=0)
+        after_rejection += rejected > 0
+    assert after_rejection >= 10
+
+
+def test_sigma_max_does_not_cancel_at_equal_singular_values():
+    """0.7 U has sigma_max = sigma_min = 0.7, where |A|_F^2 - 2|det| vanishes."""
+    from symprot.scatter import _sigma_max
+
+    for seed in range(20):
+        u = ScatterSampler(seed=seed).sample(hm(1)).block()
+        assert abs(_sigma_max(*(0.7 * u).ravel()) - 0.7) < 1e-15
+        assert abs(_sigma_max(*(0.7 * np.eye(2) * u[0, 0]).ravel()) - 0.7 * abs(u[0, 0])) < 1e-15
+
+
+def test_genericity_error_comes_at_the_oracle_draw():
+    sampler = ScatterSampler(seed=0, unitary=False, genericity_floor=0.999, max_attempts=3)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        expected, _ = sample_block_oracle(rng, "hm", False, 0.999, max_attempts=3)
+        if expected is None:
+            with pytest.raises(GenericityError):
+                sampler.sample(hm(1))
+            return
+        assert np.allclose(sampler.sample(hm(1)).block(), expected, atol=1e-13, rtol=0)
+    pytest.fail("the oracle never ran out of attempts")
 
 
 def test_scattering_shape_must_match_space():
