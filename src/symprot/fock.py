@@ -24,14 +24,22 @@ before lifting the next. The permanent formula
 (S[n', n] repeats column j of S n_j times and row i n'_i times) is kept as
 ``permanent_ryser`` and ``permanent_naive``, the independent oracles the
 tests check the lift against.
+
+Bases are shared: ``enumerate_basis`` returns one ``FockBasis`` per
+(space, N), kept in a cache of the ``_CACHED_BASES`` most recently used.
+Every table that depends on the basis alone is built once, on first use,
+and owned by it: the lift's ladder, the index of each occupation, the
+m_tot of each state, the sector split and the mirror permutation. These
+arrays are read-only, since every caller holding the basis sees them.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,6 +68,8 @@ _N_MAX_ENV = "SYMPROT_NMAX"
 # lifted entries per group of a stacked lift: bounds the working memory of
 # lifting (and of applying) a stack of draws, whatever its length
 _GROUP_ENTRIES = 1 << 14
+# distinct (space, N) bases kept by enumerate_basis, with their tables
+_CACHED_BASES = 32
 
 
 def max_photons() -> int:
@@ -84,6 +94,11 @@ def _occupations(modes: int, total: int):
     for first in range(total, -1, -1):
         for rest in _occupations(modes - 1, total - first):
             yield (first,) + rest
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,16 +138,32 @@ class FockBasis:
     def m_totals(self) -> np.ndarray:
         """Total angular momentum sum_i n_i m_i per basis state (integers)."""
         ms = np.array([lab.m for lab in self.space.labels])
-        return np.array([int(np.dot(occ, ms)) for occ in self.states])
+        return _frozen(np.array([int(np.dot(occ, ms)) for occ in self.states]))
 
     @cached_property
-    def _ladder(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Creation-operator tables for the lift, one entry per photon number k = 1..N.
+    def _sectors(self) -> dict[int, np.ndarray]:
+        """Basis indices grouped by m_tot, descending in m_tot."""
+        values = np.unique(self.m_totals)[::-1]
+        return {int(m): _frozen(np.flatnonzero(self.m_totals == m)) for m in values}
 
-        Over the k-photon states n (rows) and modes i (columns), ``lower[n, i]``
-        is the index of n - e_i among the (k-1)-photon states (0 where
-        n_i = 0) and ``root[n, i] = sqrt(n_i)``; ``first[n]`` is the first
-        occupied mode j of n, so ``lower[n, first[n]]`` is its parent column.
+    @cached_property
+    def _mirror(self) -> np.ndarray:
+        """``_mirror[i]`` is the index of the mirror image of basis state i."""
+        # the image occupation puts n_j on mode perm[j]
+        inverse = np.argsort(self.space.mirror_permutation)
+        images = np.array(self.states, dtype=np.intp)[:, inverse]
+        return _frozen(np.array([self._index[tuple(occ)] for occ in images.tolist()], dtype=np.intp))
+
+    @cached_property
+    def _ladder(self) -> tuple[tuple, ...]:
+        """Creation-operator tables for the lift, one level per photon number k = 1..N.
+
+        A level is ``(parent, scale, first, modes)`` over the k-photon states
+        n: ``first[n]`` is the first occupied mode j of n, ``parent[n]`` the
+        index of n - e_j among the (k-1)-photon states and ``scale[n] =
+        sqrt(n_j)``. ``modes[i]`` is ``(occupied, lower, root)``: the states
+        with n_i > 0, the index of n - e_i for each, and sqrt(n_i) as a
+        column.
         """
         m = len(self.space)
         below = {(0,) * m: 0}
@@ -145,7 +176,14 @@ class FockBasis:
                 for i, count in enumerate(state):
                     if count:
                         lower[row, i] = below[state[:i] + (count - 1,) + state[i + 1 :]]
-            levels.append((lower, np.sqrt(occ), np.argmax(occ > 0, axis=1)))
+            root = np.sqrt(occ)
+            first = np.argmax(occ > 0, axis=1)
+            rows = np.arange(len(states))
+            modes = []
+            for i in range(m):
+                occupied = np.flatnonzero(occ[:, i])
+                modes.append(tuple(map(_frozen, (occupied, lower[occupied, i], root[occupied, i, None]))))
+            levels.append((_frozen(lower[rows, first]), _frozen(root[rows, first]), _frozen(first), tuple(modes)))
             below = {state: row for row, state in enumerate(states)}
         return tuple(levels)
 
@@ -155,20 +193,32 @@ class FockBasis:
 
 
 def enumerate_basis(space: ModeSpace, n_photons: int) -> FockBasis:
-    """The N-photon basis of a mode space in the canonical order."""
+    """The N-photon basis of a mode space in the canonical order.
+
+    Equal (space, N) give the same shared FockBasis while it stays among
+    the ``_CACHED_BASES`` most recently used; the photon cap is checked on
+    every call. N is stored as a Python int, whatever integer type the
+    call that built the basis passed.
+    """
+    n_photons = operator.index(n_photons)
     cap = max_photons()
     if not 0 <= n_photons <= cap:
         raise ValueError(f"n_photons must lie in [0, {cap}], got {n_photons}")
+    return _shared_basis(space, n_photons)
+
+
+@lru_cache(maxsize=_CACHED_BASES)
+def _shared_basis(space: ModeSpace, n_photons: int) -> FockBasis:
     states = tuple(_occupations(len(space), n_photons))
     return FockBasis(space=space, n_photons=n_photons, states=states)
 
 
 def sector_split(basis: FockBasis) -> dict[int, list[int]]:
-    """Basis indices grouped by total angular momentum, descending in m_tot."""
-    out: dict[int, list[int]] = {}
-    for i, m in enumerate(basis.m_totals):
-        out.setdefault(int(m), []).append(i)
-    return {m: out[m] for m in sorted(out, reverse=True)}
+    """Basis indices grouped by total angular momentum, descending in m_tot.
+
+    A fresh dict of fresh lists, so callers may change it freely.
+    """
+    return {m: idx.tolist() for m, idx in basis._sectors.items()}
 
 
 @dataclass
@@ -314,16 +364,14 @@ def lift(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
 def _lift_group(a: np.ndarray, basis: FockBasis) -> np.ndarray:
     """The SLOS recursion on a (g, M, M) stack."""
     cols = np.ones((len(a), 1, 1), dtype=complex)
-    for lower, root, first in basis._ladder:
-        rows = np.arange(len(first))
+    for parent, scale, first, modes in basis._ladder:
         # column of n - e_j divided by sqrt(n_j), j the first occupied mode of n
-        parents = cols[:, :, lower[rows, first]] / root[rows, first]
+        parents = cols[:, :, parent] / scale
         cols = np.zeros((len(a), len(first), len(first)), dtype=complex)
-        for i in range(a.shape[1]):
+        for i, (occupied, lower, root) in enumerate(modes):
             # <n'| S_ij a_i^dag |v> = S_ij sqrt(n'_i) v[n' - e_i], over the n' with n'_i > 0
-            occupied = np.flatnonzero(root[:, i])
-            term = parents[:, lower[occupied, i]]
-            term *= root[occupied, i, None] * a[:, None, i, first]
+            term = parents[:, lower]
+            term *= root * a[:, None, i, first]
             cols[:, occupied] += term
     return cols
 
@@ -341,16 +389,17 @@ def lift_generator(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
         raise ValueError(f"matrix must be {m}x{m} for this space, got {a.shape}")
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     if basis.n_photons:
-        lower = basis._ladder[-1][0]
+        modes = basis._ladder[-1][3]
         occ = np.array(basis.states)
-        rows, modes = np.nonzero(occ)
-        # upper[p, i] is the index of p + e_i, for p an (N-1)-photon state
-        upper = np.zeros((lower.max() + 1, m), dtype=np.intp)
-        upper[lower[rows, modes], modes] = rows
+        # upper[p, i] is the index of p + e_i, for p an (N-1)-photon state;
+        # there are no more of those than N-photon states
+        upper = np.zeros((len(basis), m), dtype=np.intp)
+        for i, (occupied, lower, _) in enumerate(modes):
+            upper[lower, i] = occupied
         for i, j in zip(*np.nonzero(a)):
             # a_i^dag a_j |n> = sqrt(n'_i n_j) |n'> with n' = n - e_j + e_i
-            cols = np.flatnonzero(occ[:, j])
-            image = upper[lower[cols, j], i]
+            cols, lower, _ = modes[j]
+            image = upper[lower, i]
             out[image, cols] += a[i, j] * np.sqrt(occ[image, i] * occ[cols, j])
     return LiftedOperator(basis, out)
 
@@ -362,14 +411,9 @@ def lift_jz(basis: FockBasis) -> LiftedOperator:
 
 def lift_mirror(basis: FockBasis) -> LiftedOperator:
     """Lift of the mirror: the exact 0/1 permutation of occupation vectors."""
-    perm = basis.space.mirror_permutation
     dim = len(basis)
     out = np.zeros((dim, dim), dtype=complex)
-    for col, occ in enumerate(basis.states):
-        image = [0] * len(occ)
-        for j, cnt in enumerate(occ):
-            image[perm[j]] = cnt
-        out[basis.index(image), col] = 1.0
+    out[basis._mirror, np.arange(dim)] = 1.0
     return LiftedOperator(basis, out)
 
 

@@ -27,7 +27,7 @@ from symprot import (
     sector_split,
     state_from_amplitudes,
 )
-from symprot.fock import _groups
+from symprot.fock import _CACHED_BASES, _groups, _shared_basis
 from oracles import apply_oracle, lift_oracle, permanent_expansion
 
 
@@ -86,6 +86,7 @@ def test_ket_rendering():
 
 def test_enumeration_respects_the_photon_cap(monkeypatch):
     assert max_photons() == DEFAULT_N_MAX
+    enumerate_basis(h0(), 4)  # warm: the cap holds on a cache hit too
     monkeypatch.setenv("SYMPROT_NMAX", "3")
     assert max_photons() == 3
     enumerate_basis(h0(), 3)
@@ -97,6 +98,31 @@ def test_enumeration_respects_the_photon_cap(monkeypatch):
     monkeypatch.setenv("SYMPROT_NMAX", "-2")
     with pytest.raises(ValueError):
         max_photons()
+
+
+def test_bases_are_shared():
+    assert enumerate_basis(hm(1), 3) is enumerate_basis(hm(1), 3)
+    assert enumerate_basis(direct_sum(h0(), hm(1)), 2) is enumerate_basis(direct_sum(h0(), hm(1)), 2)
+    assert enumerate_basis(hm(1), 3) is not enumerate_basis(hm(1), 2)
+    _shared_basis.cache_clear()
+    shared = enumerate_basis(hm(2), np.int64(2))  # the call that builds the basis
+    assert type(shared.n_photons) is int and shared is enumerate_basis(hm(2), 2)
+
+
+def test_basis_cache_is_bounded():
+    for m in range(1, _CACHED_BASES + 9):
+        assert enumerate_basis(hm(m), 1).space == hm(m)
+    assert _shared_basis.cache_info().currsize == _CACHED_BASES
+
+
+def test_shared_tables_are_read_only():
+    basis = enumerate_basis(direct_sum(h0(), hm(1)), 3)
+    with pytest.raises(ValueError):
+        basis.m_totals[0] = 5
+    tables = [basis.m_totals, basis._mirror, *basis._sectors.values()]
+    for parent, scale, first, modes in basis._ladder:
+        tables += [parent, scale, first, *(table for mode in modes for table in mode)]
+    assert tables and not any(table.flags.writeable for table in tables)
 
 
 def test_negative_photon_number_rejected():
@@ -420,7 +446,7 @@ def test_lifted_jz_is_the_sector_diagonal():
 
 
 def test_lifted_mirror_matches_the_permutation_lift():
-    for space, n in ((h0(), 2), (hm(1), 2), (hm(1), 3)):
+    for space, n in ((h0(), 2), (hm(1), 2), (hm(1), 3), (direct_sum(h0(), hm(1)), 2)):
         basis = enumerate_basis(space, n)
         M = lift_mirror(basis).matrix
         assert np.allclose(M, lift(space.mirror, basis).matrix, atol=1e-14, rtol=0)

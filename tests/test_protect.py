@@ -24,8 +24,8 @@ from symprot import (
     state_from_amplitudes,
     verify_pair_uniqueness,
 )
-from symprot.fock import _GROUP_ENTRIES
-from symprot.protect import _certify_subspace
+from symprot.fock import _CACHED_BASES, _GROUP_ENTRIES, _shared_basis
+from symprot.protect import _certify_subspace, _generator_blocks
 
 CFG = CertificationConfig(n_samples=24, seed=0)
 
@@ -249,6 +249,65 @@ def test_search_sector_restriction():
     assert top.rays == ()
     with pytest.raises(ValueError):
         find_protected(hm(1), 2, CFG, sector=5)
+
+
+def _assert_same_search(a, b):
+    assert a.sectors == b.sectors
+    assert a.samples_used == b.samples_used
+    assert len(a.rays) == len(b.rays) and len(a.subspaces) == len(b.subspaces)
+    for x, y in zip(a.rays, b.rays):
+        assert (x.m_tot, x.mirror_tau, x.report.verdict) == (y.m_tot, y.mirror_tau, y.report.verdict)
+        assert np.array_equal(x.state.amplitudes, y.state.amplitudes)
+        assert np.array_equal(x.report.eigenvalues, y.report.eigenvalues)
+        assert np.array_equal(x.report.residuals, y.report.residuals)
+    for x, y in zip(a.subspaces, b.subspaces):
+        assert np.array_equal(x.vectors, y.vectors)
+
+
+def _clear_search_tables():
+    _shared_basis.cache_clear()
+    _generator_blocks.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "space,n",
+    [(h0(), 4), (hm(1), 4), (direct_sum(h0(), hm(1)), 2)],
+    ids=["h0-4", "hm-4", "h0+hm-2"],
+)
+def test_warm_search_repeats_the_cold_search(space, n):
+    """Searches on cached tables give exactly what a fresh build gives,
+    whole and per sector, whichever call builds the tables."""
+    _clear_search_tables()
+    cold = find_protected(space, n, CFG)
+    for m in cold.sectors:
+        _clear_search_tables()
+        part = find_protected(space, n, CFG, sector=m)  # tables built by a one-sector call
+        _assert_same_search(find_protected(space, n, CFG), cold)
+        _assert_same_search(find_protected(space, n, CFG, sector=m), part)
+        assert part.sectors == (m,)
+        rays = [ray for ray in cold.rays if ray.m_tot == m]
+        assert part.samples_used == len(rays) * CFG.n_samples
+        for x, y in zip(part.rays, rays, strict=True):
+            assert np.array_equal(x.state.amplitudes, y.state.amplitudes)
+
+
+def test_changing_a_sector_split_leaves_the_search_alone():
+    before = find_protected(hm(1), 4, CFG)
+    split = sector_split(before.rays[0].state.basis)
+    split[0].reverse()
+    split[0].append(0)
+    del split[2]
+    _assert_same_search(find_protected(hm(1), 4, CFG), before)
+    assert sector_split(before.rays[0].state.basis) != split
+
+
+def test_search_tables_are_read_only_and_bounded():
+    blocks = _generator_blocks(enumerate_basis(direct_sum(h0(), hm(1)), 2))
+    assert not any(a.flags.writeable for sl2, commuting in blocks.values() for a in (sl2, *commuting))
+    for m in range(1, _CACHED_BASES + 9):
+        assert find_protected(hm(m), 1, CFG).rays == ()
+    assert _shared_basis.cache_info().currsize <= _CACHED_BASES
+    assert _generator_blocks.cache_info().currsize <= _CACHED_BASES
 
 
 def test_product_of_protected_rays_is_protected():
