@@ -5,14 +5,16 @@ Output is canonical JSON (sorted keys, 2-space indent) by default, so runs
 with identical arguments are byte-identical; ``--output pretty`` renders a
 human-readable summary instead. Seeds default to 0. Exit codes: 0 on
 success, 1 when ``--expect protected`` is not met (or a dfs carrier is
-refused), 2 on usage errors, 3 when the sampler cannot draw a generic
-scatterer within its attempts (GenericityError). The SYMPROT_NMAX
-environment variable overrides the photon-number cap.
+refused), 2 on usage errors and malformed state or matrix files, 3 when
+the sampler cannot draw a generic scatterer within its attempts
+(GenericityError). The SYMPROT_NMAX environment variable overrides the
+photon-number cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -36,10 +38,6 @@ from .states import (
 __all__ = ["main"]
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "1", "yes"):
@@ -50,34 +48,40 @@ def _parse_bool(text: str) -> bool:
 
 
 def _resolve_state(state_arg: str, space_arg: str | None) -> tuple[FockState, str]:
-    """A state from a catalog/family name or a JSON file, against an optional space."""
+    """A normalized state from a catalog/family name or a JSON file, on an optional space.
+
+    ``--space hm:<m>`` sets m only for a bare catalog name; an explicit m must agree.
+    """
     space = serialize.parse_space(space_arg) if space_arg else None
     if state_arg.startswith("@") or os.path.isfile(state_arg):
         path = state_arg[1:] if state_arg.startswith("@") else state_arg
         try:
             state = serialize.load_state_file(path)
         except FileNotFoundError:
-            raise UsageError(f"state file not found: {path}") from None
+            raise ValueError(f"state file not found: {path}") from None
         except (KeyError, ValueError, TypeError) as exc:
-            raise UsageError(f"malformed state file {path}: {exc}") from None
+            raise ValueError(f"malformed state file {path}: {exc}") from None
         label = path
     else:
         recipe = parse_recipe(state_arg)
-        if recipe.kind == "named" and space is not None and space.kind == "hm":
+        bare_name = recipe.kind == "named" and ":" not in state_arg
+        if bare_name and space is not None and space.kind == "hm":
             recipe = StateRecipe.named(recipe.name, space.m)
         state = build_state(recipe)
         label = state_arg
     if space is not None and state.basis.space != space:
-        raise UsageError(
+        raise ValueError(
             f"state {label!r} lives on {serialize.space_to_json(state.basis.space)}, "
             f"not on the requested space"
         )
-    return state, label
+    return (state if state.is_normalized() else state.normalized()), label
 
 
-def _emit(payload: dict, pretty_lines, output: str) -> None:
-    if output == "json":
-        sys.stdout.write(serialize.dumps(payload))
+def _emit(args, payload: dict, pretty_lines) -> None:
+    """Print the payload, tagged with the schema and the command, or the pretty lines."""
+    if args.output == "json":
+        header = {"schema": serialize.SCHEMA_TAG, "command": args.command}
+        sys.stdout.write(serialize.dumps({**header, **payload}))
     else:
         sys.stdout.write("\n".join(pretty_lines) + "\n")
 
@@ -94,8 +98,6 @@ def _config_json(cfg: CertificationConfig) -> dict:
 
 def _cmd_certify(args) -> int:
     state, label = _resolve_state(args.state, args.space)
-    if not state.is_normalized():
-        state = state.normalized()
     cfg = CertificationConfig(
         n_samples=args.samples,
         residual_tol=args.tol,
@@ -104,8 +106,6 @@ def _cmd_certify(args) -> int:
     )
     report = certify(state, cfg)
     payload = {
-        "schema": serialize.SCHEMA_TAG,
-        "command": "certify",
         "space": serialize.space_to_json(state.basis.space),
         "n": state.basis.n_photons,
         "state": label,
@@ -121,7 +121,7 @@ def _cmd_certify(args) -> int:
     ]
     if report.witness_sample_index is not None:
         lines.append(f"  witness sample: {report.witness_sample_index}")
-    _emit(payload, lines, args.output)
+    _emit(args, payload, lines)
     if args.expect == "protected" and report.verdict is not Verdict.PROTECTED:
         return 1
     return 0
@@ -132,8 +132,6 @@ def _cmd_search(args) -> int:
     cfg = CertificationConfig(n_samples=args.samples, seed=args.seed)
     result = find_protected(space, args.n, cfg, sector=args.sector)
     payload = {
-        "schema": serialize.SCHEMA_TAG,
-        "command": "search",
         "space": serialize.space_to_json(space),
         "n": args.n,
         "verdict": result.verdict.value,
@@ -163,7 +161,7 @@ def _cmd_search(args) -> int:
                 lines.append(f"    {amp.real:+.6f}{amp.imag:+.6f}j  {basis.ket(i)}")
     for sub in result.subspaces:
         lines.append(f"  subspace dim {sub.dimension} at m_tot = {sub.m_tot}")
-    _emit(payload, lines, args.output)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -191,19 +189,14 @@ def _cmd_catalog(args) -> int:
             if abs(amp) > 1e-12
         )
         lines.append(f"{name}  (tau {mirror_parity(recipe):+d}):  {terms}")
-    payload = {"schema": serialize.SCHEMA_TAG, "command": "catalog", "states": entries}
-    _emit(payload, lines, args.output)
+    _emit(args, {"states": entries}, lines)
     return 0
 
 
 def _cmd_entangle(args) -> int:
     state, label = _resolve_state(args.state, args.space)
-    if not state.is_normalized():
-        state = state.normalized()
     report = slater_report(state, rank_tol=args.rank_tol)
     payload = {
-        "schema": serialize.SCHEMA_TAG,
-        "command": "entangle",
         "space": serialize.space_to_json(state.basis.space),
         "state": label,
         "takagi_values": [float(v) for v in report.values],
@@ -216,18 +209,16 @@ def _cmd_entangle(args) -> int:
         + (" (single two-mode product)" if report.is_single_product else ""),
         "  takagi values: " + ", ".join(f"{v:.6f}" for v in report.values),
     ]
-    _emit(payload, lines, args.output)
+    _emit(args, payload, lines)
     return 0
 
 
 def _cmd_dfs(args) -> int:
     if not 0.0 <= args.loss <= 1.0:
-        raise UsageError(f"--loss must lie in [0, 1], got {args.loss}")
+        raise ValueError(f"--loss must lie in [0, 1], got {args.loss}")
     if args.d < 1:
-        raise UsageError(f"--d must be at least 1, got {args.d}")
+        raise ValueError(f"--d must be at least 1, got {args.d}")
     carrier, label = _resolve_state(args.carrier, None)
-    if not carrier.is_normalized():
-        carrier = carrier.normalized()
     cfg = CertificationConfig(n_samples=args.samples, seed=args.seed)
     qudit = time_bin_qudit(np.full(args.d, 1.0 / np.sqrt(args.d)), carrier, cfg)
     # one static channel: a unitary symmetric draw scaled so the carrier's
@@ -251,8 +242,6 @@ def _cmd_dfs(args) -> int:
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
     payload = {
-        "schema": serialize.SCHEMA_TAG,
-        "command": "dfs",
         "carrier": label,
         "d": args.d,
         "loss": args.loss,
@@ -269,22 +258,16 @@ def _cmd_dfs(args) -> int:
     ]
     if csv_path:
         lines.append(f"  capacity curve written to {csv_path}")
-    _emit(payload, lines, args.output)
+    _emit(args, payload, lines)
     return 0
 
 
 def _cmd_capacity(args) -> int:
     if not 0.0 <= args.eps <= 1.0:
-        raise UsageError(f"--eps must lie in [0, 1], got {args.eps}")
+        raise ValueError(f"--eps must lie in [0, 1], got {args.eps}")
     value = erasure_capacity(args.eps, args.two_way)
-    payload = {
-        "schema": serialize.SCHEMA_TAG,
-        "command": "capacity",
-        "epsilon": args.eps,
-        "two_way": args.two_way,
-        "capacity": value,
-    }
-    _emit(payload, [f"capacity: {value!r}"], args.output)
+    payload = {"epsilon": args.eps, "two_way": args.two_way, "capacity": value}
+    _emit(args, payload, [f"capacity: {value!r}"])
     return 0
 
 
@@ -292,20 +275,13 @@ def _cmd_validate(args) -> int:
     space = serialize.parse_space(args.space)
     try:
         with open(args.matrix, encoding="utf-8") as fh:
-            import json
-
             matrix = serialize.matrix_from_json(json.load(fh))
     except FileNotFoundError:
-        raise UsageError(f"matrix file not found: {args.matrix}") from None
+        raise ValueError(f"matrix file not found: {args.matrix}") from None
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"malformed matrix file {args.matrix}: {exc}") from None
-    try:
-        report = validate_scattering(matrix, space, tol=args.tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"malformed matrix file {args.matrix}: {exc}") from None
+    report = validate_scattering(matrix, space, tol=args.tol)
     payload = {
-        "schema": serialize.SCHEMA_TAG,
-        "command": "validate",
         "space": serialize.space_to_json(space),
         "ok": report.ok,
         "jz_commutator": report.jz_commutator,
@@ -321,7 +297,7 @@ def _cmd_validate(args) -> int:
         f"  shape residual  {report.shape_residual:.3e}",
         f"  sigma_max - 1   {report.sigma_excess:.3e}",
     ]
-    _emit(payload, lines, args.output)
+    _emit(args, payload, lines)
     return 0
 
 
@@ -394,23 +370,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each failure a command raises; argparse exits 2 by itself
+_EXIT_CODES = {ValueError: 2, CarrierNotProtectedError: 1, GenericityError: 3}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"symprot: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"symprot: {exc}", file=sys.stderr)
-        return 2
-    except CarrierNotProtectedError as exc:
-        print(f"symprot: {exc}", file=sys.stderr)
-        return 1
-    except GenericityError as exc:
-        print(f"symprot: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -65,12 +65,21 @@ def space_to_json(space: ModeSpace) -> dict:
     return {"kind": "sum", "components": [space_to_json(c) for c in space.components]}
 
 
+def _integer(value, key: str) -> int:
+    """An integral JSON number, 2 or 2.0, as an int."""
+    if type(value) not in (int, float) or value % 1:
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def space_from_json(data) -> ModeSpace:
+    if not isinstance(data, dict):
+        raise ValueError(f"a mode space must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "h0":
         return h0()
     if kind == "hm":
-        return hm(int(data["m"]))
+        return hm(_integer(data["m"], "m"))
     if kind == "sum":
         return direct_sum(*(space_from_json(c) for c in data["components"]))
     raise ValueError(f"unknown mode-space kind {kind!r}")
@@ -104,7 +113,7 @@ def state_to_json(state: FockState) -> dict:
 
 def state_from_json(data) -> FockState:
     space = space_from_json(data["space"])
-    basis = enumerate_basis(space, int(data["n"]))
+    basis = enumerate_basis(space, _integer(data["n"], "n"))
     amps = vector_from_json(data["amplitudes"])
     if amps.shape != (len(basis),):
         raise ValueError(

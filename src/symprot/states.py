@@ -253,8 +253,12 @@ def parse_recipe(text: str) -> StateRecipe:
         if set(params) != {"ns", "na"}:
             raise ValueError("mirrorfock recipe needs ns and na, e.g. mirrorfock:ns=2,na=1")
         return StateRecipe.mirror_fock(params["ns"], params["na"])
-    if head in CATALOG:
+    if head in _HM_CATALOG:
         if set(params) - {"m"}:
             raise ValueError(f"named state {head!r} accepts only an m parameter")
         return StateRecipe.named(head, params.get("m", 1))
+    if head in _H0_CATALOG:
+        if params:
+            raise ValueError(f"named state {head!r} lives on h0 and takes no parameters")
+        return StateRecipe.named(head)
     raise ValueError(f"unknown state {text!r}; names: {', '.join(CATALOG)}, pair:..., mirrorfock:...")

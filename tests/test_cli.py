@@ -208,11 +208,42 @@ def test_validate_flags_asymmetric_matrices(tmp_path):
     assert doc["mirror_commutator"] > 1e-3
 
 
-def test_pretty_output_mode():
-    result = run_cli("capacity", "--eps", "0.25", "--two-way", "false",
-                     "--output", "pretty")
-    assert "capacity" in result.stdout
-    assert "0.5" in result.stdout
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (("certify", "--state", "psi4", "--samples", "8"), "state psi4: protected"),
+        (("search", "--space", "h0", "--n", "2", "--samples", "8"), "3 protected ray(s) at N = 2"),
+        (("catalog", "--state", "phi3"), "phi3  (tau -1):"),
+        (("entangle", "--state", "psi4"), "state psi4: slater rank 4"),
+        (("dfs", "--carrier", "psi4", "--samples", "8"), "carrier psi4 over 2 bins, loss 0.0:"),
+        (("capacity", "--eps", "0.25", "--two-way", "false"), "capacity: 0.5"),
+        (("validate", "--space", "h0", "--matrix", "{matrix}"), "symmetry compliance: ok"),
+    ],
+    ids=["certify", "search", "catalog", "entangle", "dfs", "capacity", "validate"],
+)
+def test_pretty_output_mode(args, expected, tmp_path):
+    matrix_path = tmp_path / "identity.json"
+    matrix_path.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+    args = [a.format(matrix=matrix_path) for a in args]
+    result = run_cli(*args, "--output", "pretty")
+    assert result.stdout.startswith(expected)
+    assert "schema" not in result.stdout
+    assert result.stderr == ""
+
+
+def test_state_files_are_normalized_before_use(tmp_path):
+    """Scaling a state file's amplitudes changes nothing but the state label."""
+    amps = np.zeros(10, dtype=complex)
+    amps[[2, 5, 7, 9]] = [0.5, 0.5j, -0.5, 0.5]  # scaled by 3, the norm is exactly 3
+    unit, scaled = tmp_path / "unit.json", tmp_path / "scaled.json"
+    for path, factor in ((unit, 1), (scaled, 3)):
+        doc = state_to_json(named_state("psi4"))
+        doc["amplitudes"] = [[factor * z.real, factor * z.imag] for z in amps]
+        path.write_text(json.dumps(doc))
+    for command in (("certify", "--samples", "8"), ("entangle",)):
+        docs = [payload(*command, "--state", str(path)) for path in (unit, scaled)]
+        assert [doc.pop("state") for doc in docs] == [str(unit), str(scaled)]
+        assert docs[0] == docs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +260,10 @@ def test_pretty_output_mode():
         ("capacity", "--eps", "0.2", "--two-way", "maybe"),
         ("validate", "--space", "h0", "--matrix", "/nonexistent/m.json"),
         (),
+        ("certify", "--state", "psi4:m=2", "--space", "hm:1"),
     ],
     ids=["unknown-state", "odd-pair", "bad-space", "eps-range", "bad-bool",
-         "missing-file", "no-command"],
+         "missing-file", "no-command", "m-off-space"],
 )
 def test_usage_errors_exit_two(args):
     result = run_cli(*args, check=False)
@@ -239,9 +271,25 @@ def test_usage_errors_exit_two(args):
     assert result.stdout == "" or "usage" in result.stdout.lower()
 
 
-def test_malformed_state_file_exits_two(tmp_path):
+_AMPS = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema": "symprot/1", "space": {"kind": "h0"}},
+        {"schema": "symprot/1", "space": "h0", "n": 2, "amplitudes": _AMPS},
+        {"schema": "symprot/1", "space": {"kind": "sum", "components": ["h0"]}, "n": 2,
+         "amplitudes": _AMPS},
+        {"schema": "symprot/1", "space": {"kind": "h0"}, "n": 2.5, "amplitudes": _AMPS},
+    ],
+    ids=["no-n", "space-string", "component-string", "fractional-n"],
+)
+def test_malformed_state_file_exits_two(doc, tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps({"schema": "symprot/1", "space": {"kind": "h0"}}))
+    path.write_text(json.dumps(doc))
     result = run_cli("certify", "--state", str(path), check=False)
     assert result.returncode == 2
-    assert "symprot:" in result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"symprot: malformed state file {path}: ")
+    assert len(result.stderr.splitlines()) == 1

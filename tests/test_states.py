@@ -317,6 +317,7 @@ def test_parse_mirror_fock_recipe():
      "pair:m=1,N=4,x=2",  # stray key
      "mirrorfock:ns=2",   # missing na
      "phi3:x=2",          # unknown parameter on a named state
+     "phi1:m=3",          # the h0 names have no m
      "nope",              # unknown name
      "pair:m=one,N=2",    # non-integer
      "pair:m1,N=2"],      # malformed key=value
