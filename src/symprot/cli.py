@@ -59,6 +59,8 @@ def _resolve_state(state_arg: str, space_arg: str | None) -> tuple[FockState, st
             state = serialize.load_state_file(path)
         except FileNotFoundError:
             raise ValueError(f"state file not found: {path}") from None
+        except OSError as exc:
+            raise ValueError(f"cannot read state file {path}: {exc.strerror}") from None
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"malformed state file {path}: {exc}") from None
         label = path
@@ -239,8 +241,11 @@ def _cmd_dfs(args) -> int:
             rows.append(
                 f"{eps:.2f},{erasure_capacity(eps, False)!r},{erasure_capacity(eps, True)!r}"
             )
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+        try:
+            with open(csv_path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(rows) + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {csv_path}: {exc.strerror}") from None
     payload = {
         "carrier": label,
         "d": args.d,
@@ -278,6 +283,8 @@ def _cmd_validate(args) -> int:
             matrix = serialize.matrix_from_json(json.load(fh))
     except FileNotFoundError:
         raise ValueError(f"matrix file not found: {args.matrix}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read matrix file {args.matrix}: {exc.strerror}") from None
     except (ValueError, TypeError) as exc:
         raise ValueError(f"malformed matrix file {args.matrix}: {exc}") from None
     report = validate_scattering(matrix, space, tol=args.tol)

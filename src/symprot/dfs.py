@@ -9,6 +9,9 @@ between bins breaks this; the decohering effect is quantified by
 ``drift_experiment``. Erasure (heralded photon loss) maps the encoding to an
 erasure channel, with the standard capacities max(0, 1 - 2*eps) one-way and
 1 - eps with two-way classical assistance.
+
+The carrier must be normalized; certification's apply kernel
+(``protect._scalar_action``) applies each distinct bin scatterer to it once.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, lift
-from .protect import CertificationConfig, Verdict, certify
+from .fock import FockState
+from .fock import lift  # noqa: F401 -- a traced call site of perfbench/tracing.py
+from .protect import CertificationConfig, Verdict, _scalar_action, certify
 from .scatter import SymmetricScattering
 
 __all__ = [
@@ -39,7 +43,7 @@ class CarrierNotProtectedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeBinQudit:
-    """d normalized logical coefficients over one carrier state per bin."""
+    """d normalized logical coefficients over one normalized carrier state per bin."""
 
     coefficients: np.ndarray
     carrier: FockState
@@ -51,6 +55,8 @@ class TimeBinQudit:
         norm = np.linalg.norm(coeff)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError("coefficients must be normalized")
+        if not self.carrier.is_normalized():
+            raise ValueError(f"state must be normalized (norm {self.carrier.norm:.3e})")
         object.__setattr__(self, "coefficients", coeff)
 
     @property
@@ -99,30 +105,29 @@ def transmit_bins(
     """Send the qudit through one scattering matrix per time bin.
 
     Fidelity is |<in|out>|^2 / ||out||^2 against the renormalized output and
-    success probability is ||out||^2, with <in|out> = sum_i |a_i|^2 <c|phi_i>
-    and phi_i the lifted image of the carrier in bin i. When residual_tol is
-    given, any bin whose image leaves the carrier ray by more than the
-    tolerance raises CarrierNotProtectedError.
+    success probability is ||out||^2, with <in|out> = sum_i |a_i|^2 lam_i.
+    Bin i maps the carrier to lam_i c plus an orthogonal part of norm r_i
+    (its residual), so ||out||^2 = sum_i |a_i|^2 (|lam_i|^2 + r_i^2). When
+    residual_tol is given, any bin whose image leaves the carrier ray by
+    more than the tolerance raises CarrierNotProtectedError.
     """
     scatterings = list(scatterings)
     if len(scatterings) != qudit.d:
         raise ValueError(f"need one scattering per bin: {qudit.d} bins, {len(scatterings)} given")
-    psi = qudit.carrier.amplitudes
-    weights = np.abs(qudit.coefficients) ** 2
-    # each distinct scattering is lifted once, all of them in one stack
+    # each distinct scattering is lifted and applied once
     distinct = list({id(s): s for s in scatterings}.values())
     slot = {id(s): k for k, s in enumerate(distinct)}
-    images = lift(np.array([s.matrix for s in distinct]), qudit.carrier.basis).matrix @ psi
-    phi = images[[slot[id(s)] for s in scatterings]]
-    lam = phi @ psi.conj()
-    out_norm_sq = np.sum(np.abs(phi) ** 2, axis=1)
-    residuals = np.linalg.norm(phi - lam[:, None] * psi, axis=1)
+    matrices = np.array([s.matrix for s in distinct])
+    lam, residuals = _scalar_action(qudit.carrier.basis, matrices, qudit.carrier.amplitudes[:, None])
+    bins = [slot[id(s)] for s in scatterings]
+    lam, residuals = lam[bins], residuals[bins]
     if residual_tol is not None and np.any(residuals >= residual_tol):
         i = int(np.argmax(residuals >= residual_tol))
         raise CarrierNotProtectedError(
             f"bin {i}: carrier leaves its ray (residual {residuals[i]:.3e})"
         )
-    success = float(np.dot(weights, out_norm_sq))
+    weights = np.abs(qudit.coefficients) ** 2
+    success = float(np.dot(weights, np.abs(lam) ** 2 + residuals**2))
     overlap = complex(np.dot(weights, lam))
     fidelity = 0.0 if success == 0.0 else float(abs(overlap) ** 2 / success)
     return ChannelOutcome(

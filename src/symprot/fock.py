@@ -14,10 +14,10 @@ mode of n (the SLOS recursion of Heurtel et al., arXiv:2206.10549). Each of
 the N levels costs M products of dim x dim arrays, O(N * M * dim^2) in all.
 A (k, M, M) stack of matrices runs the same recursion over a leading batch
 axis, so k small lifts cost a few NumPy calls per level rather than k times
-as many. The stack is lifted in groups of at most ``_GROUP_ENTRIES`` lifted
-entries (2^14, at least one matrix per group), so the working memory of a
-lift does not grow with k; certification applies each group to its vectors
-before lifting the next. The permanent formula
+as many. A stack is lifted in one recursion, so its working memory grows
+with k; callers that apply many matrices to a state bound it by lifting
+their stack a group at a time (``protect._scalar_action``). The permanent
+formula
 
     <n'| lift(S) |n> = Per(S[n', n]) / sqrt(prod_i n_i! * prod_j n'_j!)
 
@@ -65,9 +65,6 @@ __all__ = [
 
 DEFAULT_N_MAX = 10
 _N_MAX_ENV = "SYMPROT_NMAX"
-# lifted entries per group of a stacked lift: bounds the working memory of
-# lifting (and of applying) a stack of draws, whatever its length
-_GROUP_ENTRIES = 1 << 14
 # distinct (space, N) bases kept by enumerate_basis, with their tables
 _CACHED_BASES = 32
 
@@ -335,29 +332,19 @@ class LiftedOperator:
         return FockState(self.basis, self.matrix @ state.amplitudes)
 
 
-def _groups(count: int, basis: FockBasis) -> list[slice]:
-    """Consecutive slices of a stack of ``count`` lifts, each of at most
-    ``_GROUP_ENTRIES`` lifted entries and at least one lift; an empty stack
-    is one empty group."""
-    step = max(1, _GROUP_ENTRIES // len(basis) ** 2)
-    return [slice(start, start + step) for start in range(0, max(count, 1), step)]
-
-
 def lift(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
     """Second-quantize a single-particle matrix on the given N-photon basis.
 
     Works for arbitrary complex M x M matrices (no symmetry or unitarity
     assumed); lift(A @ B) = lift(A) @ lift(B) and lift(I) = I. A (k, M, M)
     stack lifts to the (k, dim, dim) stack of its lifts, computed by the
-    same recursion over a leading batch axis, one group at a time.
+    same recursion over a leading batch axis.
     """
     a = np.asarray(matrix, dtype=complex)
     m = len(basis.space)
     if a.ndim not in (2, 3) or a.shape[-2:] != (m, m):
         raise ValueError(f"matrix must be {m}x{m} (or a stack of them) for this space, got {a.shape}")
-    stack = a.reshape(-1, m, m)
-    lifted = [_lift_group(stack[group], basis) for group in _groups(len(stack), basis)]
-    out = lifted[0] if len(lifted) == 1 else np.concatenate(lifted)
+    out = _lift_group(a.reshape(-1, m, m), basis)
     return LiftedOperator(basis, out.reshape(a.shape[:-2] + out.shape[1:]))
 
 

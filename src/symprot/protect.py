@@ -12,9 +12,10 @@ lifted sl(2) generators annihilate it and it is an eigenvector of the lifted
 commuting ones. The search finds these spaces without random draws, then
 certifies each one.
 
-Every certificate goes through one kernel, ``_sample_scalar_action``: it
-draws the n_samples matrices, lifts the stack a group at a time and applies
-each group to the vectors with one batched matmul.
+One kernel, ``_scalar_action``, applies lifted family members to states:
+it lifts a stack of matrices a group at a time and applies each group with
+one batched matmul. It serves ``certify`` (on the draws of ``_draws``) and
+``dfs.transmit_bins`` (on the scatterers of its time bins).
 
 The search reads tables built once per (space, N): the shared basis of
 ``enumerate_basis`` with its sector split and mirror permutation, and the
@@ -37,7 +38,6 @@ from .fock import (
     FockBasis,
     FockState,
     _frozen,
-    _groups,
     enumerate_basis,
     lift,
     lift_generator,
@@ -60,6 +60,10 @@ __all__ = [
     "find_protected",
     "verify_pair_uniqueness",
 ]
+
+# lifted entries per group of the apply kernel: bounds its working memory
+_GROUP_ENTRIES = 1 << 14
+
 
 class Verdict(enum.Enum):
     PROTECTED = "protected"
@@ -102,23 +106,31 @@ class ProtectionReport:
         object.__setattr__(self, "residuals", np.asarray(self.residuals, dtype=float))
 
 
-def _sample_scalar_action(basis: FockBasis, vectors: np.ndarray, cfg: CertificationConfig):
-    """Per-draw eigenvalues and residuals of lift(S_i) on the span of ``vectors``.
+def _draws(space: ModeSpace, cfg: CertificationConfig) -> np.ndarray:
+    """The (n_samples, M, M) stack of the sample stream ``certify`` documents."""
+    sampler = ScatterSampler(seed=cfg.seed, unitary=cfg.unitary, genericity_floor=cfg.genericity_floor)
+    return np.array([sampler.sample(space).matrix for _ in range(cfg.n_samples)])
 
-    ``vectors`` holds d orthonormal columns V, and S_i is the i-th draw of
-    the sample stream ``certify`` documents. The eigenvalue is
-    lam_i = tr(V^dag lift(S_i) V) / d and the residual is the Frobenius norm
-    of lift(S_i) V - lam_i V. The draws are lifted as one stack, a group at
-    a time, and each group is applied to V with one batched matmul, so
-    memory stays at one group of lifts whatever n_samples is.
+
+def _groups(count: int, basis: FockBasis) -> list[slice]:
+    """Consecutive slices of a stack of ``count`` lifts, each of at most
+    ``_GROUP_ENTRIES`` lifted entries and at least one lift; an empty stack
+    is one empty group."""
+    step = max(1, _GROUP_ENTRIES // len(basis) ** 2)
+    return [slice(start, start + step) for start in range(0, max(count, 1), step)]
+
+
+def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
+    """Per-matrix eigenvalues and residuals of lift(S_i) on the span of ``vectors``.
+
+    ``matrices`` is a (k, M, M) stack and ``vectors`` holds d orthonormal
+    columns V. The eigenvalue is lam_i = tr(V^dag lift(S_i) V) / d and the
+    residual is the Frobenius norm of lift(S_i) V - lam_i V. Memory stays at
+    one group of lifts whatever k is.
     """
-    sampler = ScatterSampler(
-        seed=cfg.seed, unitary=cfg.unitary, genericity_floor=cfg.genericity_floor
-    )
-    draws = np.array([sampler.sample(basis.space).matrix for _ in range(cfg.n_samples)])
-    images = np.concatenate(
-        [lift(draws[group], basis).matrix @ vectors for group in _groups(len(draws), basis)]
-    )
+    images = np.empty((len(matrices),) + vectors.shape, dtype=complex)
+    for group in _groups(len(matrices), basis):
+        np.matmul(lift(matrices[group], basis).matrix, vectors, out=images[group])
     eigenvalues = np.einsum("nd,knd->k", vectors.conj(), images) / vectors.shape[1]
     residuals = np.linalg.norm(images - eigenvalues[:, None, None] * vectors, axis=(1, 2))
     return eigenvalues, residuals
@@ -134,8 +146,8 @@ def certify(state: FockState, cfg: CertificationConfig = CertificationConfig()) 
     """
     if not state.is_normalized():
         raise ValueError(f"state must be normalized (norm {state.norm:.3e})")
-    eigenvalues, residuals = _sample_scalar_action(
-        state.basis, state.amplitudes[:, None], cfg
+    eigenvalues, residuals = _scalar_action(
+        state.basis, _draws(state.basis.space, cfg), state.amplitudes[:, None]
     )
     worst = int(np.argmax(residuals))
     protected = residuals[worst] < cfg.residual_tol
@@ -306,7 +318,7 @@ def _certify_subspace(basis, idx, cand, m_tot, cfg) -> ProtectedSubspace | None:
     """Scalar-action test of a d > 1 candidate against fresh generic samples."""
     vectors = np.zeros((len(basis), cand.shape[1]), dtype=complex)
     vectors[idx, :] = cand
-    _, residuals = _sample_scalar_action(basis, vectors, cfg)
+    _, residuals = _scalar_action(basis, _draws(basis.space, cfg), vectors)
     worst = float(np.max(residuals))
     if worst >= cfg.residual_tol:
         return None

@@ -293,3 +293,22 @@ def test_malformed_state_file_exits_two(doc, tmp_path):
     assert result.stdout == ""
     assert result.stderr.startswith(f"symprot: malformed state file {path}: ")
     assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("certify", "--state", "@{dir}", "--samples", "8"),
+        ("validate", "--space", "h0", "--matrix", "{dir}"),
+        ("dfs", "--carrier", "psi4", "--samples", "8", "--csv", "{dir}/missing/cap.csv"),
+    ],
+    ids=["state-dir", "matrix-dir", "csv-missing-dir"],
+)
+def test_unusable_paths_exit_two(args, tmp_path):
+    """A directory given as an input file, or a CSV path that cannot be
+    written, is one error line and exit 2, not a traceback."""
+    result = run_cli(*[a.format(dir=tmp_path) for a in args], check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("symprot: cannot ")
+    assert len(result.stderr.splitlines()) == 1

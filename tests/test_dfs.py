@@ -1,5 +1,7 @@
 """Time-bin qudits riding protected carriers through symmetric channels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,12 +9,15 @@ from hypothesis import given, strategies as st
 from symprot import (
     CarrierNotProtectedError,
     CertificationConfig,
+    FockState,
     ScatterSampler,
     SymmetricScattering,
     TimeBinQudit,
     drift_experiment,
     erasure_capacity,
+    h0,
     hm,
+    lift,
     mirror_fock,
     named_state,
     pair_power,
@@ -20,6 +25,7 @@ from symprot import (
     transmit,
     transmit_bins,
 )
+from symprot.protect import _GROUP_ENTRIES, _groups
 
 FAST_CFG = CertificationConfig(n_samples=8, seed=0)
 
@@ -49,6 +55,12 @@ def test_qudit_construction_validation():
         TimeBinQudit(coefficients=np.array([1.0, 1.0]), carrier=named_state("psi4"))
     with pytest.raises(ValueError):
         TimeBinQudit(coefficients=np.array([]), carrier=named_state("psi4"))
+    psi4 = named_state("psi4")
+    tripled = FockState(psi4.basis, 3 * psi4.amplitudes)
+    with pytest.raises(ValueError, match="must be normalized"):
+        time_bin_qudit([1.0, 1.0], tripled, cfg=None)
+    with pytest.raises(ValueError, match="must be normalized"):
+        TimeBinQudit(coefficients=np.array([1.0, 0.0]), carrier=tripled)
 
 
 def test_unitary_transmission_is_perfect():
@@ -104,6 +116,27 @@ def test_mirror_fock_carriers_survive_static_channels():
             assert out.fidelity == pytest.approx(1.0, abs=1e-12)
 
 
+def test_transmission_memory_is_a_few_groups_of_lifts():
+    """Distinct bins are lifted and applied a group at a time, as the draws
+    of certification are, so the peak stays a small multiple of one group,
+    not one lifted matrix per bin."""
+    carrier = pair_power(1, 4)
+    sampler = ScatterSampler(seed=0, unitary=False)
+    bins = [sampler.sample(hm(1)) for _ in range(64)]
+    q = time_bin_qudit(np.ones(64), carrier, cfg=None)
+    transmit_bins(q, bins)  # warm call: builds the cached basis tables
+    tracemalloc.start()
+    try:
+        transmit_bins(q, bins)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dim = len(carrier.basis)
+    assert dim == 165
+    assert len(_groups(len(bins), carrier.basis)) > 1
+    assert peak <= 8 * 16 * max(_GROUP_ENTRIES, dim * dim)
+
+
 def test_transmit_bins_requires_matching_count():
     q = singlet_qudit(3)
     s = ScatterSampler(seed=0).sample(hm(1))
@@ -118,6 +151,24 @@ def test_transmit_flags_unprotected_carriers_at_the_channel():
     s = ScatterSampler(seed=1, unitary=False).sample(h0())
     with pytest.raises(CarrierNotProtectedError):
         transmit(q, s)
+
+
+def test_success_counts_the_part_that_leaves_the_ray():
+    """Without a residual check an unprotected carrier goes through, and its
+    success probability is sum_i |a_i|^2 ||lift(S_i) c||^2, taken here from
+    the lifts themselves."""
+    carrier = named_state("phi1")
+    q = time_bin_qudit([1.0, 2.0j, -1.0], carrier, cfg=None)
+    sampler = ScatterSampler(seed=9, unitary=False)
+    bins = [sampler.sample(h0()) for _ in range(3)]
+    out = transmit_bins(q, bins, residual_tol=None)
+    weights = np.abs(q.coefficients) ** 2
+    images = [lift(s.matrix, carrier.basis).matrix @ carrier.amplitudes for s in bins]
+    success = sum(w * np.vdot(phi, phi).real for w, phi in zip(weights, images))
+    overlap = sum(w * np.vdot(carrier.amplitudes, phi) for w, phi in zip(weights, images))
+    assert out.worst_residual > 1e-3
+    assert out.success_probability == pytest.approx(success, rel=1e-12)
+    assert out.fidelity == pytest.approx(abs(overlap) ** 2 / success, rel=1e-12)
 
 
 def test_identical_bins_reduce_to_the_static_channel():

@@ -27,7 +27,7 @@ from symprot import (
     sector_split,
     state_from_amplitudes,
 )
-from symprot.fock import _CACHED_BASES, _groups, _shared_basis
+from symprot.fock import _CACHED_BASES, _shared_basis
 from oracles import apply_oracle, lift_oracle, permanent_expansion
 
 
@@ -300,17 +300,16 @@ def test_lift_peak_memory_is_a_few_output_matrices():
 @pytest.mark.parametrize(
     "space,n,count",
     [(h0(), 3, 5), (hm(1), 0, 4), (hm(1), 2, 0), (hm(1), 4, 40), (direct_sum(h0(), hm(1)), 2, 3)],
-    ids=["h0-3", "hm-0", "empty", "hm-4-groups", "h0+hm-2"],
+    ids=["h0-3", "hm-0", "empty", "hm-4-40", "h0+hm-2"],
 )
 def test_stacked_lift_is_the_stack_of_lifts(space, n, count):
-    """A (k, M, M) stack lifts to the lifts of its matrices, across groups."""
+    """A (k, M, M) stack lifts to the lifts of its matrices."""
     rng = np.random.default_rng(47)
     basis = enumerate_basis(space, n)
     m = len(space)
     stack = np.array([_random_matrix(rng, m) for _ in range(count)]).reshape(count, m, m)
     lifted = lift(stack, basis)
     assert lifted.matrix.shape == (count, len(basis), len(basis))
-    assert (len(_groups(count, basis)) > 1) == (count == 40)
     for S, L in zip(stack, lifted.matrix):
         assert np.allclose(L, lift(S, basis).matrix, atol=1e-12, rtol=0)
 

@@ -24,8 +24,8 @@ from symprot import (
     state_from_amplitudes,
     verify_pair_uniqueness,
 )
-from symprot.fock import _CACHED_BASES, _GROUP_ENTRIES, _shared_basis
-from symprot.protect import _certify_subspace, _generator_blocks
+from symprot.fock import _CACHED_BASES, _shared_basis
+from symprot.protect import _GROUP_ENTRIES, _certify_subspace, _generator_blocks
 
 CFG = CertificationConfig(n_samples=24, seed=0)
 
