@@ -11,7 +11,9 @@ erasure channel, with the standard capacities max(0, 1 - 2*eps) one-way and
 1 - eps with two-way classical assistance.
 
 The carrier must be normalized; certification's apply kernel
-(``protect._scalar_action``) applies each distinct bin scatterer to it once.
+(``protect._scalar_action``) applies each distinct bin scatterer to it once,
+one 2x2 mode-pair block at a time, and refuses a scatterer with entries
+outside those blocks (ValueError).
 """
 
 from __future__ import annotations

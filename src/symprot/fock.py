@@ -14,10 +14,14 @@ mode of n (the SLOS recursion of Heurtel et al., arXiv:2206.10549). Each of
 the N levels costs M products of dim x dim arrays, O(N * M * dim^2) in all.
 A (k, M, M) stack of matrices runs the same recursion over a leading batch
 axis, so k small lifts cost a few NumPy calls per level rather than k times
-as many. A stack is lifted in one recursion, so its working memory grows
-with k; callers that apply many matrices to a state bound it by lifting
-their stack a group at a time (``protect._scalar_action``). The permanent
-formula
+as many. ``lift`` is the dense materialisation and the reference; applying
+family members to states never forms it. A matrix that is block diagonal
+over the mode pairs (0, 1), (2, 3), ... lifts to a direct sum, over the
+photon counts k_p on the pairs, of Kronecker products of the symmetric
+powers Sym^{k_p} of its 2x2 blocks, and Sym^k(B) is the lift of B on the
+two-mode basis ``enumerate_basis(h0(), k)``. ``protect._scalar_action``
+applies it that way, one pair at a time, in the layouts of
+``FockBasis._pair_splits``. The permanent formula
 
     <n'| lift(S) |n> = Per(S[n', n]) / sqrt(prod_i n_i! * prod_j n'_j!)
 
@@ -29,8 +33,11 @@ Bases are shared: ``enumerate_basis`` returns one ``FockBasis`` per
 (space, N), kept in a cache of the ``_CACHED_BASES`` most recently used.
 Every table that depends on the basis alone is built once, on first use,
 and owned by it: the lift's ladder, the index of each occupation, the
-m_tot of each state, the sector split and the mirror permutation. These
-arrays are read-only, since every caller holding the basis sees them.
+m_tot of each state, the sector split, the mirror permutation and the
+mode-pair layouts. These arrays are read-only, since every caller holding
+the basis sees them. ``lift_generator`` sums the (row, column, value)
+entries of ``_generator_entries``, which the search also sums straight
+into its sector blocks.
 """
 
 from __future__ import annotations
@@ -150,6 +157,40 @@ class FockBasis:
         inverse = np.argsort(self.space.mirror_permutation)
         images = np.array(self.states, dtype=np.intp)[:, inverse]
         return _frozen(np.array([self._index[tuple(occ)] for occ in images.tolist()], dtype=np.intp))
+
+    @cached_property
+    def _pair_splits(self) -> tuple[tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...], np.ndarray]:
+        """Basis layouts that group the states by the photon count on one mode pair.
+
+        Layout p serves the pair of modes (2p, 2p + 1). It lists, for each
+        count k the pair holds in some state (ascending), a (k + 1) x R
+        block in C order: row j holds the states with |k - j, j> on the
+        pair, and the states of one column agree on every other mode. A
+        matrix that is block diagonal over the pairs lifts to Sym^k of its
+        2x2 block on the pair (its lift on ``enumerate_basis(h0(), k)``)
+        along every column.
+
+        Returns ``(passes, order)``: ``passes[p]`` is ``(take, groups)``,
+        where ``take`` gives the slot of each state of layout p in layout
+        p - 1 (the basis order for p = 0) and ``groups`` the (k, R) of its
+        blocks; ``order`` gives the basis index of each slot of the last
+        layout.
+        """
+        occ = np.array(self.states, dtype=np.intp).reshape(len(self), -1, 2)
+        counts = occ.sum(axis=2)
+        passes, where = [], np.arange(len(self))
+        for p in range(occ.shape[1]):
+            blocks = []
+            for k in range(self.n_photons + 1):
+                # within one (k, j), basis order sorts the other modes alike
+                rows = [np.flatnonzero((counts[:, p] == k) & (occ[:, p, 1] == j)) for j in range(k + 1)]
+                if rows[0].size:
+                    blocks.append((k, np.array(rows)))
+            order = np.concatenate([rows.ravel() for _, rows in blocks])
+            passes.append((_frozen(where[order]), tuple((k, rows.shape[1]) for k, rows in blocks)))
+            where = np.empty_like(order)
+            where[order] = np.arange(len(self))
+        return tuple(passes), _frozen(order)
 
     @cached_property
     def _ladder(self) -> tuple[tuple, ...]:
@@ -375,20 +416,31 @@ def lift_generator(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
     if a.shape != (m, m):
         raise ValueError(f"matrix must be {m}x{m} for this space, got {a.shape}")
     out = np.zeros((len(basis), len(basis)), dtype=complex)
+    rows, cols, values = _generator_entries(a, basis)
+    np.add.at(out, (rows, cols), values)
+    return LiftedOperator(basis, out)
+
+
+def _generator_entries(a: np.ndarray, basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, value) entries of dGamma(a), one per nonzero a_ij and
+    occupied mode j, in the order of np.nonzero(a). Entries repeat a
+    position only on the diagonal (i = j); summing them in order gives
+    the lift."""
+    entries = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex))]
     if basis.n_photons:
         modes = basis._ladder[-1][3]
         occ = np.array(basis.states)
         # upper[p, i] is the index of p + e_i, for p an (N-1)-photon state;
         # there are no more of those than N-photon states
-        upper = np.zeros((len(basis), m), dtype=np.intp)
+        upper = np.zeros((len(basis), len(basis.space)), dtype=np.intp)
         for i, (occupied, lower, _) in enumerate(modes):
             upper[lower, i] = occupied
         for i, j in zip(*np.nonzero(a)):
             # a_i^dag a_j |n> = sqrt(n'_i n_j) |n'> with n' = n - e_j + e_i
             cols, lower, _ = modes[j]
             image = upper[lower, i]
-            out[image, cols] += a[i, j] * np.sqrt(occ[image, i] * occ[cols, j])
-    return LiftedOperator(basis, out)
+            entries.append((image, cols, a[i, j] * np.sqrt(occ[image, i] * occ[cols, j])))
+    return tuple(np.concatenate(part) for part in zip(*entries))
 
 
 def lift_jz(basis: FockBasis) -> LiftedOperator:

@@ -12,17 +12,23 @@ lifted sl(2) generators annihilate it and it is an eigenvector of the lifted
 commuting ones. The search finds these spaces without random draws, then
 certifies each one.
 
-One kernel, ``_scalar_action``, applies lifted family members to states:
-it lifts a stack of matrices a group at a time and applies each group with
-one batched matmul. It serves ``certify`` (on the draws of ``_draws``) and
+One kernel, ``_scalar_action``, applies lifted family members to states.
+A family member is block diagonal over the 2x2 blocks of its mode pairs,
+so its lift acts on the photons of each pair as the symmetric power of
+that pair's block. The kernel lifts the stacked 2x2 blocks of all the
+matrices on two-mode bases and applies them one pair at a time, each with
+batched matmuls over the matrices; no dim x dim lift is formed. On h0 the
+one block is the matrix itself: one lift on the state's basis and one
+matmul. The kernel serves ``certify`` (on the draws of ``_draws``) and
 ``dfs.transmit_bins`` (on the scatterers of its time bins).
 
 The search reads tables built once per (space, N): the shared basis of
 ``enumerate_basis`` with its sector split and mirror permutation, and the
-sector blocks of the lifted family generators (``_generator_blocks``, cached
-with the same bound as the bases). Per call it only takes the per-sector
-kernels and eigenspaces and certifies the candidates; nothing that depends
-on the configuration or on random draws is cached.
+sector blocks of the lifted family generators (``_generator_blocks``, summed
+from the lifted generators' entries and cached with the same bound as the
+bases). Per call it only takes the per-sector kernels and eigenspaces and
+certifies the candidates; nothing that depends on the configuration or on
+random draws is cached.
 """
 
 from __future__ import annotations
@@ -38,13 +44,13 @@ from .fock import (
     FockBasis,
     FockState,
     _frozen,
+    _generator_entries,
     enumerate_basis,
     lift,
-    lift_generator,
     lift_mirror,  # noqa: F401 -- a traced call site of perfbench/tracing.py
     sector_split,
 )
-from .modes import ModeSpace, hm
+from .modes import ModeSpace, h0, hm
 from .scatter import ScatterSampler, family_generators
 from .states import pair_expansion_coefficients, pair_power
 
@@ -60,10 +66,6 @@ __all__ = [
     "find_protected",
     "verify_pair_uniqueness",
 ]
-
-# lifted entries per group of the apply kernel: bounds its working memory
-_GROUP_ENTRIES = 1 << 14
-
 
 class Verdict(enum.Enum):
     PROTECTED = "protected"
@@ -112,27 +114,54 @@ def _draws(space: ModeSpace, cfg: CertificationConfig) -> np.ndarray:
     return np.array([sampler.sample(space).matrix for _ in range(cfg.n_samples)])
 
 
-def _groups(count: int, basis: FockBasis) -> list[slice]:
-    """Consecutive slices of a stack of ``count`` lifts, each of at most
-    ``_GROUP_ENTRIES`` lifted entries and at least one lift; an empty stack
-    is one empty group."""
-    step = max(1, _GROUP_ENTRIES // len(basis) ** 2)
-    return [slice(start, start + step) for start in range(0, max(count, 1), step)]
-
-
 def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
     """Per-matrix eigenvalues and residuals of lift(S_i) on the span of ``vectors``.
 
-    ``matrices`` is a (k, M, M) stack and ``vectors`` holds d orthonormal
-    columns V. The eigenvalue is lam_i = tr(V^dag lift(S_i) V) / d and the
-    residual is the Frobenius norm of lift(S_i) V - lam_i V. Memory stays at
-    one group of lifts whatever k is.
+    ``matrices`` is an (n, M, M) stack of matrices that are block diagonal
+    over the 2x2 blocks of the mode pairs (0, 1), (2, 3), ..., as every
+    family member is; any other nonzero entry raises ValueError.
+    ``vectors`` holds d orthonormal columns V. The eigenvalue is lam_i =
+    tr(V^dag lift(S_i) V) / d and the residual is the Frobenius norm of
+    lift(S_i) V - lam_i V.
+
+    lift(S_i) is never formed. It acts on the k photons of each pair as
+    Sym^k of the pair's block, the lift of the block on
+    ``enumerate_basis(h0(), k)``, so the images are built one pair at a time
+    in the layouts of ``FockBasis._pair_splits``, in O(n * dim * d) memory.
     """
-    images = np.empty((len(matrices),) + vectors.shape, dtype=complex)
-    for group in _groups(len(matrices), basis):
-        np.matmul(lift(matrices[group], basis).matrix, vectors, out=images[group])
-    eigenvalues = np.einsum("nd,knd->k", vectors.conj(), images) / vectors.shape[1]
-    residuals = np.linalg.norm(images - eigenvalues[:, None, None] * vectors, axis=(1, 2))
+    passes, order = basis._pair_splits
+    n, d = len(matrices), vectors.shape[1]
+    if len(passes) == 1:
+        # h0: the one block is the matrix, its Sym^N the lift on this basis
+        images = lift(matrices, basis).matrix @ vectors
+    else:
+        at = np.arange(len(passes))
+        blocks = matrices.reshape(n, len(passes), 2, len(passes), 2)[:, at, :, at]  # (P, n, 2, 2)
+        if np.count_nonzero(blocks) != np.count_nonzero(matrices):
+            raise ValueError("matrices must be block diagonal over the 2x2 blocks of the mode pairs")
+        stack = blocks.reshape(-1, 2, 2)
+        sym = {}  # Sym^k of every block, lifted on first use
+        images = vectors
+        for p, (take, groups) in enumerate(passes):
+            part = images[..., take, :]
+            images = np.empty((n,) + vectors.shape, dtype=complex)
+            start = 0
+            for k, width in groups:
+                stop = start + (k + 1) * width
+                block = part[..., start:stop, :]
+                # lift(S) keeps the photon count on every pair: a block the
+                # vectors leave empty stays empty, and its Sym^k is not needed
+                if k and block.any():
+                    if k not in sym:
+                        sym[k] = lift(stack, enumerate_basis(h0(), k)).matrix.reshape(len(passes), n, k + 1, k + 1)
+                    block = (sym[k][p] @ block.reshape(block.shape[:-2] + (k + 1, -1))).reshape(n, -1, d)
+                images[:, start:stop] = block
+                start = stop
+        vectors = vectors[order]
+    flat = images.reshape(n, vectors.size)
+    eigenvalues = flat @ vectors.conj().ravel() / d
+    flat -= eigenvalues[:, None] * vectors.ravel()
+    residuals = np.linalg.norm(flat, axis=1)
     return eigenvalues, residuals
 
 
@@ -199,23 +228,30 @@ def _generator_blocks(basis: FockBasis) -> dict[int, tuple[np.ndarray, tuple[np.
 
     Maps each m_tot to (the sl(2) generators' blocks stacked vertically,
     the commuting generators' blocks). Family members conserve m_tot, so
-    every lifted generator is block diagonal over the sectors; generators
-    are lifted one at a time and only their blocks kept. The blocks are
-    read-only, since every search on the basis shares them.
+    every lifted generator is block diagonal over the sectors; each block
+    is summed straight from the generator's lifted (row, column, value)
+    entries, in the order ``lift_generator`` sums them, and no dim x dim
+    generator is formed. The blocks are read-only, since every search on
+    the basis shares them.
     """
     sectors = basis._sectors
-    blocks = {m: ([], []) for m in sectors}
-    for kind, gens in enumerate(family_generators(basis.space)):
-        for gen in gens:
-            full = lift_generator(gen, basis).matrix
-            for m, idx in sectors.items():
-                blocks[m][kind].append(full[np.ix_(idx, idx)])
+    sector_of = np.empty(len(basis), dtype=np.intp)
+    local = np.empty(len(basis), dtype=np.intp)
+    for s, idx in enumerate(sectors.values()):
+        sector_of[idx] = s
+        local[idx] = np.arange(len(idx))
+    stacks = []
+    for gens in family_generators(basis.space):
+        stack = [np.zeros((len(gens), len(idx), len(idx)), dtype=complex) for idx in sectors.values()]
+        for g, gen in enumerate(gens):
+            rows, cols, values = _generator_entries(gen, basis)
+            for s, block in enumerate(stack):
+                keep = sector_of[cols] == s
+                np.add.at(block[g], (local[rows[keep]], local[cols[keep]]), values[keep])
+        stacks.append([_frozen(block) for block in stack])
     return {
-        m: (
-            _frozen(np.vstack(sl2) if sl2 else np.zeros((0, len(sectors[m])), dtype=complex)),
-            tuple(_frozen(gen) for gen in commuting),
-        )
-        for m, (sl2, commuting) in blocks.items()
+        m: (sl2.reshape(-1, len(idx)), tuple(commuting))
+        for (m, idx), sl2, commuting in zip(sectors.items(), *stacks)
     }
 
 

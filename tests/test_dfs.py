@@ -25,7 +25,6 @@ from symprot import (
     transmit,
     transmit_bins,
 )
-from symprot.protect import _GROUP_ENTRIES, _groups
 
 FAST_CFG = CertificationConfig(n_samples=8, seed=0)
 
@@ -117,9 +116,9 @@ def test_mirror_fock_carriers_survive_static_channels():
 
 
 def test_transmission_memory_is_a_few_groups_of_lifts():
-    """Distinct bins are lifted and applied a group at a time, as the draws
-    of certification are, so the peak stays a small multiple of one group,
-    not one lifted matrix per bin."""
+    """Distinct bins are applied one mode pair at a time, as the draws of
+    certification are, so the peak stays below eight dense lifts, not one
+    lifted matrix per bin."""
     carrier = pair_power(1, 4)
     sampler = ScatterSampler(seed=0, unitary=False)
     bins = [sampler.sample(hm(1)) for _ in range(64)]
@@ -133,8 +132,25 @@ def test_transmission_memory_is_a_few_groups_of_lifts():
         tracemalloc.stop()
     dim = len(carrier.basis)
     assert dim == 165
-    assert len(_groups(len(bins), carrier.basis)) > 1
-    assert peak <= 8 * 16 * max(_GROUP_ENTRIES, dim * dim)
+    assert peak <= 8 * 16 * dim * dim
+
+
+def test_transmission_rejects_a_scatterer_outside_the_family_shape():
+    """A user-built SymmetricScattering only has its shape checked; one with
+    entries outside the 2x2 mode-pair blocks is refused, not misread."""
+    rng = np.random.default_rng(3)
+    dense = SymmetricScattering(hm(1), rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), unitary=False)
+    q = time_bin_qudit([1.0, 1.0], pair_power(1, 1), cfg=None)
+    with pytest.raises(ValueError, match="block diagonal"):
+        transmit(q, dense)
+    with pytest.raises(ValueError, match="block diagonal"):
+        transmit_bins(q, [ScatterSampler(seed=0).sample(hm(1)), dense])
+    # any nonzero entry off the blocks counts, however small
+    member = ScatterSampler(seed=1).sample(hm(1)).matrix.copy()
+    transmit(q, SymmetricScattering(hm(1), member, unitary=True))
+    member[0, 3] = 1e-300
+    with pytest.raises(ValueError, match="block diagonal"):
+        transmit(q, SymmetricScattering(hm(1), member, unitary=True))
 
 
 def test_transmit_bins_requires_matching_count():

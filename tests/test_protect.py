@@ -12,10 +12,12 @@ from symprot import (
     certify,
     direct_sum,
     enumerate_basis,
+    family_generators,
     find_protected,
     h0,
     hm,
     lift,
+    lift_generator,
     mirror_fock,
     named_state,
     pair_power,
@@ -25,7 +27,7 @@ from symprot import (
     verify_pair_uniqueness,
 )
 from symprot.fock import _CACHED_BASES, _shared_basis
-from symprot.protect import _GROUP_ENTRIES, _certify_subspace, _generator_blocks
+from symprot.protect import _certify_subspace, _generator_blocks, _scalar_action
 
 CFG = CertificationConfig(n_samples=24, seed=0)
 
@@ -214,8 +216,9 @@ def test_every_ray_carries_its_standalone_certificate(space, n):
 
 
 def test_certification_memory_is_a_few_groups_of_lifts():
-    """The draws are lifted and applied a group at a time, so the peak stays
-    a small multiple of one group, not n_samples lifted matrices."""
+    """The draws are applied one mode pair at a time and never lifted to
+    dim x dim, so the peak stays below eight dense lifts, far below one
+    stack of every lifted draw."""
     psi = pair_power(1, 4)
     cfg = CertificationConfig(n_samples=64, seed=0)
     certify(psi, cfg)  # warm call: builds the cached basis tables
@@ -227,10 +230,105 @@ def test_certification_memory_is_a_few_groups_of_lifts():
         tracemalloc.stop()
     dim = len(psi.basis)
     assert dim == 165
-    group_bytes = 16 * max(_GROUP_ENTRIES, dim * dim)
-    assert peak <= 8 * group_bytes
+    assert peak <= 8 * 16 * dim * dim
     # the bound is far below what one stack of every lifted draw would hold
-    assert 8 * group_bytes < cfg.n_samples * 16 * dim * dim / 4
+    assert 8 * 16 * dim * dim < cfg.n_samples * 16 * dim * dim / 4
+
+
+def test_certification_memory_stays_below_one_dense_lift():
+    """The factorised apply holds O(n_samples * dim) entries: certifying a
+    dim-286 state against 8 draws peaks below one dense lifted matrix."""
+    psi = pair_power(1, 5)
+    cfg = CertificationConfig(n_samples=8, seed=0)
+    certify(psi, cfg)  # warm call: builds the cached basis tables
+    tracemalloc.start()
+    try:
+        certify(psi, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dim = len(psi.basis)
+    assert dim == 286
+    assert peak < 16 * dim * dim
+
+
+def _pair_block_stack(space, count, rng):
+    """Random matrices that are block diagonal over the 2x2 mode-pair blocks,
+    with every block of spectral norm 1; no family member in general."""
+    m = len(space)
+    out = np.zeros((count, m, m), dtype=complex)
+    for p in range(0, m, 2):
+        block = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+        out[:, p : p + 2, p : p + 2] = block / np.linalg.norm(block, ord=2, axis=(1, 2))[:, None, None]
+    return out
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize(
+    "space",
+    [h0(), hm(1), hm(2), direct_sum(h0(), hm(1)), direct_sum(hm(1), hm(2)), direct_sum(h0(), hm(1), hm(2))],
+    ids=["h0", "hm1", "hm2", "h0+hm1", "hm1+hm2", "h0+hm1+hm2"],
+)
+def test_factorised_apply_matches_the_dense_lift(space, n):
+    """Eigenvalues tr(V^dag L V) / d and residuals |L V - lam V| of the
+    factorised apply equal those taken from the dense lift L = lift(S)."""
+    rng = np.random.default_rng(17 + n)
+    basis = enumerate_basis(space, n)
+    matrices = _pair_block_stack(space, 5, rng)
+    dense = lift(matrices, basis).matrix
+    for d in (1, 2):
+        vectors = rng.normal(size=(len(basis), d)) + 1j * rng.normal(size=(len(basis), d))
+        vectors /= np.linalg.norm(vectors)
+        images = dense @ vectors
+        lam = np.einsum("nd,knd->k", vectors.conj(), images) / d
+        res = np.linalg.norm(images - lam[:, None, None] * vectors, axis=(1, 2))
+        eigenvalues, residuals = _scalar_action(basis, matrices, vectors)
+        assert np.allclose(eigenvalues, lam, atol=1e-12, rtol=0)
+        assert np.allclose(residuals, res, atol=1e-12, rtol=0)
+    # a state on few pair photon counts, so most blocks are skipped
+    sparse = np.zeros((len(basis), 1), dtype=complex)
+    sparse[[0, -1]] = 1 / np.sqrt(2) if len(basis) > 1 else 1
+    images = dense @ sparse
+    lam = (sparse.conj().T @ images)[:, 0, 0]
+    eigenvalues, residuals = _scalar_action(basis, matrices, sparse)
+    assert np.allclose(eigenvalues, lam, atol=1e-12, rtol=0)
+    assert np.allclose(residuals, np.linalg.norm(images - lam[:, None, None] * sparse, axis=(1, 2)), atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize(
+    "space",
+    [h0(), hm(1), direct_sum(h0(), hm(1)), direct_sum(hm(1), hm(2)), direct_sum(h0(), hm(1), hm(2))],
+    ids=["h0", "hm1", "h0+hm1", "hm1+hm2", "h0+hm1+hm2"],
+)
+def test_generator_blocks_are_slices_of_the_dense_generators(space, n):
+    basis = enumerate_basis(space, n)
+    blocks = _generator_blocks(basis)
+    sl2, commuting = family_generators(space)
+    for m, idx in basis._sectors.items():
+        cut = np.ix_(idx, idx)
+        expected = [lift_generator(gen, basis).matrix[cut] for gen in sl2]
+        assert np.array_equal(blocks[m][0], np.vstack(expected) if expected else np.zeros((0, len(idx))))
+        assert len(blocks[m][1]) == len(commuting)
+        for block, gen in zip(blocks[m][1], commuting):
+            assert np.array_equal(block, lift_generator(gen, basis).matrix[cut])
+
+
+def test_generator_blocks_peak_memory_is_near_the_blocks():
+    """The blocks are summed from the lifted entries, not sliced from dense
+    dim x dim generators, so the build peaks below twice what it keeps."""
+    basis = enumerate_basis(direct_sum(h0(), hm(1)), 6)
+    _generator_blocks(basis)  # warm call: builds the shared basis tables
+    _generator_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        blocks = _generator_blocks(basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for sl2, commuting in blocks.values() for a in (sl2, *commuting))
+    assert len(basis) == 462
+    assert peak <= 2 * kept
 
 
 def test_search_rays_are_phase_fixed():
