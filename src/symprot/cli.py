@@ -23,17 +23,11 @@ import numpy as np
 from . import serialize
 from .dfs import CarrierNotProtectedError, erasure_capacity, time_bin_qudit, transmit
 from .entangle import slater_report
-from .fock import FockState, enumerate_basis
+from .fock import FockState, _mirror_parity, enumerate_basis
 from .modes import ModeSpace
 from .protect import CertificationConfig, Verdict, certify, find_protected
 from .scatter import GenericityError, ScatterSampler, SymmetricScattering, validate_scattering
-from .states import (
-    CATALOG,
-    StateRecipe,
-    build_state,
-    mirror_parity,
-    parse_recipe,
-)
+from .states import CATALOG, StateRecipe, build_state, parse_recipe
 
 __all__ = ["main"]
 
@@ -172,15 +166,14 @@ def _cmd_catalog(args) -> int:
     entries = []
     lines = []
     for name in names:
-        recipe = StateRecipe.named(name, args.m)
-        state = build_state(recipe)
-        basis = state.basis
+        state = build_state(StateRecipe.named(name, args.m))
+        basis, tau = state.basis, _mirror_parity(state)
         entries.append(
             {
                 "name": name,
                 "space": serialize.space_to_json(basis.space),
                 "n": basis.n_photons,
-                "mirror_tau": mirror_parity(recipe),
+                "mirror_tau": tau,
                 "kets": [basis.ket(i) for i in range(len(basis))],
                 "amplitudes": serialize.vector_to_json(state.amplitudes),
             }
@@ -190,7 +183,7 @@ def _cmd_catalog(args) -> int:
             for i, amp in enumerate(state.amplitudes)
             if abs(amp) > 1e-12
         )
-        lines.append(f"{name}  (tau {mirror_parity(recipe):+d}):  {terms}")
+        lines.append(f"{name}  (tau {tau:+d}):  {terms}")
     _emit(args, {"states": entries}, lines)
     return 0
 

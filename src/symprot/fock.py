@@ -153,9 +153,9 @@ class FockBasis:
     @cached_property
     def _mirror(self) -> np.ndarray:
         """``_mirror[i]`` is the index of the mirror image of basis state i."""
-        # the image occupation puts n_j on mode perm[j]
-        inverse = np.argsort(self.space.mirror_permutation)
-        images = np.array(self.states, dtype=np.intp)[:, inverse]
+        # the image puts n_j on mode perm[j]; perm is an involution, so the
+        # image's occupation of mode i is n_perm[i]
+        images = np.array(self.states, dtype=np.intp)[:, self.space.mirror_permutation]
         return _frozen(np.array([self._index[tuple(occ)] for occ in images.tolist()], dtype=np.intp))
 
     @cached_property
@@ -300,6 +300,20 @@ class FockState:
             return FockState(self.basis, self.amplitudes.copy())
         lead = self.amplitudes[idx[0]]
         return FockState(self.basis, self.amplitudes * (abs(lead) / lead))
+
+
+def _mirror_parity(state: FockState) -> int | None:
+    """The mirror eigenvalue of a state, +1 or -1, or None if it has none.
+
+    The lifted mirror permutes the basis states, so lift(mirror) psi =
+    +-psi iff psi[_mirror] = +-psi, to 1e-10 in norm. The mirror maps
+    m_tot to -m_tot, so a state of one m_tot other than 0 has none.
+    """
+    image = state.amplitudes[state.basis._mirror]
+    for tau in (1, -1):
+        if np.linalg.norm(image - tau * state.amplitudes) < 1e-10:
+            return tau
+    return None
 
 
 def state_from_amplitudes(basis: FockBasis, mapping) -> FockState:

@@ -89,9 +89,7 @@ class ModeSpace:
         """Mirror reflection as a symmetric 0/1 permutation matrix."""
         n = len(self.labels)
         out = np.zeros((n, n))
-        index = {lab: i for i, lab in enumerate(self.labels)}
-        for j, lab in enumerate(self.labels):
-            out[index[lab.mirrored()], j] = 1.0
+        out[self.mirror_permutation, np.arange(n)] = 1.0
         out.setflags(write=False)
         return out
 

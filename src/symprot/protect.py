@@ -45,6 +45,7 @@ from .fock import (
     FockState,
     _frozen,
     _generator_entries,
+    _mirror_parity,
     enumerate_basis,
     lift,
     lift_mirror,  # noqa: F401 -- a traced call site of perfbench/tracing.py
@@ -323,8 +324,7 @@ def find_protected(
                 report = certify(state, cfg)
                 if report.verdict is not Verdict.PROTECTED:
                     continue
-                tau = _mirror_parity_of(state) if m == 0 else None
-                rays.append(ProtectedRay(state=state, m_tot=m, mirror_tau=tau, report=report))
+                rays.append(ProtectedRay(state=state, m_tot=m, mirror_tau=_mirror_parity(state), report=report))
             else:
                 sub = _certify_subspace(basis, idx, cand, m, cfg)
                 if sub is not None:
@@ -338,16 +338,6 @@ def find_protected(
         samples_used=samples_used,
         sectors=tuple(sectors),
     )
-
-
-def _mirror_parity_of(state: FockState, tol: float = 1e-10) -> int | None:
-    # the mirror permutes basis states: lift(mirror) psi = +-psi iff psi[perm] = +-psi
-    image = state.amplitudes[state.basis._mirror]
-    if np.linalg.norm(image - state.amplitudes) < tol:
-        return 1
-    if np.linalg.norm(image + state.amplitudes) < tol:
-        return -1
-    return None
 
 
 def _certify_subspace(basis, idx, cand, m_tot, cfg) -> ProtectedSubspace | None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import ModeSpace
+from .modes import ModeSpace, mirror_eigenbasis
 
 __all__ = [
     "SymmetricScattering",
@@ -279,10 +279,10 @@ def eigen_modes(scattering: SymmetricScattering, gap_floor: float = 1e-12) -> li
         alpha, beta = a[0, 0], a[0, 1]
         if abs(2.0 * beta) <= gap_floor:
             raise ValueError("degenerate eigenvalues: |s+ - s-| below the gap floor")
-        inv = 1.0 / math.sqrt(2.0)
+        u = mirror_eigenbasis(space).astype(complex)
         modes = [
-            EigenMode(alpha + beta, np.array([[inv], [inv]], dtype=complex), mirror_tau=1),
-            EigenMode(alpha - beta, np.array([[inv], [-inv]], dtype=complex), mirror_tau=-1),
+            EigenMode(alpha + beta, u[:, :1], mirror_tau=1),
+            EigenMode(alpha - beta, u[:, 1:], mirror_tau=-1),
         ]
     else:
         block = a[:2, :2]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, enumerate_basis, state_from_amplitudes
+from .fock import FockState, _mirror_parity, enumerate_basis, state_from_amplitudes
 from .modes import ModeSpace, direct_sum, h0, hm
 
 __all__ = [
@@ -43,20 +43,19 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# name -> (family, amplitude map, mirror parity); occupations use the
-# canonical mode order of h0 / hm
+# name -> amplitude map; occupations use the canonical mode order of h0 / hm
 _H0_CATALOG = {
-    "phi1": ({(1, 1): 1.0}, 1),
-    "phi2": ({(2, 0): 1 / _SQRT2, (0, 2): 1 / _SQRT2}, 1),
-    "phi3": ({(2, 0): 1 / _SQRT2, (0, 2): -1 / _SQRT2}, -1),
-    "s1": ({(2, 0): 0.5, (1, 1): 1 / _SQRT2, (0, 2): 0.5}, 1),
-    "s2": ({(2, 0): 0.5, (1, 1): -1 / _SQRT2, (0, 2): 0.5}, 1),
+    "phi1": {(1, 1): 1.0},
+    "phi2": {(2, 0): 1 / _SQRT2, (0, 2): 1 / _SQRT2},
+    "phi3": {(2, 0): 1 / _SQRT2, (0, 2): -1 / _SQRT2},
+    "s1": {(2, 0): 0.5, (1, 1): 1 / _SQRT2, (0, 2): 0.5},
+    "s2": {(2, 0): 0.5, (1, 1): -1 / _SQRT2, (0, 2): 0.5},
 }
 _HM_CATALOG = {
-    "psi1": ({(1, 0, 0, 1): 1.0}, 1),
-    "psi2": ({(0, 1, 1, 0): 1.0}, 1),
-    "psi3": ({(1, 0, 1, 0): 1 / _SQRT2, (0, 1, 0, 1): 1 / _SQRT2}, 1),
-    "psi4": ({(1, 0, 1, 0): 1 / _SQRT2, (0, 1, 0, 1): -1 / _SQRT2}, -1),
+    "psi1": {(1, 0, 0, 1): 1.0},
+    "psi2": {(0, 1, 1, 0): 1.0},
+    "psi3": {(1, 0, 1, 0): 1 / _SQRT2, (0, 1, 0, 1): 1 / _SQRT2},
+    "psi4": {(1, 0, 1, 0): 1 / _SQRT2, (0, 1, 0, 1): -1 / _SQRT2},
 }
 CATALOG = tuple(_H0_CATALOG) + tuple(_HM_CATALOG)
 
@@ -117,11 +116,9 @@ def pair_power(m: int, pairs: int) -> FockState:
 def named_state(name: str, m: int = 1) -> FockState:
     """A catalog state by name; psi states take the angular momentum ``m``."""
     if name in _H0_CATALOG:
-        mapping, _ = _H0_CATALOG[name]
-        return state_from_amplitudes(enumerate_basis(h0(), 2), mapping)
+        return state_from_amplitudes(enumerate_basis(h0(), 2), _H0_CATALOG[name])
     if name in _HM_CATALOG:
-        mapping, _ = _HM_CATALOG[name]
-        return state_from_amplitudes(enumerate_basis(hm(m), 2), mapping)
+        return state_from_amplitudes(enumerate_basis(hm(m), 2), _HM_CATALOG[name])
     raise ValueError(f"unknown state name {name!r}; catalog: {', '.join(CATALOG)}")
 
 
@@ -197,18 +194,7 @@ def build_state(recipe: StateRecipe) -> FockState:
 
 def mirror_parity(recipe: StateRecipe) -> int:
     """Mirror eigenvalue of the recipe's state: +1 or -1."""
-    if recipe.kind == "mirrorfock":
-        return -1 if recipe.n_anti % 2 else 1
-    if recipe.kind == "pair":
-        return -1 if recipe.pairs % 2 else 1
-    if recipe.kind == "named":
-        for catalog in (_H0_CATALOG, _HM_CATALOG):
-            if recipe.name in catalog:
-                return catalog[recipe.name][1]
-        raise ValueError(f"unknown state name {recipe.name!r}")
-    if recipe.kind == "product":
-        return math.prod(mirror_parity(f) for f in recipe.factors)
-    raise ValueError(f"unknown recipe kind {recipe.kind!r}")
+    return _mirror_parity(build_state(recipe))
 
 
 def count_mirror_fock(n: int) -> tuple[int, int, int]:

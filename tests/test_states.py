@@ -18,6 +18,7 @@ from symprot import (
     lift,
     lift_mirror,
     mirror_fock,
+    mirror_parity,
     named_state,
     pair_expansion_coefficients,
     pair_power,
@@ -28,6 +29,9 @@ from symprot import (
 
 H0_NAMES = ("phi1", "phi2", "phi3", "s1", "s2")
 HM_NAMES = ("psi1", "psi2", "psi3", "psi4")
+# mirror parity of each catalog state, read off its amplitudes
+CATALOG_TAU = {"phi1": +1, "phi2": +1, "phi3": -1, "s1": +1, "s2": +1,
+               "psi1": +1, "psi2": +1, "psi3": +1, "psi4": -1}
 
 
 def amp(state, occ):
@@ -77,11 +81,7 @@ def test_catalog_orthonormality():
         assert np.allclose(G, np.eye(len(names)), atol=1e-14, rtol=0)
 
 
-@pytest.mark.parametrize(
-    "name,tau",
-    [("phi1", +1), ("phi2", +1), ("phi3", -1), ("s1", +1), ("s2", +1),
-     ("psi1", +1), ("psi2", +1), ("psi3", +1), ("psi4", -1)],
-)
+@pytest.mark.parametrize("name,tau", CATALOG_TAU.items())
 def test_catalog_mirror_parity(name, tau):
     state = named_state(name)
     M = lift_mirror(state.basis)
@@ -327,12 +327,31 @@ def test_parse_recipe_rejects_malformed_text(text):
         parse_recipe(text)
 
 
-def test_mirror_parity_of_recipes():
-    assert __import__("symprot").mirror_parity(StateRecipe.mirror_fock(2, 1)) == -1
-    assert __import__("symprot").mirror_parity(StateRecipe.pair_power(1, 2)) == +1
-    assert __import__("symprot").mirror_parity(StateRecipe.named("psi4")) == -1
-    prod = StateRecipe.product(StateRecipe.named("phi3"), StateRecipe.named("psi4"))
-    assert __import__("symprot").mirror_parity(prod) == +1
+def _parity_grid():
+    """(recipe, tau) from the closed forms: the catalog table, (-1)^n_a for
+    mirror Fock states, (-1)^K for pair powers, and the product of the
+    factors' parities for products."""
+    for m in (1, 2, 3):
+        for name, tau in CATALOG_TAU.items():
+            yield pytest.param(StateRecipe.named(name, m), tau, id=f"{name}-m{m}")
+    for n in range(11):
+        for n_anti in range(n + 1):
+            yield pytest.param(StateRecipe.mirror_fock(n - n_anti, n_anti), (-1) ** n_anti,
+                               id=f"mirrorfock-{n - n_anti}-{n_anti}")
+    for m in (1, 2, 3):
+        for pairs in range(6):
+            yield pytest.param(StateRecipe.pair_power(m, pairs), (-1) ** pairs, id=f"pair-m{m}-K{pairs}")
+    yield pytest.param(StateRecipe.product(StateRecipe.named("phi3"), StateRecipe.named("psi4")),
+                       CATALOG_TAU["phi3"] * CATALOG_TAU["psi4"], id="phi3*psi4")
+    yield pytest.param(
+        StateRecipe.product(StateRecipe.mirror_fock(2, 1), StateRecipe.pair_power(1, 1),
+                            StateRecipe.pair_power(2, 1)),
+        (-1) ** 1 * (-1) ** 1 * (-1) ** 1, id="mirrorfock-2-1*pair-m1-K1*pair-m2-K1")
+
+
+@pytest.mark.parametrize("recipe,tau", _parity_grid())
+def test_mirror_parity_of_recipes(recipe, tau):
+    assert mirror_parity(recipe) == tau
 
 
 def test_recipe_product_roundtrip():
