@@ -12,8 +12,8 @@ erasure channel, with the standard capacities max(0, 1 - 2*eps) one-way and
 
 The carrier must be normalized; certification's apply kernel
 (``protect._scalar_action``) applies each distinct bin scatterer to it once,
-one 2x2 mode-pair block at a time, and refuses a scatterer with entries
-outside those blocks (ValueError).
+one 2x2 mode-pair block at a time. A scatterer on another mode space than
+the carrier's, or with entries outside those blocks, raises ValueError.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .fock import FockState
 from .fock import lift  # noqa: F401 -- a traced call site of perfbench/tracing.py
 from .protect import CertificationConfig, Verdict, _scalar_action, certify
 from .scatter import SymmetricScattering
+from .serialize import space_to_json
 
 __all__ = [
     "CarrierNotProtectedError",
@@ -54,6 +55,8 @@ class TimeBinQudit:
         coeff = np.asarray(self.coefficients, dtype=complex)
         if coeff.ndim != 1 or coeff.size < 1:
             raise ValueError("coefficients must be a non-empty vector")
+        if not np.isfinite(coeff).all():
+            raise ValueError("coefficients must be finite")
         norm = np.linalg.norm(coeff)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError("coefficients must be normalized")
@@ -73,6 +76,8 @@ def time_bin_qudit(
 ) -> TimeBinQudit:
     """Build a qudit, certifying the carrier's protection unless cfg is None."""
     coeff = np.asarray(coefficients, dtype=complex)
+    if not np.isfinite(coeff).all():
+        raise ValueError("coefficients must be finite")
     norm = np.linalg.norm(coeff)
     if norm == 0.0:
         raise ValueError("coefficients must not all vanish")
@@ -111,13 +116,20 @@ def transmit_bins(
     Bin i maps the carrier to lam_i c plus an orthogonal part of norm r_i
     (its residual), so ||out||^2 = sum_i |a_i|^2 (|lam_i|^2 + r_i^2). When
     residual_tol is given, any bin whose image leaves the carrier ray by
-    more than the tolerance raises CarrierNotProtectedError.
+    more than the tolerance raises CarrierNotProtectedError. A scatterer
+    on another mode space than the carrier's raises ValueError.
     """
     scatterings = list(scatterings)
     if len(scatterings) != qudit.d:
         raise ValueError(f"need one scattering per bin: {qudit.d} bins, {len(scatterings)} given")
     # each distinct scattering is lifted and applied once
     distinct = list({id(s): s for s in scatterings}.values())
+    space = qudit.carrier.basis.space
+    for s in distinct:
+        if s.space != space:
+            raise ValueError(
+                f"scatterer on {space_to_json(s.space)} cannot act on a carrier on {space_to_json(space)}"
+            )
     slot = {id(s): k for k, s in enumerate(distinct)}
     matrices = np.array([s.matrix for s in distinct])
     lam, residuals = _scalar_action(qudit.carrier.basis, matrices, qudit.carrier.amplitudes[:, None])

@@ -10,7 +10,9 @@ by I and X on h0, so a state is protected iff it spans a one-dimensional
 representation of the family's Lie algebra (``family_generators``): the
 lifted sl(2) generators annihilate it and it is an eigenvector of the lifted
 commuting ones. The search finds these spaces without random draws, then
-certifies each one.
+certifies each one. Each ray's mirror parity is read off the basis's mirror
+permutation (``fock._mirror_parity``); it is None off m_tot = 0, where the
+mirror image lies in the opposite sector.
 
 One kernel, ``_scalar_action``, applies lifted family members to states.
 A family member is block diagonal over the 2x2 blocks of its mode pairs,

@@ -45,8 +45,15 @@ def vector_to_json(vec) -> list[list[float]]:
     return [complex_pair(z) for z in np.asarray(vec, dtype=complex)]
 
 
+def _finite(array: np.ndarray) -> np.ndarray:
+    # Python's json reads NaN, Infinity and -Infinity as numbers
+    if not np.isfinite(array).all():
+        raise ValueError("entries must be finite numbers, not NaN or Infinity")
+    return array
+
+
 def vector_from_json(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=complex)
+    return _finite(np.array([complex(re, im) for re, im in data], dtype=complex))
 
 
 def matrix_to_json(mat) -> list[list[list[float]]]:
@@ -54,7 +61,7 @@ def matrix_to_json(mat) -> list[list[list[float]]]:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
+    return _finite(np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex))
 
 
 def space_to_json(space: ModeSpace) -> dict:
@@ -94,9 +101,10 @@ def parse_space(text: str) -> ModeSpace:
             spaces.append(h0())
         elif part.startswith("hm:"):
             try:
-                spaces.append(hm(int(part[3:])))
+                m = int(part[3:])
             except ValueError:
                 raise ValueError(f"malformed space {part!r}; expected hm:<m>") from None
+            spaces.append(hm(m))
         else:
             raise ValueError(f"unknown space {part!r}; expected h0 or hm:<m>")
     return direct_sum(*spaces)

@@ -12,7 +12,9 @@ Two closed-form families matter:
 Both constructions carry exact integer coefficients up to the final
 normalization. A small named catalog covers the two-photon states used
 throughout (phi1..phi3, s1, s2 on the doublet; psi1..psi4 on a four-mode
-family).
+family). No parity is stored with a family or a catalog entry:
+``mirror_parity`` builds the recipe's state and reads its parity off the
+basis's mirror permutation, as the search does for its rays.
 """
 
 from __future__ import annotations
@@ -193,7 +195,10 @@ def build_state(recipe: StateRecipe) -> FockState:
 
 
 def mirror_parity(recipe: StateRecipe) -> int:
-    """Mirror eigenvalue of the recipe's state: +1 or -1."""
+    """Mirror eigenvalue of the recipe's state: +1 or -1.
+
+    The state is built, so a recipe past the photon cap raises ValueError.
+    """
     return _mirror_parity(build_state(recipe))
 
 

@@ -251,24 +251,26 @@ def test_state_files_are_normalized_before_use(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,message",
     [
-        ("certify", "--state", "nope"),
-        ("certify", "--state", "pair:m=1,N=3"),
-        ("search", "--space", "h9", "--n", "2"),
-        ("capacity", "--eps", "1.5", "--two-way", "false"),
-        ("capacity", "--eps", "0.2", "--two-way", "maybe"),
-        ("validate", "--space", "h0", "--matrix", "/nonexistent/m.json"),
-        (),
-        ("certify", "--state", "psi4:m=2", "--space", "hm:1"),
+        (("certify", "--state", "nope"), "unknown state 'nope'"),
+        (("certify", "--state", "pair:m=1,N=3"), "pair recipe needs even N"),
+        (("search", "--space", "h9", "--n", "2"), "unknown space 'h9'"),
+        (("capacity", "--eps", "1.5", "--two-way", "false"), "--eps must lie in [0, 1]"),
+        (("capacity", "--eps", "0.2", "--two-way", "maybe"), "expected true or false"),
+        (("validate", "--space", "h0", "--matrix", "/nonexistent/m.json"), "matrix file not found"),
+        ((), "required: command"),
+        (("certify", "--state", "psi4:m=2", "--space", "hm:1"), "not on the requested space"),
+        (("search", "--space", "hm:0", "--n", "2"), "symprot: hm requires m >= 1"),
     ],
     ids=["unknown-state", "odd-pair", "bad-space", "eps-range", "bad-bool",
-         "missing-file", "no-command", "m-off-space"],
+         "missing-file", "no-command", "m-off-space", "hm-zero"],
 )
-def test_usage_errors_exit_two(args):
+def test_usage_errors_exit_two(args, message):
     result = run_cli(*args, check=False)
     assert result.returncode == 2
     assert result.stdout == "" or "usage" in result.stdout.lower()
+    assert message in result.stderr
 
 
 _AMPS = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
@@ -282,16 +284,33 @@ _AMPS = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
         {"schema": "symprot/1", "space": {"kind": "sum", "components": ["h0"]}, "n": 2,
          "amplitudes": _AMPS},
         {"schema": "symprot/1", "space": {"kind": "h0"}, "n": 2.5, "amplitudes": _AMPS},
+        # Python's json writes and reads NaN and Infinity literals
+        {"schema": "symprot/1", "space": {"kind": "h0"}, "n": 2,
+         "amplitudes": [[float("nan"), 0.0], [1.0, 0.0], [0.0, 0.0]]},
+        {"schema": "symprot/1", "space": {"kind": "h0"}, "n": 2,
+         "amplitudes": [[1.0, 0.0], [0.0, float("-inf")], [0.0, 0.0]]},
     ],
-    ids=["no-n", "space-string", "component-string", "fractional-n"],
+    ids=["no-n", "space-string", "component-string", "fractional-n",
+         "nan-amplitude", "infinite-amplitude"],
 )
 def test_malformed_state_file_exits_two(doc, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
-    result = run_cli("certify", "--state", str(path), check=False)
+    for command in ("certify", "entangle"):
+        result = run_cli(command, "--state", str(path), check=False)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"symprot: malformed state file {path}: ")
+        assert len(result.stderr.splitlines()) == 1
+
+
+def test_non_finite_matrix_file_exits_two(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps([[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+    result = run_cli("validate", "--space", "h0", "--matrix", str(path), check=False)
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr.startswith(f"symprot: malformed state file {path}: ")
+    assert result.stderr.startswith(f"symprot: malformed matrix file {path}: ")
     assert len(result.stderr.splitlines()) == 1
 
 

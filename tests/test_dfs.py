@@ -13,6 +13,7 @@ from symprot import (
     ScatterSampler,
     SymmetricScattering,
     TimeBinQudit,
+    direct_sum,
     drift_experiment,
     erasure_capacity,
     h0,
@@ -21,6 +22,7 @@ from symprot import (
     mirror_fock,
     named_state,
     pair_power,
+    product_state,
     time_bin_qudit,
     transmit,
     transmit_bins,
@@ -60,6 +62,11 @@ def test_qudit_construction_validation():
         time_bin_qudit([1.0, 1.0], tripled, cfg=None)
     with pytest.raises(ValueError, match="must be normalized"):
         TimeBinQudit(coefficients=np.array([1.0, 0.0]), carrier=tripled)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            TimeBinQudit(coefficients=np.array([bad, 1.0]), carrier=psi4)
+        with pytest.raises(ValueError, match="must be finite"):
+            time_bin_qudit([bad, 1.0], psi4, cfg=None)
 
 
 def test_unitary_transmission_is_perfect():
@@ -151,6 +158,26 @@ def test_transmission_rejects_a_scatterer_outside_the_family_shape():
     member[0, 3] = 1e-300
     with pytest.raises(ValueError, match="block diagonal"):
         transmit(q, SymmetricScattering(hm(1), member, unitary=True))
+
+
+def test_transmission_rejects_a_scatterer_on_another_space():
+    """Scatterers of the same matrix shape but another mode space are a
+    usage error (ValueError) in every entry point, not a refused carrier or
+    a fidelity."""
+    carrier = product_state([mirror_fock(1, 0), named_state("psi4")])
+    q = time_bin_qudit([1.0, 1.0], carrier, cfg=None)
+    sampler = ScatterSampler(seed=0)
+    swapped = direct_sum(hm(1), h0())
+    own = sampler.sample(carrier.basis.space)
+    with pytest.raises(ValueError, match="cannot act on a carrier"):
+        drift_experiment(q, sampler.sample(swapped), sampler.sample(swapped))
+    with pytest.raises(ValueError, match="cannot act on a carrier"):
+        transmit(q, sampler.sample(swapped))
+    with pytest.raises(ValueError, match="cannot act on a carrier"):
+        transmit_bins(q, [own, sampler.sample(swapped)])
+    with pytest.raises(ValueError, match="'m': 2.*'m': 1"):
+        transmit_bins(singlet_qudit(1), [sampler.sample(hm(2))])
+    assert transmit(q, own).fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transmit_bins_requires_matching_count():

@@ -342,11 +342,11 @@ def _parity_grid():
         for pairs in range(6):
             yield pytest.param(StateRecipe.pair_power(m, pairs), (-1) ** pairs, id=f"pair-m{m}-K{pairs}")
     yield pytest.param(StateRecipe.product(StateRecipe.named("phi3"), StateRecipe.named("psi4")),
-                       CATALOG_TAU["phi3"] * CATALOG_TAU["psi4"], id="phi3*psi4")
+                       CATALOG_TAU["phi3"] * CATALOG_TAU["psi4"], id="product-phi3-psi4")
     yield pytest.param(
         StateRecipe.product(StateRecipe.mirror_fock(2, 1), StateRecipe.pair_power(1, 1),
                             StateRecipe.pair_power(2, 1)),
-        (-1) ** 1 * (-1) ** 1 * (-1) ** 1, id="mirrorfock-2-1*pair-m1-K1*pair-m2-K1")
+        (-1) ** 1 * (-1) ** 1 * (-1) ** 1, id="product-mirrorfock-2-1-pair-m1-K1-pair-m2-K1")
 
 
 @pytest.mark.parametrize("recipe,tau", _parity_grid())
