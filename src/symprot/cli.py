@@ -166,7 +166,12 @@ def _cmd_catalog(args) -> int:
     entries = []
     lines = []
     for name in names:
-        state = build_state(StateRecipe.named(name, args.m))
+        try:
+            state = build_state(StateRecipe.named(name, args.m))
+        except ValueError:
+            if args.m < 1:  # only the psi states read --m, and they live on hm(m)
+                raise ValueError(serialize._HM_M0_ERROR.format(args.m)) from None
+            raise
         basis, tau = state.basis, _mirror_parity(state)
         entries.append(
             {

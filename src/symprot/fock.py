@@ -19,7 +19,8 @@ family members to states never forms it. A matrix that is block diagonal
 over the mode pairs (0, 1), (2, 3), ... lifts to a direct sum, over the
 photon counts k_p on the pairs, of Kronecker products of the symmetric
 powers Sym^{k_p} of its 2x2 blocks, and Sym^k(B) is the lift of B on the
-two-mode basis ``enumerate_basis(h0(), k)``. ``protect._scalar_action``
+two-mode basis ``enumerate_basis(h0(), k)``; ``_symmetric_powers`` takes
+them all from one recursion. ``protect._scalar_action``
 applies it that way, one pair at a time, in the layouts of
 ``FockBasis._pair_splits``. The permanent formula
 
@@ -33,11 +34,12 @@ Bases are shared: ``enumerate_basis`` returns one ``FockBasis`` per
 (space, N), kept in a cache of the ``_CACHED_BASES`` most recently used.
 Every table that depends on the basis alone is built once, on first use,
 and owned by it: the lift's ladder, the index of each occupation, the
-m_tot of each state, the sector split, the mirror permutation and the
-mode-pair layouts. These arrays are read-only, since every caller holding
-the basis sees them. ``lift_generator`` sums the (row, column, value)
-entries of ``_generator_entries``, which the search also sums straight
-into its sector blocks.
+m_tot of each state, the sector split, the mirror permutation, the
+mode-pair layouts and the most photons each state puts on one pair.
+These arrays are read-only, since every caller holding the basis sees
+them. ``lift_generator`` sums the (row, column, value) entries of
+``_generator_entries``, which the search also sums straight into its
+sector blocks.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .modes import ModeSpace
+from .modes import ModeSpace, h0
 
 __all__ = [
     "DEFAULT_N_MAX",
@@ -191,6 +193,12 @@ class FockBasis:
             where = np.empty_like(order)
             where[order] = np.arange(len(self))
         return tuple(passes), _frozen(order)
+
+    @cached_property
+    def _pair_top(self) -> np.ndarray:
+        """The most photons on one mode pair (0, 1), (2, 3), ..., per basis state."""
+        occ = np.array(self.states, dtype=np.intp).reshape(len(self), -1, 2)
+        return _frozen(occ.sum(axis=2).max(axis=1))
 
     @cached_property
     def _ladder(self) -> tuple[tuple, ...]:
@@ -403,8 +411,9 @@ def lift(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
     return LiftedOperator(basis, out.reshape(a.shape[:-2] + out.shape[1:]))
 
 
-def _lift_group(a: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """The SLOS recursion on a (g, M, M) stack."""
+def _lift_group(a: np.ndarray, basis: FockBasis, levels: list | None = None) -> np.ndarray:
+    """The SLOS recursion on a (g, M, M) stack; ``levels``, if given,
+    collects its lift on every k-photon basis, k = 1..N, on the way."""
     cols = np.ones((len(a), 1, 1), dtype=complex)
     for parent, scale, first, modes in basis._ladder:
         # column of n - e_j divided by sqrt(n_j), j the first occupied mode of n
@@ -415,7 +424,20 @@ def _lift_group(a: np.ndarray, basis: FockBasis) -> np.ndarray:
             term = parents[:, lower]
             term *= root * a[:, None, i, first]
             cols[:, occupied] += term
+        if levels is not None:
+            levels.append(cols)
     return cols
+
+
+def _symmetric_powers(blocks: np.ndarray, k_max: int) -> list[np.ndarray]:
+    """[Sym^1, ..., Sym^k_max] of a (g, 2, 2) stack, from one recursion.
+
+    Sym^k(B) is the lift of B on ``enumerate_basis(h0(), k)``, a (g, k + 1,
+    k + 1) stack, and the k-th level of the recursion on that basis.
+    """
+    levels = []
+    _lift_group(blocks, enumerate_basis(h0(), k_max), levels)
+    return levels
 
 
 def lift_generator(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:

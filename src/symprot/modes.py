@@ -8,7 +8,8 @@ the angular momentum and the helicity. Two irreducible families occur:
 * ``h0()``        -- the m = 0 doublet, ordered ((0,+), (0,-));
 * ``hm(m)``       -- the four-mode family for m >= 1, ordered
                      ((m,+), (m,-), (-m,+), (-m,-));
-* ``direct_sum``  -- composites of the above with pairwise distinct |m|.
+* ``direct_sum``  -- composites of the above with pairwise distinct |m|,
+                     their modes concatenated in argument order.
 
 On these spaces the rotation generator Jz is diagonal in the mode labels and
 the mirror acts as the permutation (m, h) -> (-m, -h).
@@ -52,9 +53,12 @@ class ModeLabel:
 class ModeSpace:
     """An ordered tuple of modes closed under the mirror involution.
 
-    Instances are built with :func:`h0`, :func:`hm` and :func:`direct_sum`;
-    the constructors guarantee the canonical mode order, so two spaces are
-    interchangeable iff their ``labels`` coincide.
+    Instances are built with :func:`h0`, :func:`hm` and :func:`direct_sum`.
+    ``h0`` and ``hm`` list their modes in a fixed order, and ``direct_sum``
+    concatenates its arguments' modes in the order given, so
+    ``direct_sum(hm(1), h0())`` and ``direct_sum(h0(), hm(1))`` are
+    different spaces with different basis orders. Two spaces are
+    interchangeable iff their ``labels`` coincide, in order.
     """
 
     labels: tuple[ModeLabel, ...]
@@ -123,6 +127,8 @@ def direct_sum(*spaces: ModeSpace) -> ModeSpace:
     Composites let product states of independently scattered families live on
     one space. Repeating a |m| sector (h0 counts as |m| = 0) would break the
     block structure of the symmetric scattering family, so it is rejected.
+    The components keep the order of the arguments (nested sums are
+    flattened in place); nothing is sorted.
     """
     if not spaces:
         raise ValueError("direct_sum needs at least one space")

@@ -48,12 +48,13 @@ from .fock import (
     _frozen,
     _generator_entries,
     _mirror_parity,
+    _symmetric_powers,
     enumerate_basis,
     lift,
     lift_mirror,  # noqa: F401 -- a traced call site of perfbench/tracing.py
     sector_split,
 )
-from .modes import ModeSpace, h0, hm
+from .modes import ModeSpace, hm
 from .scatter import ScatterSampler, family_generators
 from .states import pair_expansion_coefficients, pair_power
 
@@ -114,7 +115,7 @@ class ProtectionReport:
 def _draws(space: ModeSpace, cfg: CertificationConfig) -> np.ndarray:
     """The (n_samples, M, M) stack of the sample stream ``certify`` documents."""
     sampler = ScatterSampler(seed=cfg.seed, unitary=cfg.unitary, genericity_floor=cfg.genericity_floor)
-    return np.array([sampler.sample(space).matrix for _ in range(cfg.n_samples)])
+    return sampler.sample(space, cfg.n_samples)
 
 
 def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
@@ -131,6 +132,8 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
     Sym^k of the pair's block, the lift of the block on
     ``enumerate_basis(h0(), k)``, so the images are built one pair at a time
     in the layouts of ``FockBasis._pair_splits``, in O(n * dim * d) memory.
+    Every Sym^k comes from one recursion, run up to the most photons the
+    vectors put on one pair.
     """
     passes, order = basis._pair_splits
     n, d = len(matrices), vectors.shape[1]
@@ -142,8 +145,14 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
         blocks = matrices.reshape(n, len(passes), 2, len(passes), 2)[:, at, :, at]  # (P, n, 2, 2)
         if np.count_nonzero(blocks) != np.count_nonzero(matrices):
             raise ValueError("matrices must be block diagonal over the 2x2 blocks of the mode pairs")
-        stack = blocks.reshape(-1, 2, 2)
-        sym = {}  # Sym^k of every block, lifted on first use
+        # Sym^k of every block as (P, n, k + 1, k + 1), for k up to the most
+        # photons the vectors put on one pair: Sym^1 is the block itself,
+        # and the higher powers come from one recursion
+        k_max = int(basis._pair_top[vectors.any(axis=1)].max(initial=0))
+        sym = [None, blocks]
+        if k_max > 1:
+            powers = _symmetric_powers(blocks.reshape(-1, 2, 2), k_max)[1:]
+            sym += [power.reshape(blocks.shape[:2] + power.shape[1:]) for power in powers]
         images = vectors
         for p, (take, groups) in enumerate(passes):
             part = images[..., take, :]
@@ -155,8 +164,6 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
                 # lift(S) keeps the photon count on every pair: a block the
                 # vectors leave empty stays empty, and its Sym^k is not needed
                 if k and block.any():
-                    if k not in sym:
-                        sym[k] = lift(stack, enumerate_basis(h0(), k)).matrix.reshape(len(passes), n, k + 1, k + 1)
                     block = (sym[k][p] @ block.reshape(block.shape[:-2] + (k + 1, -1))).reshape(n, -1, d)
                 images[:, start:stop] = block
                 start = stop

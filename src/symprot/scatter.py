@@ -11,20 +11,27 @@ block shape
 ``ScatterSampler`` draws random members of the family (Haar-unitary or
 subunitary) with a genericity floor on the block determinant and on the
 eigenvalue gap, so that certification sees well-separated spectra. Streams
-are deterministic in the seed. Each 2x2 block is drawn and tested in closed
-form, in plain complex scalars: the determinant, the eigenvalue gap
-|sqrt(tr^2 - 4 det)|, sigma_max from the Frobenius norm and |det| (see
-``_sigma_max``), and the Haar unitary as the Q of a positive-diagonal QR,
-whose second column is fixed by the first and det(z). These match the
-LAPACK formulas (SVD, LU, eigensolver, Householder QR) to rounding and
-consume the generator in the same order. ``family_generators`` is a basis
-of the family's Lie algebra, which the exact protected-state search lifts.
+are deterministic in the seed, and ``sample(space, n)`` returns the next n
+draws as one stack, bit for bit the matrices of n single draws. Every
+attempt at a block draws a fixed set of numbers whatever its verdict, so a
+batch first draws the numbers of many attempts, then forms and tests their
+blocks together and keeps the accepted ones in order. On a direct sum of
+h0 and hm components a rejection changes the kind of every later attempt,
+and each draw takes its components in turn. The blocks come in closed
+form: the determinant, the eigenvalue gap sqrt(|tr^2 - 4 det|), sigma_max
+from the Frobenius norm and |det| (see ``_sigma_max``), and the Haar
+unitary as the Q of a positive-diagonal QR, whose second column is fixed
+by the first and det(z). These match the LAPACK formulas (SVD, LU,
+eigensolver, Householder QR) to rounding and consume the generator in the
+same order. ``family_generators`` is a basis of the family's Lie algebra,
+which the exact protected-state search lifts.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,9 +132,10 @@ class ScatterSampler:
     """Seeded random source of symmetric scattering matrices.
 
     Two samplers built from the same seed produce identical streams; repeated
-    ``sample`` calls on one sampler walk the stream. Draws failing the
-    genericity floor (block determinant or eigenvalue gap too small) are
-    rejected and redrawn, up to ``max_attempts``.
+    ``sample`` calls on one sampler walk the stream, and ``sample(space, n)``
+    takes the next n draws at once, exactly as n single calls would. Draws
+    failing the genericity floor (block determinant or eigenvalue gap too
+    small) are rejected and redrawn, up to ``max_attempts``.
     """
 
     seed: int = 0
@@ -150,85 +158,202 @@ class ScatterSampler:
             max_attempts=self.max_attempts,
         )
 
-    def sample(self, space: ModeSpace) -> SymmetricScattering:
-        """Draw one generic member of the symmetric family on ``space``."""
+    def sample(self, space: ModeSpace, size: int | None = None) -> SymmetricScattering | np.ndarray:
+        """Draw generic members of the symmetric family on ``space``.
+
+        Without ``size``, one ``SymmetricScattering``; with it, the
+        (size, M, M) complex stack of the next ``size`` draws, which
+        consumes the generator as ``size`` single calls do and holds the
+        same matrices bit for bit. A single draw is a batch of one.
+        GenericityError comes at the draw where single calls raise it,
+        with the generator left where they leave it.
+        """
+        n = 1 if size is None else operator.index(size)
+        if n < 0:
+            raise ValueError(f"size must be non-negative, got {n}")
         comps = space.components if space.kind == "sum" else (space,)
-        blocks = [self._sample_block(sp) for sp in comps]
-        mat = _assemble(space, comps, blocks)
-        return SymmetricScattering(space=space, matrix=mat, unitary=self.unitary)
+        blocks = self._stream([sp.kind for sp in comps], n)
+        mats = _assemble(space, comps, blocks.reshape(n, len(comps), 2, 2))
+        if size is None:
+            return SymmetricScattering(space=space, matrix=mats[0], unitary=self.unitary)
+        return mats
 
     # -- internals ---------------------------------------------------------
 
-    def _sample_block(self, space: ModeSpace) -> np.ndarray:
+    def _stream(self, kinds: list[str], n: int, run: int = 0) -> np.ndarray:
+        """The blocks of the next n draws on components of these kinds, as an
+        (n * len(kinds), 2, 2) stack in draw, then component order.
+
+        ``run`` counts the rejections the first block has already had.
+        Every attempt draws the same numbers whatever its verdict. So when
+        all components share a kind, one round draws an attempt per block,
+        forms and tests them all at once in ``_formulas`` and keeps the
+        accepted ones in order; the rejected ones are drawn again as a
+        stream of their own. At the attempt that makes ``max_attempts``
+        rejections in a row, the generator is rewound to just after it,
+        where single draws stop, and GenericityError raised. Mixed kinds,
+        where a rejection changes the kind of every later attempt, and
+        fewer than ``_BATCH`` blocks go attempt by attempt on Python scalars.
+        """
+        count = n * len(kinds)
+        if count < _BATCH or len(set(kinds)) > 1:
+            return self._one_by_one(kinds, n, run)
+        kind, bg = kinds[0], self._rng.bit_generator
+        start = bg.state
+        raw = self._attempts(kind, count)
+        *entries, ok = self._formulas(kind, list(raw.T))
+        blocks = np.array(entries).T.reshape(-1, 2, 2)
+        if ok.all():
+            return blocks
+        at = np.arange(count)
+        # rejections in a row up to each attempt
+        streak = at - np.maximum.accumulate(np.where(ok, at, -1 - run))
+        out = np.flatnonzero(streak >= self.max_attempts)
+        if len(out):
+            bg.state = start
+            self._attempts(kind, int(out[0]) + 1)
+            raise self._exhausted()
+        rest = self._stream([kind], count - np.count_nonzero(ok), int(streak[-1]))
+        return np.concatenate([blocks[ok], rest])
+
+    def _one_by_one(self, kinds: list[str], n: int, run: int = 0) -> np.ndarray:
+        """``_stream`` for mixed kinds or few blocks: attempt by attempt on Python scalars."""
+        entries = []
+        for _ in range(n):
+            for kind in kinds:
+                while True:
+                    *entry, ok = self._formulas(kind, self._attempts(kind, 1)[0].tolist())
+                    if ok:
+                        break
+                    run += 1
+                    if run >= self.max_attempts:
+                        raise self._exhausted()
+                entries.append(entry)
+                run = 0
+        return np.array(entries, dtype=complex).reshape(-1, 2, 2)
+
+    def _exhausted(self) -> GenericityError:
+        return GenericityError(f"no generic sample within {self.max_attempts} attempts (floor {self.genericity_floor})")
+
+    def _attempts(self, kind: str, count: int) -> np.ndarray:
+        """The generator's numbers for ``count`` attempts, a row each; only
+        this method calls the generator."""
+        rng = self._rng
+        if kind == "h0" and self.unitary:
+            return rng.random((count, 2))  # two phases over 2 pi
+        # the real, then the imaginary parts of a complex Gaussian pair or 2x2
+        normals = 4 if kind == "h0" else 8
+        if self.unitary:
+            return rng.standard_normal((count, normals))
+        raw = np.empty((count, normals + 1))
+        for j in range(count):
+            rng.standard_normal(out=raw[j, :normals])
+            raw[j, normals] = rng.random()  # then the uniform of the scale
+        return raw
+
+    def _formulas(self, kind: str, cols):
+        """Entries a, b, c, d of attempts and their genericity verdicts,
+        elementwise over the columns of their raw numbers."""
         floor = self.genericity_floor
-        for _ in range(self.max_attempts):
-            if space.kind == "h0":
-                if self.unitary:
-                    th1, th2 = self._rng.uniform(0.0, 2.0 * math.pi, size=2)
-                    s_plus, s_minus = cmath.exp(1j * th1), cmath.exp(1j * th2)
-                    alpha, beta = (s_plus + s_minus) / 2.0, (s_plus - s_minus) / 2.0
-                else:
-                    alpha, beta = self._gaussian(2)
-                a, b, c, d = alpha, beta, beta, alpha
-            elif self.unitary:
-                a, b, c, d = self._haar_2x2()
-            else:
-                a, b, c, d = self._gaussian(4)
-            if not self.unitary:
-                scale = self._rng.uniform(floor, 1.0) / _sigma_max(a, b, c, d)
-                a, b, c, d = a * scale, b * scale, c * scale, d * scale
-            det = a * d - b * c
-            # eigenvalue gap |nu_1 - nu_2| = |sqrt(tr^2 - 4 det)|
-            if abs(det) > floor and abs(cmath.sqrt((a + d) ** 2 - 4.0 * det)) > floor:
-                return np.array([[a, b], [c, d]])
-        raise GenericityError(
-            f"no generic sample within {self.max_attempts} attempts (floor {floor})"
-        )
-
-    def _gaussian(self, n: int) -> list[complex]:
-        z = self._rng.standard_normal(2 * n).tolist()
-        return [complex(re, im) / _SQRT2 for re, im in zip(z[:n], z[n:])]
-
-    def _haar_2x2(self) -> tuple[complex, complex, complex, complex]:
-        """Q of the QR decomposition of a complex Gaussian 2x2 matrix, with
-        the phases fixed so that R has a positive diagonal (Q is then Haar
-        distributed). Row-major entries."""
-        z00, z01, z10, z11 = self._gaussian(4)
-        norm = math.hypot(abs(z00), abs(z10))
-        q00, q10 = z00 / norm, z10 / norm
-        # the second column is orthogonal to the first; its phase u makes
-        # r_11 = q_1^dag z_1 = conj(u) det(z) / |z_0| positive
-        w = z00 * z11 - z01 * z10
-        u = w / abs(w)
-        return q00, -u * q10.conjugate(), q10, u * q00.conjugate()
+        if kind == "h0" and self.unitary:
+            # s+ and s-; rng.uniform(0, 2 pi) is 2 pi * rng.random()
+            s_plus, s_minus = (_exp_i(_TWO_PI * theta) for theta in cols)
+            z = (s_plus + s_minus) * 0.5, (s_plus - s_minus) * 0.5
+        else:
+            half = len(cols) // 2
+            z = [re / _SQRT2 + 1j * (im / _SQRT2) for re, im in zip(cols[:half], cols[half : 2 * half])]
+        if kind == "h0":
+            alpha, beta = z
+            a, b, c, d = alpha, beta, beta, alpha
+        else:
+            a, b, c, d = _haar(*z) if self.unitary else z
+        det = _mul(a, d) - _mul(b, c)
+        if not self.unitary:
+            # rng.uniform(floor, 1.0) is floor + (1 - floor) * rng.random()
+            scale = (floor + (1.0 - floor) * cols[-1]) / _sigma_max(a, b, c, d, det)
+            a, b, c, d, det = a * scale, b * scale, c * scale, d * scale, det * (scale * scale)
+        # eigenvalue gap |nu_1 - nu_2| = |sqrt(tr^2 - 4 det)| = sqrt(|tr^2 - 4 det|)
+        tr = a + d
+        gap = _sqrt(_sqrt(_abs2(_mul(tr, tr) - 4.0 * det)))
+        return a, b, c, d, (_sqrt(_abs2(det)) > floor) & (gap > floor)
 
 
-def _sigma_max(a: complex, b: complex, c: complex, d: complex) -> float:
-    """Largest singular value of [[a, b], [c, d]].
+_TWO_PI = 2.0 * math.pi
+_BATCH = 8  # fewer blocks cost more in NumPy's per-call overhead than on scalars
+
+# The 2x2 formulas act elementwise on complex Python scalars or arrays.
+# They add, subtract, conjugate and scale by reals natively, but multiply
+# and take moduli through real and imaginary parts, with +, -, *, / and
+# sqrt alone: IEEE rounds those alike in NumPy and in Python floats, where
+# complex products may be fused or take other routes. exp(i theta) is
+# cmath.exp on a scalar and np.exp on an array, both the C library's cos
+# and sin of theta. So an attempt gives the same bits on scalars, free of
+# NumPy's per-call cost, as in a batch.
+
+
+def _sqrt(x):
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
+def _exp_i(theta):
+    return cmath.exp(1j * theta) if isinstance(theta, float) else np.exp(1j * theta)
+
+
+def _mul(x, y):
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    return (xr * yr - xi * yi) + 1j * (xr * yi + xi * yr)
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def _phase(w):
+    """w / |w| elementwise, and 1 where w = 0."""
+    r = _sqrt(_abs2(w))
+    zero = r == 0
+    return (w + zero) * (1.0 / (r + zero))
+
+
+def _haar(z00, z01, z10, z11):
+    """Q of the QR decomposition of the complex Gaussian [[z00, z01], [z10, z11]],
+    with the phases fixed so that R has a positive diagonal (Q is then Haar
+    distributed; Mezzadri, Notices AMS 54 (2007) 592). Row-major entries."""
+    inv = 1.0 / _sqrt(_abs2(z00) + _abs2(z10))
+    q00, q10 = z00 * inv, z10 * inv
+    # the second column is orthogonal to the first; its phase u makes
+    # r_11 = q_1^dag z_1 = conj(u) det(z) / |z_0| positive
+    u = _phase(_mul(z00, z11) - _mul(z01, z10))
+    return q00, _mul(-u, q10.conjugate()), q10, _mul(u, q00.conjugate())
+
+
+def _sigma_max(a, b, c, d, det=None):
+    """Largest singular value of [[a, b], [c, d]] (whose determinant
+    ``det`` is, if given), elementwise.
 
     sigma_max +- sigma_min = sqrt(|A|_F^2 +- 2 |det A|), and with
     u = det / |det| each radicand is a sum of squares,
     |A|_F^2 +- 2 |det| = |a +- u conj(d)|^2 + |b -+ u conj(c)|^2,
     so neither cancels.
     """
-    det = a * d - b * c
-    u = det / abs(det) if det else 1.0
-    ud, uc = u * d.conjugate(), u * c.conjugate()
-    return (math.hypot(abs(a + ud), abs(b - uc)) + math.hypot(abs(a - ud), abs(b + uc))) / 2.0
+    u = _phase(_mul(a, d) - _mul(b, c) if det is None else det)
+    ud, uc = _mul(u, d.conjugate()), _mul(u, c.conjugate())
+    return (_sqrt(_abs2(a + ud) + _abs2(b - uc)) + _sqrt(_abs2(a - ud) + _abs2(b + uc))) / 2.0
 
 
 def _assemble(space: ModeSpace, comps, blocks) -> np.ndarray:
+    """The family member(s) with these component blocks: ``blocks`` holds
+    a 2x2 block per component, over any leading axes, and the matrices
+    share those axes."""
     m = len(space)
-    mat = np.zeros((m, m), dtype=complex)
+    mat = np.zeros(blocks.shape[:-3] + (m, m), dtype=complex)
     offset = 0
-    for sp, block in zip(comps, blocks):
-        if sp.kind == "h0":
-            mat[offset : offset + 2, offset : offset + 2] = block
-            offset += 2
-        else:
-            mat[offset : offset + 2, offset : offset + 2] = block
-            mat[offset + 2 : offset + 4, offset + 2 : offset + 4] = block[::-1, ::-1]  # X block X
-            offset += 4
+    for c, sp in enumerate(comps):
+        block = blocks[..., c, :, :]
+        mat[..., offset : offset + 2, offset : offset + 2] = block
+        if sp.kind == "hm":
+            mat[..., offset + 2 : offset + 4, offset + 2 : offset + 4] = block[..., ::-1, ::-1]  # X block X
+        offset += len(sp)
     return mat
 
 
@@ -242,7 +367,7 @@ def family_generators(space: ModeSpace) -> tuple[list[np.ndarray], list[np.ndarr
     sl2, commuting = [], []
     for k, sp in enumerate(comps):
         def embed(*block):
-            blocks = [np.reshape(block, (2, 2)) * (c == k) for c in range(len(comps))]
+            blocks = np.array([np.reshape(block, (2, 2)) * (c == k) for c in range(len(comps))])
             return _assemble(space, comps, blocks)
 
         commuting.append(embed(1, 0, 0, 1))

@@ -92,6 +92,10 @@ def space_from_json(data) -> ModeSpace:
     raise ValueError(f"unknown mode-space kind {kind!r}")
 
 
+# hm(m) for m < 1, worded for CLI users: the m = 0 doublet is --space h0
+_HM_M0_ERROR = "hm requires m >= 1 (m == 0 is the doublet --space h0), got {}"
+
+
 def parse_space(text: str) -> ModeSpace:
     """CLI space syntax: ``h0``, ``hm:2``, or a +-joined sum like ``h0+hm:1``."""
     parts = [p.strip().lower() for p in text.split("+")]
@@ -104,6 +108,8 @@ def parse_space(text: str) -> ModeSpace:
                 m = int(part[3:])
             except ValueError:
                 raise ValueError(f"malformed space {part!r}; expected hm:<m>") from None
+            if m < 1:
+                raise ValueError(_HM_M0_ERROR.format(m))
             spaces.append(hm(m))
         else:
             raise ValueError(f"unknown space {part!r}; expected h0 or hm:<m>")

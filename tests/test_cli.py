@@ -112,7 +112,7 @@ def test_sampler_failure_exits_three(monkeypatch, capsys):
     from symprot import cli
     from symprot.scatter import GenericityError, ScatterSampler
 
-    def exhausted(self, space):
+    def exhausted(self, space, size=None):
         raise GenericityError("no generic sample within 100 attempts (floor 0.001)")
 
     monkeypatch.setattr(ScatterSampler, "sample", exhausted)
@@ -262,15 +262,30 @@ def test_state_files_are_normalized_before_use(tmp_path):
         ((), "required: command"),
         (("certify", "--state", "psi4:m=2", "--space", "hm:1"), "not on the requested space"),
         (("search", "--space", "hm:0", "--n", "2"), "symprot: hm requires m >= 1"),
+        (("catalog", "--state", "psi4", "--m", "0"), "symprot: hm requires m >= 1"),
     ],
     ids=["unknown-state", "odd-pair", "bad-space", "eps-range", "bad-bool",
-         "missing-file", "no-command", "m-off-space", "hm-zero"],
+         "missing-file", "no-command", "m-off-space", "hm-zero", "catalog-m-zero"],
 )
 def test_usage_errors_exit_two(args, message):
     result = run_cli(*args, check=False)
     assert result.returncode == 2
     assert result.stdout == "" or "usage" in result.stdout.lower()
     assert message in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args,m",
+    [(("search", "--space", "hm:0", "--n", "2"), 0), (("search", "--space", "h0+hm:0", "--n", "2"), 0),
+     (("catalog", "--state", "psi4", "--m", "0"), 0), (("catalog", "--m", "-1"), -1)],
+    ids=["search", "search-sum", "catalog-state", "catalog-all"],
+)
+def test_m_zero_names_the_cli_space(args, m):
+    """hm with m < 1 is refused in CLI terms: the m = 0 doublet is --space h0."""
+    result = run_cli(*args, check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"symprot: hm requires m >= 1 (m == 0 is the doublet --space h0), got {m}\n"
 
 
 _AMPS = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]

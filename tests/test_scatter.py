@@ -131,6 +131,77 @@ def test_rejections_consume_the_oracle_stream(space, unitary):
     assert after_rejection >= 10
 
 
+SUM_SPACES = [direct_sum(h0(), hm(1)), direct_sum(hm(1), hm(2)), direct_sum(h0(), hm(1), hm(2))]
+
+
+@pytest.mark.parametrize("space", SUM_SPACES, ids=["h0+hm1", "hm1+hm2", "h0+hm1+hm2"])
+def test_direct_sum_draws_consume_the_oracle_stream_in_component_order(space):
+    """At floor 0.3 every subunitary component rejects; each block still
+    matches the oracle drawn component by component from the same generator."""
+    sampler = ScatterSampler(seed=5, unitary=False, genericity_floor=0.3)
+    rng = np.random.default_rng(5)
+    rejected = np.zeros(len(space.components), dtype=int)
+    for _ in range(150):
+        drawn = sampler.sample(space)
+        for c, comp in enumerate(space.components):
+            expected, rejections = sample_block_oracle(rng, comp.kind, False, 0.3)
+            assert np.allclose(drawn.block(c), expected, atol=1e-13, rtol=0)
+            rejected[c] += rejections
+    assert np.all(rejected > 0)
+
+
+STREAM_SPACES = [h0(), hm(1), hm(2), direct_sum(h0(), hm(1)), direct_sum(hm(1), hm(2))]
+STREAM_IDS = ["h0", "hm1", "hm2", "h0+hm1", "hm1+hm2"]
+
+
+@pytest.mark.parametrize("floor", [1e-3, 0.3])
+@pytest.mark.parametrize("unitary", [True, False], ids=["unitary", "subunitary"])
+@pytest.mark.parametrize("space", STREAM_SPACES, ids=STREAM_IDS)
+def test_a_batch_is_the_next_single_draws_bit_for_bit(space, unitary, floor):
+    """sample(space, n) stacks the matrices of n sample(space) calls and
+    leaves the generator where they leave it."""
+    for seed, n in [(0, 1), (1, 2), (2, 9), (3, 64)]:
+        single = ScatterSampler(seed=seed, unitary=unitary, genericity_floor=floor)
+        batch = ScatterSampler(seed=seed, unitary=unitary, genericity_floor=floor)
+        expected = np.array([single.sample(space).matrix for _ in range(n)])
+        drawn = batch.sample(space, n)
+        assert drawn.shape == (n, len(space), len(space)) and drawn.dtype == complex
+        assert np.array_equal(drawn, expected)
+        assert np.array_equal(batch.sample(space).matrix, single.sample(space).matrix)
+
+
+def test_an_empty_batch_draws_nothing():
+    sampler = ScatterSampler(seed=4)
+    assert sampler.sample(hm(1), 0).shape == (0, 4, 4)
+    assert sampler.sample(direct_sum(h0(), hm(1)), 0).shape == (0, 6, 6)
+    assert np.array_equal(sampler.sample(hm(1)).matrix, ScatterSampler(seed=4).sample(hm(1)).matrix)
+    with pytest.raises(ValueError):
+        sampler.sample(hm(1), -1)
+
+
+@pytest.mark.parametrize("space", [h0(), hm(1), direct_sum(h0(), hm(1)), direct_sum(hm(1), hm(2))],
+                         ids=["h0", "hm1", "h0+hm1", "hm1+hm2"])
+def test_a_batch_raises_genericity_error_at_the_single_draws_failure(space):
+    """A batch raises iff it reaches the draw where single draws run out of
+    attempts, and then leaves the generator where they leave it. At this
+    floor single draws run out after 0 to 42 draws, so most batches are
+    long enough to be drawn and tested as a whole."""
+    def sampler(seed):
+        return ScatterSampler(seed=seed, unitary=False, genericity_floor=0.1, max_attempts=4)
+
+    for seed in range(6):
+        single = sampler(seed)
+        drawn = []
+        with pytest.raises(GenericityError):
+            while True:
+                drawn.append(single.sample(space).matrix)
+        assert np.array_equal(sampler(seed).sample(space, len(drawn)), np.reshape(drawn, (-1, len(space), len(space))))
+        batch = sampler(seed)
+        with pytest.raises(GenericityError):
+            batch.sample(space, len(drawn) + 3)
+        assert batch._rng.bit_generator.state == single._rng.bit_generator.state
+
+
 def test_sigma_max_does_not_cancel_at_equal_singular_values():
     """0.7 U has sigma_max = sigma_min = 0.7, where |A|_F^2 - 2|det| vanishes."""
     from symprot.scatter import _sigma_max
@@ -139,6 +210,17 @@ def test_sigma_max_does_not_cancel_at_equal_singular_values():
         u = ScatterSampler(seed=seed).sample(hm(1)).block()
         assert abs(_sigma_max(*(0.7 * u).ravel()) - 0.7) < 1e-15
         assert abs(_sigma_max(*(0.7 * np.eye(2) * u[0, 0]).ravel()) - 0.7 * abs(u[0, 0])) < 1e-15
+
+
+def test_sigma_max_of_singular_blocks():
+    """det = 0 leaves the phase u free: any unit u gives the same sum of
+    squares, so a rank-one block still has sigma_max = |A|_F, on scalars
+    and on arrays alike, without a division by zero."""
+    from symprot.scatter import _sigma_max
+
+    assert _sigma_max(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, 1.0 + 0j) == 2.0
+    rank_one = [np.array([1.0 + 0j, 3.0 + 4.0j]), np.array([0j, 0j]), np.array([2.0 + 0j, 0j]), np.array([0j, 0j])]
+    assert np.allclose(_sigma_max(*rank_one), [np.sqrt(5.0), 5.0], atol=1e-15, rtol=0)
 
 
 def test_genericity_error_comes_at_the_oracle_draw():
