@@ -147,6 +147,8 @@ class ScatterSampler:
     def __post_init__(self):
         if not 0.0 < self.genericity_floor < 1.0:
             raise ValueError("genericity_floor must lie in (0, 1)")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
         self._rng = np.random.default_rng(self.seed)
 
     def clone(self, seed: int) -> "ScatterSampler":

@@ -93,6 +93,11 @@ def test_sampler_rejects_bad_floor():
         ScatterSampler(genericity_floor=-0.5)
 
 
+def test_sampler_needs_an_attempt():
+    with pytest.raises(ValueError):
+        ScatterSampler(max_attempts=0)
+
+
 def test_genericity_floor_can_exhaust_attempts():
     sampler = ScatterSampler(seed=0, unitary=False, genericity_floor=0.999, max_attempts=3)
     with pytest.raises(GenericityError):
