@@ -63,6 +63,8 @@ def _resolve_state(state_arg: str, space_arg: str | None) -> tuple[FockState, st
         bare_name = recipe.kind == "named" and ":" not in state_arg
         if bare_name and space is not None and space.kind == "hm":
             recipe = StateRecipe.named(recipe.name, space.m)
+        if recipe.kind in ("pair", "named") and recipe.m < 1:  # only hm recipes read m
+            raise ValueError(serialize._HM_M0_ERROR.format(recipe.m))
         state = build_state(recipe)
         label = state_arg
     if space is not None and state.basis.space != space:

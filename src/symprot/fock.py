@@ -20,9 +20,9 @@ over the mode pairs (0, 1), (2, 3), ... lifts to a direct sum, over the
 photon counts k_p on the pairs, of Kronecker products of the symmetric
 powers Sym^{k_p} of its 2x2 blocks, and Sym^k(B) is the lift of B on the
 two-mode basis ``enumerate_basis(h0(), k)``; ``_symmetric_powers`` takes
-them all from one recursion. ``protect._scalar_action``
-applies it that way, one pair at a time, in the layouts of
-``FockBasis._pair_splits``. The permanent formula
+them all from one recursion. ``protect._scalar_action`` applies it that
+way, one pair at a time, in the layouts of ``FockBasis._pair_splits``.
+The permanent formula
 
     <n'| lift(S) |n> = Per(S[n', n]) / sqrt(prod_i n_i! * prod_j n'_j!)
 
@@ -35,11 +35,10 @@ Bases are shared: ``enumerate_basis`` returns one ``FockBasis`` per
 Every table that depends on the basis alone is built once, on first use,
 and owned by it: the lift's ladder, the index of each occupation, the
 m_tot of each state, the sector split, the mirror permutation, the
-mode-pair layouts and the most photons each state puts on one pair.
-These arrays are read-only, since every caller holding the basis sees
-them. ``lift_generator`` sums the (row, column, value) entries of
-``_generator_entries``, which the search also sums straight into its
-sector blocks.
+mode-pair layouts, the most photons each state puts on one pair and the
+splits by the photon counts on the pairs, which the search visits. These
+arrays are read-only, since every caller holding the basis sees them.
+``lift_generator`` is the dense generator lift, the search's test oracle.
 """
 
 from __future__ import annotations
@@ -199,6 +198,17 @@ class FockBasis:
         """The most photons on one mode pair (0, 1), (2, 3), ..., per basis state."""
         occ = np.array(self.states, dtype=np.intp).reshape(len(self), -1, 2)
         return _frozen(occ.sum(axis=2).max(axis=1))
+
+    @cached_property
+    def _splits(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """``(counts, indices)`` per split of the basis by the photon counts on
+        the mode pairs (0, 1), (2, 3), ..., ascending in the counts. The
+        indices ascend, so they run in the Kronecker order of the pairs'
+        bases ``enumerate_basis(h0(), k_p)``, the first pair slowest."""
+        counts = np.array(self.states, dtype=np.intp).reshape(len(self), -1, 2).sum(axis=2)
+        keys, inverse = np.unique(counts, axis=0, return_inverse=True)
+        parts = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(np.bincount(inverse.ravel()))[:-1])
+        return tuple((tuple(key.tolist()), _frozen(idx)) for key, idx in zip(keys, parts))
 
     @cached_property
     def _ladder(self) -> tuple[tuple, ...]:
@@ -452,31 +462,20 @@ def lift_generator(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
     if a.shape != (m, m):
         raise ValueError(f"matrix must be {m}x{m} for this space, got {a.shape}")
     out = np.zeros((len(basis), len(basis)), dtype=complex)
-    rows, cols, values = _generator_entries(a, basis)
-    np.add.at(out, (rows, cols), values)
-    return LiftedOperator(basis, out)
-
-
-def _generator_entries(a: np.ndarray, basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, column, value) entries of dGamma(a), one per nonzero a_ij and
-    occupied mode j, in the order of np.nonzero(a). Entries repeat a
-    position only on the diagonal (i = j); summing them in order gives
-    the lift."""
-    entries = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex))]
     if basis.n_photons:
         modes = basis._ladder[-1][3]
         occ = np.array(basis.states)
         # upper[p, i] is the index of p + e_i, for p an (N-1)-photon state;
         # there are no more of those than N-photon states
-        upper = np.zeros((len(basis), len(basis.space)), dtype=np.intp)
+        upper = np.zeros((len(basis), m), dtype=np.intp)
         for i, (occupied, lower, _) in enumerate(modes):
             upper[lower, i] = occupied
         for i, j in zip(*np.nonzero(a)):
             # a_i^dag a_j |n> = sqrt(n'_i n_j) |n'> with n' = n - e_j + e_i
             cols, lower, _ = modes[j]
             image = upper[lower, i]
-            entries.append((image, cols, a[i, j] * np.sqrt(occ[image, i] * occ[cols, j])))
-    return tuple(np.concatenate(part) for part in zip(*entries))
+            out[image, cols] += a[i, j] * np.sqrt(occ[image, i] * occ[cols, j])
+    return LiftedOperator(basis, out)
 
 
 def lift_jz(basis: FockBasis) -> LiftedOperator:

@@ -4,7 +4,7 @@ A state is protected when every scattering matrix of the symmetric family
 maps it to a scalar multiple of itself. ``certify`` tests a given state
 against a stream of generic random samples. ``find_protected`` discovers all
 protected rays (and any higher-dimensional protected subspaces) of an
-N-photon space exactly, sector by sector in total angular momentum. The
+N-photon space exactly, split by split over the mode pairs. The
 family is Zariski-dense in GL(2) on each hm block and in the torus spanned
 by I and X on h0, so a state is protected iff it spans a one-dimensional
 representation of the family's Lie algebra (``family_generators``): the
@@ -24,29 +24,30 @@ one block is the matrix itself: one lift on the state's basis and one
 matmul. The kernel serves ``certify`` (on the draws of ``_draws``) and
 ``dfs.transmit_bins`` (on the scatterers of its time bins).
 
-The search reads tables built once per (space, N): the shared basis of
-``enumerate_basis`` with its sector split and mirror permutation, and the
-sector blocks of the lifted family generators (``_generator_blocks``, summed
-from the lifted generators' entries and cached with the same bound as the
-bases). Per call it only takes the per-sector kernels and eigenspaces and
-certifies the candidates; nothing that depends on the configuration or on
-random draws is cached.
+The search visits the splits of the shared basis by the photon counts on
+the mode pairs (``FockBasis._splits``), each in one m_tot sector, where
+the family acts as a Kronecker product over the components. A split's
+candidates are Kronecker products of per-component ones, factorised from
+closed-form (k + 1) x (k + 1) generators once per component kind and pair
+counts (``_component_factors``), a cache that holds nothing of m, the
+basis, the configuration or random draws. A call only cuts the kernels at
+``cluster_tol``, forms the products and certifies them; it builds no
+dim x dim or per-sector table.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .fock import (
-    _CACHED_BASES,
     FockBasis,
     FockState,
     _frozen,
-    _generator_entries,
     _mirror_parity,
     _symmetric_powers,
     enumerate_basis,
@@ -55,7 +56,7 @@ from .fock import (
     sector_split,
 )
 from .modes import ModeSpace, hm
-from .scatter import ScatterSampler, family_generators
+from .scatter import ScatterSampler
 from .states import pair_expansion_coefficients, pair_power
 
 __all__ = [
@@ -79,7 +80,7 @@ class Verdict(enum.Enum):
 @dataclass(frozen=True)
 class CertificationConfig:
     """Certification draws and pass mark; ``cluster_tol`` is the relative
-    singular-value cut of find_protected's generator kernel."""
+    singular-value cut of find_protected's generator kernels."""
 
     n_samples: int = 64
     residual_tol: float = 1e-10
@@ -232,67 +233,64 @@ class SearchResult:
     sectors: tuple[int, ...]
 
 
-@lru_cache(maxsize=_CACHED_BASES)
-def _generator_blocks(basis: FockBasis) -> dict[int, tuple[np.ndarray, tuple[np.ndarray, ...]]]:
-    """Sector blocks of the lifted family generators, built once per basis.
-
-    Maps each m_tot to (the sl(2) generators' blocks stacked vertically,
-    the commuting generators' blocks). Family members conserve m_tot, so
-    every lifted generator is block diagonal over the sectors; each block
-    is summed straight from the generator's lifted (row, column, value)
-    entries, in the order ``lift_generator`` sums them, and no dim x dim
-    generator is formed. The blocks are read-only, since every search on
-    the basis shares them.
-    """
-    sectors = basis._sectors
-    sector_of = np.empty(len(basis), dtype=np.intp)
-    local = np.empty(len(basis), dtype=np.intp)
-    for s, idx in enumerate(sectors.values()):
-        sector_of[idx] = s
-        local[idx] = np.arange(len(idx))
-    stacks = []
-    for gens in family_generators(basis.space):
-        stack = [np.zeros((len(gens), len(idx), len(idx)), dtype=complex) for idx in sectors.values()]
-        for g, gen in enumerate(gens):
-            rows, cols, values = _generator_entries(gen, basis)
-            for s, block in enumerate(stack):
-                keep = sector_of[cols] == s
-                np.add.at(block[g], (local[rows[keep]], local[cols[keep]]), values[keep])
-        stacks.append([_frozen(block) for block in stack])
-    return {
-        m: (sl2.reshape(-1, len(idx)), tuple(commuting))
-        for (m, idx), sl2, commuting in zip(sectors.items(), *stacks)
-    }
+# 2x2 pair blocks of the family generators: the swap X of h0, and E12, E21
+# and E11 - E22 on an hm component's +m pair, with X E X on its -m pair
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SL2 = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]), np.diag([1.0, -1.0]))
 
 
-def _joint_eigenspaces(sl2, commuting, dim: int, tol: float):
-    """Protected candidates of one m_tot sector, as orthonormal column blocks.
-
-    ``sl2`` stacks the sector blocks of the lifted sl(2) generators
-    vertically and ``commuting`` holds those of the commuting ones
-    (``_generator_blocks``). The joint kernel of ``sl2`` comes from one
-    thin SVD, cutting singular values at ``tol`` relative to the largest.
-    The kernel is then split into joint eigenspaces of the commuting
-    Hermitian generators, whose lifted spectra are integers.
-    """
-    spaces = [np.eye(dim, dtype=complex)]
-    if len(sl2):
-        _, s, vh = np.linalg.svd(sl2, full_matrices=False)
-        rank = int(np.sum(s > tol * s[0]))
-        spaces = [vh[rank:].conj().T]
-    for gen in commuting:
-        split = []
-        for q in spaces:
-            values, vecs = np.linalg.eigh(q.conj().T @ gen @ q)
-            labels = np.round(values)
-            split += [q @ vecs[:, labels == v] for v in np.unique(labels)]
-        spaces = split
-    return spaces
+def _dsym(block: np.ndarray, k: int) -> np.ndarray:
+    """dSym^k of a 2x2 matrix, its ``lift_generator`` on ``enumerate_basis(h0(), k)``:
+    E12 maps |k - j - 1, j + 1> to sqrt((j + 1)(k - j)) |k - j, j>."""
+    j = np.arange(k + 1)
+    hop = np.sqrt((j[:-1] + 1) * (k - j[:-1]))
+    return np.diag(block[0, 0] * (k - j) + block[1, 1] * j) + np.diag(block[0, 1] * hop, 1) + np.diag(block[1, 0] * hop, -1)
 
 
-def _ray_sort_key(state: FockState, m_tot: int):
-    amps = state.amplitudes
-    return (-m_tot,) + tuple(np.round(amps.real, 9)) + tuple(np.round(amps.imag, 9))
+@lru_cache(maxsize=None)
+def _component_factors(kind: str, counts: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only factorisations behind a component's candidates on a split:
+    for h0 with k photons (no sl(2)), the eigenspaces of dSym^k(X), one
+    column block per eigenvalue n_s - n_a, ascending; for hm with a and b
+    photons on its pairs, ``(s, v)``, the singular values and right singular
+    vectors (as columns) of its stacked sl(2), dSym^a(E) x 1 + 1 x dSym^b(X E X).
+    Every hm(m) has these generators, so no key holds m: there are O(cap^2)."""
+    if kind == "h0":
+        values, vectors = np.linalg.eigh(_dsym(_SWAP, counts[0]))
+        labels = np.round(values)
+        return tuple(_frozen(vectors[:, labels == v]) for v in np.unique(labels))
+    a, b = counts
+    stack = np.vstack([np.kron(_dsym(e, a), np.eye(b + 1)) + np.kron(np.eye(a + 1), _dsym(_SWAP @ e @ _SWAP, b))
+                       for e in _SL2])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    return _frozen(s), _frozen(vh.conj().T)
+
+
+def _split_candidates(space: ModeSpace, counts: tuple[int, ...], tol: float):
+    """Protected candidates of one split: the Kronecker products of the
+    components' candidates, h0's swap eigenspaces and the joint kernel of
+    each hm's sl(2), cut at singular values ``tol`` relative to the largest."""
+    options, p = [], 0
+    for comp in space.components or (space,):
+        if comp.kind == "h0":
+            options.append(_component_factors("h0", counts[p : p + 1]))
+        else:
+            s, v = _component_factors("hm", counts[p : p + 2])
+            rank = int(np.sum(s > tol * s[0]))
+            options.append((v[:, rank:],) if rank < len(s) else ())
+        p += len(comp) // 2
+    for factors in itertools.product(*options):
+        yield reduce(np.kron, factors)
+
+
+def _ray_order(rays: list[ProtectedRay]) -> np.ndarray:
+    """The stable lexicographic order of rays by -m_tot, then the real and
+    then the imaginary parts of the amplitudes rounded to 9 digits, over
+    the basis states some ray occupies (the others compare equal)."""
+    cols = np.unique(np.concatenate([np.flatnonzero(ray.state.amplitudes) for ray in rays]))
+    amps = np.array([ray.state.amplitudes[cols] for ray in rays])
+    keys = np.column_stack([[-ray.m_tot for ray in rays], np.round(amps.real, 9), np.round(amps.imag, 9)])
+    return np.lexsort(keys.T[::-1])
 
 
 def find_protected(
@@ -303,13 +301,14 @@ def find_protected(
 ) -> SearchResult:
     """All protected rays (and subspaces) of the N-photon space.
 
-    Search phase, exact and sample-free: per total-angular-momentum sector,
-    the candidates are the joint eigenspaces of the lifted commuting
-    generators within the joint kernel of the lifted sl(2) generators
-    (``family_generators``); ``cfg.cluster_tol`` is the relative rank cut
-    of the kernel. Certification phase: each candidate is certified against
-    cfg's sampling class with cfg.n_samples draws; rays are phase-fixed and
-    carry their mirror parity on the m_tot = 0 sector.
+    Search phase, exact and sample-free: per split of the basis over the
+    mode pairs, the candidates are the joint eigenspaces of the commuting
+    generators within the joint kernel of the sl(2) generators
+    (``family_generators``), from ``_split_candidates``; ``cfg.cluster_tol``
+    is the relative rank cut of each kernel. Certification phase: each
+    candidate is certified against cfg's sampling class with
+    cfg.n_samples draws; rays are phase-fixed and carry their mirror
+    parity on the m_tot = 0 sector.
     """
     basis = enumerate_basis(space, n_photons)
     sectors = sector_split(basis)
@@ -317,28 +316,27 @@ def find_protected(
         if sector not in sectors:
             raise ValueError(f"no m_tot = {sector} sector at N = {n_photons}")
         sectors = {sector: sectors[sector]}
-    blocks = _generator_blocks(basis)
 
-    rays: list[ProtectedRay] = []
-    subspaces: list[ProtectedSubspace] = []
-    dim = len(basis)
-    samples_used = 0
-    for m, idx in sectors.items():
-        for cand in _joint_eigenspaces(*blocks[m], len(idx), cfg.cluster_tol):
+    rays, subspaces, samples_used = [], [], 0
+    for counts, idx in basis._splits:
+        m = int(basis.m_totals[idx[0]])
+        if m not in sectors:
+            continue
+        for cand in _split_candidates(space, counts, cfg.cluster_tol):
             samples_used += cfg.n_samples
             if cand.shape[1] == 1:
-                amps = np.zeros(dim, dtype=complex)
+                amps = np.zeros(len(basis), dtype=complex)
                 amps[idx] = cand[:, 0]
                 state = FockState(basis, amps).normalized().phase_fixed()
                 report = certify(state, cfg)
-                if report.verdict is not Verdict.PROTECTED:
-                    continue
-                rays.append(ProtectedRay(state=state, m_tot=m, mirror_tau=_mirror_parity(state), report=report))
+                if report.verdict is Verdict.PROTECTED:
+                    rays.append(ProtectedRay(state=state, m_tot=m, mirror_tau=_mirror_parity(state), report=report))
             else:
                 sub = _certify_subspace(basis, idx, cand, m, cfg)
                 if sub is not None:
                     subspaces.append(sub)
-    rays.sort(key=lambda r: _ray_sort_key(r.state, r.m_tot))
+    if len(rays) > 1:
+        rays = [rays[i] for i in _ray_order(rays)]
     subspaces.sort(key=lambda s: (-s.m_tot, -s.dimension))
     return SearchResult(
         rays=tuple(rays),

@@ -277,11 +277,15 @@ def test_usage_errors_exit_two(args, message):
 @pytest.mark.parametrize(
     "args,m",
     [(("search", "--space", "hm:0", "--n", "2"), 0), (("search", "--space", "h0+hm:0", "--n", "2"), 0),
-     (("catalog", "--state", "psi4", "--m", "0"), 0), (("catalog", "--m", "-1"), -1)],
-    ids=["search", "search-sum", "catalog-state", "catalog-all"],
+     (("catalog", "--state", "psi4", "--m", "0"), 0), (("catalog", "--m", "-1"), -1),
+     (("certify", "--state", "pair:m=0,N=2"), 0), (("certify", "--state", "psi4:m=0"), 0),
+     (("entangle", "--state", "psi4:m=-1"), -1)],
+    ids=["search", "search-sum", "catalog-state", "catalog-all",
+         "certify-pair-recipe", "certify-named-recipe", "entangle-named-recipe"],
 )
 def test_m_zero_names_the_cli_space(args, m):
-    """hm with m < 1 is refused in CLI terms: the m = 0 doublet is --space h0."""
+    """hm with m < 1 is refused in CLI terms, for a space and for a state
+    recipe alike: the m = 0 doublet is --space h0."""
     result = run_cli(*args, check=False)
     assert result.returncode == 2
     assert result.stdout == ""

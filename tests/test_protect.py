@@ -1,5 +1,7 @@
 """Certification of protected states and the exhaustive ray search."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,8 +28,16 @@ from symprot import (
     state_from_amplitudes,
     verify_pair_uniqueness,
 )
-from symprot.fock import _CACHED_BASES, _shared_basis
-from symprot.protect import _certify_subspace, _generator_blocks, _scalar_action
+from symprot.fock import _CACHED_BASES, _shared_basis, max_photons
+from symprot.protect import (
+    _SL2,
+    _SWAP,
+    _certify_subspace,
+    _component_factors,
+    _dsym,
+    _ray_order,
+    _scalar_action,
+)
 
 CFG = CertificationConfig(n_samples=24, seed=0)
 
@@ -295,40 +305,77 @@ def test_factorised_apply_matches_the_dense_lift(space, n):
     assert np.allclose(residuals, np.linalg.norm(images - lam[:, None, None] * sparse, axis=(1, 2)), atol=1e-12, rtol=0)
 
 
-@pytest.mark.parametrize("n", range(4))
-@pytest.mark.parametrize(
+_SPLIT_GRID = pytest.mark.parametrize(
     "space",
     [h0(), hm(1), direct_sum(h0(), hm(1)), direct_sum(hm(1), hm(2)), direct_sum(h0(), hm(1), hm(2))],
     ids=["h0", "hm1", "h0+hm1", "hm1+hm2", "h0+hm1+hm2"],
 )
-def test_generator_blocks_are_slices_of_the_dense_generators(space, n):
+
+
+@pytest.mark.parametrize("n", range(4))
+@_SPLIT_GRID
+def test_split_table_runs_in_the_kronecker_order_of_the_pairs(space, n):
     basis = enumerate_basis(space, n)
-    blocks = _generator_blocks(basis)
+    seen = []
+    for counts, idx in basis._splits:
+        pair_bases = [enumerate_basis(h0(), k).states for k in counts]
+        expected = [sum(states, ()) for states in itertools.product(*pair_bases)]
+        assert [basis.states[i] for i in idx] == expected
+        assert not idx.flags.writeable
+        seen += idx.tolist()
+    assert sorted(seen) == list(range(len(basis)))
+    assert [counts for counts, _ in basis._splits] == sorted(counts for counts, _ in basis._splits)
+
+
+def _split_generator(blocks, counts):
+    """sum_p 1 x dSym^{k_p}(B_p) x 1 over the pairs, first pair slowest."""
+    sizes = [k + 1 for k in counts]
+    return sum(
+        np.kron(np.kron(np.eye(math.prod(sizes[:p])), _dsym(block, k)), np.eye(math.prod(sizes[p + 1 :])))
+        for p, (block, k) in enumerate(zip(blocks, counts))
+    )
+
+
+@pytest.mark.parametrize("n", range(4))
+@_SPLIT_GRID
+def test_generator_blocks_are_slices_of_the_dense_generators(space, n):
+    """Every family generator is block diagonal over the splits, and its
+    block on a split is the Kronecker sum of the closed-form dSym^k of its
+    2x2 pair blocks."""
+    basis = enumerate_basis(space, n)
+    pairs = np.arange(len(space) // 2)
     sl2, commuting = family_generators(space)
-    for m, idx in basis._sectors.items():
-        cut = np.ix_(idx, idx)
-        expected = [lift_generator(gen, basis).matrix[cut] for gen in sl2]
-        assert np.array_equal(blocks[m][0], np.vstack(expected) if expected else np.zeros((0, len(idx))))
-        assert len(blocks[m][1]) == len(commuting)
-        for block, gen in zip(blocks[m][1], commuting):
-            assert np.array_equal(block, lift_generator(gen, basis).matrix[cut])
+    for gen in sl2 + commuting:
+        dense = lift_generator(gen, basis).matrix
+        blocks = gen.reshape(len(pairs), 2, len(pairs), 2)[pairs, :, pairs]
+        covered = np.zeros_like(dense)
+        for counts, idx in basis._splits:
+            cut = np.ix_(idx, idx)
+            assert np.array_equal(_split_generator(blocks, counts), dense[cut])
+            covered[cut] = dense[cut]
+        assert np.array_equal(covered, dense)
+    # the search's own pair blocks: X on h0, E and X E X on an hm component
+    hm_sl2, h0_commuting = family_generators(hm(1))[0], family_generators(h0())[1]
+    assert np.array_equal(h0_commuting[1], _SWAP)
+    for gen, e in zip(hm_sl2, _SL2, strict=True):
+        assert np.array_equal(gen, np.kron(np.diag([1, 0]), e) + np.kron(np.diag([0, 1]), _SWAP @ e @ _SWAP))
 
 
-def test_generator_blocks_peak_memory_is_near_the_blocks():
-    """The blocks are summed from the lifted entries, not sliced from dense
-    dim x dim generators, so the build peaks below twice what it keeps."""
-    basis = enumerate_basis(direct_sum(h0(), hm(1)), 6)
-    _generator_blocks(basis)  # warm call: builds the shared basis tables
-    _generator_blocks.cache_clear()
+def test_search_peak_memory_is_below_a_dense_generator():
+    """The search keeps no dim x dim or per-sector table: from cold
+    component factors it peaks under an eighth of one dense generator."""
+    space = direct_sum(h0(), hm(1), hm(2))
+    dim = len(enumerate_basis(space, 5))
+    find_protected(space, 5, CFG)  # warm call: builds the shared basis tables
+    _component_factors.cache_clear()
     tracemalloc.start()
     try:
-        blocks = _generator_blocks(basis)
+        find_protected(space, 5, CFG)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for sl2, commuting in blocks.values() for a in (sl2, *commuting))
-    assert len(basis) == 462
-    assert peak <= 2 * kept
+    assert dim == 2002
+    assert peak < dim * dim * 16 / 8
 
 
 def test_search_rays_are_phase_fixed():
@@ -364,7 +411,7 @@ def _assert_same_search(a, b):
 
 def _clear_search_tables():
     _shared_basis.cache_clear()
-    _generator_blocks.cache_clear()
+    _component_factors.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -400,12 +447,55 @@ def test_changing_a_sector_split_leaves_the_search_alone():
 
 
 def test_search_tables_are_read_only_and_bounded():
-    blocks = _generator_blocks(enumerate_basis(direct_sum(h0(), hm(1)), 2))
-    assert not any(a.flags.writeable for sl2, commuting in blocks.values() for a in (sl2, *commuting))
+    """The component factors are keyed by kind and pair counts only, so
+    their cache is bounded by the photon cap, whatever m and the bases."""
+    find_protected(direct_sum(h0(), hm(1)), 2, CFG)
+    swap_spaces, (s, v) = _component_factors("h0", (2,)), _component_factors("hm", (1, 1))
+    assert not any(a.flags.writeable for a in (*swap_spaces, s, v))
+    _clear_search_tables()
     for m in range(1, _CACHED_BASES + 9):
         assert find_protected(hm(m), 1, CFG).rays == ()
     assert _shared_basis.cache_info().currsize <= _CACHED_BASES
-    assert _generator_blocks.cache_info().currsize <= _CACHED_BASES
+    assert _component_factors.cache_info().currsize == 2  # (1, 0) and (0, 1) on hm
+    cap = max_photons()
+    assert _component_factors.cache_info().currsize <= (cap + 1) + (cap + 1) * (cap + 2) // 2
+
+
+def _tuple_key(ray):
+    amps = ray.state.amplitudes
+    return (-ray.m_tot,) + tuple(np.round(amps.real, 9)) + tuple(np.round(amps.imag, 9))
+
+
+def test_ray_order_is_the_tuple_key_order():
+    """The compact lexsort keys order rays as the tuples of -m_tot and all
+    rounded real, then imaginary parts do, ties kept in place."""
+    rays = find_protected(direct_sum(h0(), hm(1), hm(2)), 4, CFG).rays
+    assert len(rays) == 14
+    assert list(rays) == sorted(rays, key=_tuple_key)
+    rng = np.random.default_rng(5)
+    mixed = [rays[i] for i in rng.permutation(len(rays))] + [rays[3], rays[0], rays[3]]
+    assert _ray_order(mixed).tolist() == sorted(range(len(mixed)), key=lambda i: _tuple_key(mixed[i]))
+
+
+@pytest.mark.parametrize("n,count", [(5, 20), (6, 30), (7, 40), (8, 55)])
+def test_search_past_the_dense_reach_matches_the_closed_form(n, count):
+    """On h0+hm(1)+hm(2) each ray is |n_s, n_a>' x pair powers, one per
+    split n_0 + 2 K_1 + 2 K_2 = N and mirror Fock state on h0."""
+    space = direct_sum(h0(), hm(1), hm(2))
+    splits = [(n - 2 * k1 - 2 * k2, k1, k2) for k1 in range(n // 2 + 1) for k2 in range((n - 2 * k1) // 2 + 1)]
+    assert sum(n0 + 1 for n0, _, _ in splits) == count
+    result = find_protected(space, n, CertificationConfig(n_samples=4))
+    assert len(result.rays) == count and not result.subspaces
+    assert all(ray.m_tot == 0 for ray in result.rays)
+    if n <= 6:
+        closed = [
+            product_state([mirror_fock(n_s, n0 - n_s), pair_power(1, k1), pair_power(2, k2)])
+            for n0, k1, k2 in splits
+            for n_s in range(n0 + 1)
+        ]
+        overlaps = np.abs([[ray.state.overlap(state) for state in closed] for ray in result.rays])
+        assert np.allclose(np.sort(overlaps, axis=1)[:, -1], 1, atol=1e-12, rtol=0)
+        assert sorted(np.argmax(overlaps, axis=1).tolist()) == list(range(count))
 
 
 def test_product_of_protected_rays_is_protected():
