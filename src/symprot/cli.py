@@ -14,6 +14,7 @@ photon-number cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -308,7 +309,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="symprot",
         description="Scattering-protected photonic states: certify, search, and apply them.",

@@ -33,17 +33,19 @@ tests check the lift against.
 Bases are shared: ``enumerate_basis`` returns one ``FockBasis`` per
 (space, N), kept in a cache of the ``_CACHED_BASES`` most recently used.
 Every table that depends on the basis alone is built once, on first use,
-and owned by it: the lift's ladder, the index of each occupation, the
-m_tot of each state, the sector split, the mirror permutation, the
-mode-pair layouts, the most photons each state puts on one pair and the
-splits by the photon counts on the pairs, which the search visits. These
-arrays are read-only, since every caller holding the basis sees them.
+and owned by it: the lift's ladder, the occupations as one integer
+array, the index of each occupation, the m_tot of each state, the sector
+split, the mirror permutation, the mode-pair layouts, the most photons
+each state puts on one pair and the splits by the photon counts on the
+pairs, which the search visits. These arrays are read-only, since every
+caller holding the basis sees them.
 ``lift_generator`` is the dense generator lift, the search's test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -91,14 +93,21 @@ def max_photons() -> int:
     return value
 
 
-def _occupations(modes: int, total: int):
-    """Occupation vectors of `total` photons in `modes` modes, lexicographically decreasing."""
-    if modes == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _occupations(modes - 1, total - first):
-            yield (first,) + rest
+def _occupations(modes: int, total: int) -> tuple[tuple[int, ...], ...]:
+    """Occupation vectors of `total` photons in `modes` modes, lexicographically decreasing.
+
+    Stars and bars: an occupation is the gaps between modes - 1 bars placed
+    among total + modes - 1 slots. ``itertools.combinations`` lists the bar
+    positions in increasing lexicographic order, which orders the gaps the
+    same way, so the reversed list is the basis order.
+    """
+    slots, bars = total + modes - 1, modes - 1
+    count = math.comb(slots, bars)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(slots), bars))
+    edges = np.empty((count, modes + 1), dtype=int)
+    edges[:, 0], edges[:, -1] = -1, slots
+    edges[:, 1:-1] = np.fromiter(flat, dtype=int, count=count * bars).reshape(count, bars)
+    return tuple(zip(*(np.diff(edges[::-1], axis=1) - 1).T.tolist()))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -140,10 +149,14 @@ class FockBasis:
             raise ValueError(f"{occ} is not a {self.n_photons}-photon occupation of this space") from None
 
     @cached_property
+    def _occupancy(self) -> np.ndarray:
+        """The occupation vectors as a (dim, M) integer array, in basis order."""
+        return _frozen(np.array(self.states, dtype=np.intp))
+
+    @cached_property
     def m_totals(self) -> np.ndarray:
         """Total angular momentum sum_i n_i m_i per basis state (integers)."""
-        ms = np.array([lab.m for lab in self.space.labels])
-        return _frozen(np.array([int(np.dot(occ, ms)) for occ in self.states]))
+        return _frozen(self._occupancy @ np.array([lab.m for lab in self.space.labels], dtype=np.intp))
 
     @cached_property
     def _sectors(self) -> dict[int, np.ndarray]:
@@ -156,7 +169,7 @@ class FockBasis:
         """``_mirror[i]`` is the index of the mirror image of basis state i."""
         # the image puts n_j on mode perm[j]; perm is an involution, so the
         # image's occupation of mode i is n_perm[i]
-        images = np.array(self.states, dtype=np.intp)[:, self.space.mirror_permutation]
+        images = self._occupancy[:, self.space.mirror_permutation]
         return _frozen(np.array([self._index[tuple(occ)] for occ in images.tolist()], dtype=np.intp))
 
     @cached_property
@@ -177,7 +190,7 @@ class FockBasis:
         blocks; ``order`` gives the basis index of each slot of the last
         layout.
         """
-        occ = np.array(self.states, dtype=np.intp).reshape(len(self), -1, 2)
+        occ = self._occupancy.reshape(len(self), -1, 2)
         counts = occ.sum(axis=2)
         passes, where = [], np.arange(len(self))
         for p in range(occ.shape[1]):
@@ -196,7 +209,7 @@ class FockBasis:
     @cached_property
     def _pair_top(self) -> np.ndarray:
         """The most photons on one mode pair (0, 1), (2, 3), ..., per basis state."""
-        occ = np.array(self.states, dtype=np.intp).reshape(len(self), -1, 2)
+        occ = self._occupancy.reshape(len(self), -1, 2)
         return _frozen(occ.sum(axis=2).max(axis=1))
 
     @cached_property
@@ -205,7 +218,7 @@ class FockBasis:
         the mode pairs (0, 1), (2, 3), ..., ascending in the counts. The
         indices ascend, so they run in the Kronecker order of the pairs'
         bases ``enumerate_basis(h0(), k_p)``, the first pair slowest."""
-        counts = np.array(self.states, dtype=np.intp).reshape(len(self), -1, 2).sum(axis=2)
+        counts = self._occupancy.reshape(len(self), -1, 2).sum(axis=2)
         keys, inverse = np.unique(counts, axis=0, return_inverse=True)
         parts = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(np.bincount(inverse.ravel()))[:-1])
         return tuple((tuple(key.tolist()), _frozen(idx)) for key, idx in zip(keys, parts))
@@ -225,7 +238,7 @@ class FockBasis:
         below = {(0,) * m: 0}
         levels = []
         for k in range(1, self.n_photons + 1):
-            states = self.states if k == self.n_photons else tuple(_occupations(m, k))
+            states = self.states if k == self.n_photons else _occupations(m, k)
             occ = np.array(states, dtype=np.intp)
             lower = np.zeros_like(occ)
             for row, state in enumerate(states):
@@ -265,7 +278,7 @@ def enumerate_basis(space: ModeSpace, n_photons: int) -> FockBasis:
 
 @lru_cache(maxsize=_CACHED_BASES)
 def _shared_basis(space: ModeSpace, n_photons: int) -> FockBasis:
-    states = tuple(_occupations(len(space), n_photons))
+    states = _occupations(len(space), n_photons)
     return FockBasis(space=space, n_photons=n_photons, states=states)
 
 

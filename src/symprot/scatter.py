@@ -25,6 +25,17 @@ by the first and det(z). These match the LAPACK formulas (SVD, LU,
 eigensolver, Householder QR) to rounding and consume the generator in the
 same order. ``family_generators`` is a basis of the family's Lie algebra,
 which the exact protected-state search lifts.
+
+A seeded batch is drawn once per process. ``sample(space, n)`` keeps each
+stack it draws in a memo keyed by the generator's full state before the
+draw, the sampler's ``unitary``, ``genericity_floor`` and
+``max_attempts``, the space and n, together with the generator's state
+after the draw. A second call with the same key sets the generator to
+that end state and returns a copy of the stack, so the stack and every
+later draw are bit for bit those of drawing again. Single draws and
+batches that raise GenericityError are never kept. The memo is a
+least-recently-used cache of at most ``_MEMO_ENTRIES`` stacks and
+``_MEMO_BYTES`` bytes of them.
 """
 
 from __future__ import annotations
@@ -32,6 +43,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,15 +182,32 @@ class ScatterSampler:
         same matrices bit for bit. A single draw is a batch of one.
         GenericityError comes at the draw where single calls raise it,
         with the generator left where they leave it.
+
+        A stack is drawn once per process: it is kept, with the
+        generator's state after it, under the generator's state before
+        it, ``unitary``, ``genericity_floor``, ``max_attempts``, ``space``
+        and ``size``. The same call from the same state again jumps the
+        generator to the kept end state and returns a writable copy of
+        the kept stack. Single draws and failed batches are not kept,
+        and the memo holds at most ``_MEMO_ENTRIES`` stacks and
+        ``_MEMO_BYTES`` bytes, dropping the least recently used.
         """
         n = 1 if size is None else operator.index(size)
         if n < 0:
             raise ValueError(f"size must be non-negative, got {n}")
+        if size is not None:
+            bg = self._rng.bit_generator
+            key = (_hashable(bg.state), self.unitary, self.genericity_floor, self.max_attempts, space, n)
+            kept = _DRAWS.get(key)
+            if kept is not None:
+                stack, bg.state = kept
+                return stack.copy()
         comps = space.components if space.kind == "sum" else (space,)
         blocks = self._stream([sp.kind for sp in comps], n)
         mats = _assemble(space, comps, blocks.reshape(n, len(comps), 2, 2))
         if size is None:
             return SymmetricScattering(space=space, matrix=mats[0], unitary=self.unitary)
+        _DRAWS.put(key, mats.copy(), bg.state)
         return mats
 
     # -- internals ---------------------------------------------------------
@@ -278,6 +308,60 @@ class ScatterSampler:
         tr = a + d
         gap = _sqrt(_sqrt(_abs2(_mul(tr, tr) - 4.0 * det)))
         return a, b, c, d, (_sqrt(_abs2(det)) > floor) & (gap > floor)
+
+
+_MEMO_ENTRIES = 256  # batch draws kept by ScatterSampler.sample
+_MEMO_BYTES = 8 << 20  # and the most bytes their stacks take together
+
+
+def _hashable(value):
+    """A hashable copy of a bit generator's state: its dicts and arrays
+    become tuples, in order."""
+    if isinstance(value, dict):
+        return tuple((k, _hashable(v)) for k, v in value.items())
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+class _DrawMemo:
+    """Least-recently-used store of batch draws: key -> (read-only stack,
+    generator state after it), within ``entries`` stacks and ``max_bytes``
+    bytes of them. Samplers in several threads may share it."""
+
+    def __init__(self, entries: int, max_bytes: int):
+        self.entries, self.max_bytes, self.nbytes = entries, max_bytes, 0
+        self._kept: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def get(self, key):
+        with self._lock:
+            kept = self._kept.get(key)
+            if kept is not None:
+                self._kept.move_to_end(key)
+            return kept
+
+    def put(self, key, stack: np.ndarray, end_state: dict) -> None:
+        if stack.nbytes > self.max_bytes:
+            return
+        stack.setflags(write=False)
+        with self._lock:
+            old = self._kept.pop(key, None)
+            self.nbytes += stack.nbytes - (0 if old is None else old[0].nbytes)
+            self._kept[key] = (stack, end_state)
+            while len(self._kept) > self.entries or self.nbytes > self.max_bytes:
+                self.nbytes -= self._kept.popitem(last=False)[1][0].nbytes
+
+    def clear(self) -> None:
+        with self._lock:
+            self._kept.clear()
+            self.nbytes = 0
+
+
+_DRAWS = _DrawMemo(_MEMO_ENTRIES, _MEMO_BYTES)
 
 
 _TWO_PI = 2.0 * math.pi

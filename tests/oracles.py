@@ -72,6 +72,17 @@ def permanent_expansion(matrix):
     return total
 
 
+def occupations_oracle(modes, total):
+    """Occupation vectors of `total` photons in `modes` modes, lexicographically
+    decreasing, by recursion on the first mode's count."""
+    if modes == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in occupations_oracle(modes - 1, total - first):
+            yield (first,) + rest
+
+
 def sample_block_oracle(rng, kind, unitary, floor, max_attempts=100):
     """One 2x2 family block drawn through LAPACK, plus the rejections it took.
 

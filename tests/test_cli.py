@@ -350,3 +350,56 @@ def test_unusable_paths_exit_two(args, tmp_path):
     assert result.stdout == ""
     assert result.stderr.startswith("symprot: cannot ")
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_the_cached_parser_parses_as_a_fresh_one(tmp_path, capsys):
+    """main builds its parser once per process. A sequence of in-process
+    calls through that parser prints and exits exactly as the same calls
+    do with a parser built afresh for each: usage errors, --help and every
+    subcommand, in JSON and pretty output."""
+    from symprot import cli
+
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(state_to_json(named_state("psi4"))))
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+    calls = [
+        ["capacity", "--eps", "0.1", "--two-way", "maybe"],
+        ["--help"],
+        ["certify", "--state", "psi4", "--space", "hm:1", "--samples", "8", "--seed", "3"],
+        ["certify", "--state", str(state_path), "--samples", "8", "--output", "pretty"],
+        ["certify", "--state", "phi1", "--samples", "8", "--expect", "protected"],
+        [],
+        ["search", "--space", "hm:1", "--n", "4", "--sector", "0", "--samples", "16", "--seed", "5"],
+        ["search", "--space", "h0", "--n", "4", "--samples", "16", "--output", "pretty"],
+        ["search", "--help"],
+        ["catalog"],
+        ["catalog", "--state", "psi4", "--m", "2", "--output", "pretty"],
+        ["entangle", "--state", "phi3"],
+        ["entangle", "--state", "psi4", "--space", "hm:1", "--output", "pretty"],
+        ["dfs", "--carrier", "psi4", "--d", "3", "--loss", "0.2", "--samples", "8", "--seed", "4"],
+        ["dfs", "--carrier", "phi1", "--d", "2", "--samples", "8"],
+        ["dfs", "--carrier", "psi4", "--d", "0"],
+        ["capacity", "--eps", "0.25", "--two-way", "true", "--output", "pretty"],
+        ["validate", "--space", "h0", "--matrix", str(matrix_path)],
+        ["validate", "--space", "h0", "--matrix", str(tmp_path / "missing.json")],
+        ["certify"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    cli._build_parser.cache_clear()
+    cached = [run(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 2, 2]

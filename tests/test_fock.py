@@ -27,8 +27,8 @@ from symprot import (
     sector_split,
     state_from_amplitudes,
 )
-from symprot.fock import _CACHED_BASES, _shared_basis
-from oracles import apply_oracle, lift_oracle, permanent_expansion
+from symprot.fock import _CACHED_BASES, _occupations, _shared_basis
+from oracles import apply_oracle, lift_oracle, occupations_oracle, permanent_expansion
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def test_shared_tables_are_read_only():
     basis = enumerate_basis(direct_sum(h0(), hm(1)), 3)
     with pytest.raises(ValueError):
         basis.m_totals[0] = 5
-    tables = [basis.m_totals, basis._mirror, *basis._sectors.values()]
+    tables = [basis._occupancy, basis.m_totals, basis._mirror, *basis._sectors.values()]
     for parent, scale, first, modes in basis._ladder:
         tables += [parent, scale, first, *(table for mode in modes for table in mode)]
     passes, order = basis._pair_splits
@@ -153,6 +153,19 @@ def test_pair_layouts_group_states_by_the_photons_on_a_pair(space, n):
     assert np.array_equal(layout, order)
 
 
+@pytest.mark.parametrize("modes", range(1, 11))
+def test_occupations_match_the_recursive_enumeration(modes):
+    for total in range(7):
+        assert _occupations(modes, total) == tuple(occupations_oracle(modes, total))
+
+
+def test_the_photon_cap_basis_matches_the_recursive_enumeration():
+    basis = enumerate_basis(direct_sum(h0(), hm(1), hm(2)), 10)
+    assert len(basis) == 92378
+    assert basis.states == tuple(occupations_oracle(10, 10))
+    assert all(type(k) is int for k in basis.states[-1])
+
+
 def test_negative_photon_number_rejected():
     with pytest.raises(ValueError):
         enumerate_basis(h0(), -1)
@@ -166,6 +179,19 @@ def test_h0_lives_in_the_zero_sector():
     basis = enumerate_basis(h0(), 4)
     assert np.array_equal(basis.m_totals, np.zeros(5, dtype=int))
     assert list(sector_split(basis)) == [0]
+
+
+@pytest.mark.parametrize(
+    "space", [h0(), hm(1), direct_sum(h0(), hm(1)), direct_sum(h0(), hm(1), hm(2))],
+    ids=["h0", "hm1", "h0+hm1", "h0+hm1+hm2"],
+)
+def test_m_totals_sum_each_state_s_angular_momenta(space):
+    ms = np.array([lab.m for lab in space.labels])
+    for n in range(5):
+        basis = enumerate_basis(space, n)
+        expected = np.array([int(np.dot(occ, ms)) for occ in basis.states])
+        assert basis.m_totals.dtype == expected.dtype
+        assert np.array_equal(basis.m_totals, expected)
 
 
 def test_hm_two_photon_sectors():

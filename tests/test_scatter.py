@@ -15,6 +15,7 @@ from symprot import (
     hm,
     validate_scattering,
 )
+from symprot import scatter
 from oracles import sample_block_oracle
 
 
@@ -205,6 +206,172 @@ def test_a_batch_raises_genericity_error_at_the_single_draws_failure(space):
         with pytest.raises(GenericityError):
             batch.sample(space, len(drawn) + 3)
         assert batch._rng.bit_generator.state == single._rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the memo of batch draws
+
+MEMO_SPACES = [h0(), hm(1), direct_sum(h0(), hm(1)), direct_sum(hm(1), hm(2))]
+MEMO_IDS = ["h0", "hm1", "h0+hm1", "hm1+hm2"]
+
+
+def _no_draw(*args):
+    raise AssertionError("a kept batch drew from the generator")
+
+
+@pytest.mark.parametrize("n", [3, 16, 64])
+@pytest.mark.parametrize("unitary", [True, False], ids=["unitary", "subunitary"])
+@pytest.mark.parametrize("space", MEMO_SPACES, ids=MEMO_IDS)
+def test_a_kept_batch_is_the_draw_bit_for_bit(space, unitary, n, monkeypatch):
+    """The second sample(space, n) from one generator state reads the
+    first back without drawing: the same stack, the generator left in the
+    same state, the same next draw, whatever the callers wrote into the
+    stacks they got."""
+    def sampler():
+        return ScatterSampler(seed=n, unitary=unitary)
+
+    scatter._DRAWS.clear()
+    cold = sampler()
+    drawn = cold.sample(space, n)
+    end = cold._rng.bit_generator.state
+    after = cold.sample(space).matrix
+    assert len(scatter._DRAWS) == 1  # the single draw is not kept
+    expected = drawn.copy()
+    drawn[:] = 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ScatterSampler, "_stream", _no_draw)
+        warm = sampler()
+        kept = warm.sample(space, n)
+        assert np.array_equal(kept, expected) and kept.flags.writeable
+        assert warm._rng.bit_generator.state == end
+        kept[:] = 0
+        assert np.array_equal(sampler().sample(space, n), expected)
+    assert np.array_equal(warm.sample(space).matrix, after)
+    longer = sampler().sample(space, n + 1)  # another size is another stream
+    assert np.array_equal(longer[:n], expected) and np.array_equal(longer[n], after)
+
+
+def test_the_memo_keys_every_setting_of_a_draw():
+    """Draws that differ in the space or a sampler setting, from one seed,
+    each get the stack a cold draw gives them, or its GenericityError."""
+    def draw(space, unitary, floor, attempts):
+        try:
+            return ScatterSampler(seed=0, unitary=unitary, genericity_floor=floor, max_attempts=attempts).sample(space, 16)
+        except GenericityError:
+            return None
+
+    settings = [(hm(1), False, 1e-3, 100), (hm(1), True, 1e-3, 100), (hm(1), False, 0.3, 100),
+                (hm(1), False, 0.3, 1), (h0(), False, 1e-3, 100), (direct_sum(h0(), hm(1)), False, 1e-3, 100)]
+    warm = [draw(*setting) for setting in settings]
+    for setting, drawn in zip(settings, warm):
+        scatter._DRAWS.clear()
+        cold = draw(*setting)
+        assert (drawn is None and cold is None) or np.array_equal(drawn, cold)
+    assert warm[3] is None and all(drawn is not None for drawn in warm[:3] + warm[4:])
+
+
+@pytest.mark.parametrize("space", MEMO_SPACES, ids=MEMO_IDS)
+def test_a_batch_after_single_draws_is_kept_under_its_own_state(space):
+    singles = ScatterSampler(seed=8, unitary=False)
+    expected = np.array([singles.sample(space).matrix for _ in range(2 + 16)])[2:]
+    ScatterSampler(seed=8, unitary=False).sample(space, 16)  # kept from the seed's state
+    for _ in range(2):  # drawn, then read back
+        sampler = ScatterSampler(seed=8, unitary=False)
+        sampler.sample(space), sampler.sample(space)
+        assert np.array_equal(sampler.sample(space, 16), expected)
+
+
+@pytest.mark.parametrize("space", MEMO_SPACES, ids=MEMO_IDS)
+def test_a_failed_batch_fails_again_and_is_not_kept(space):
+    """A batch that runs out of attempts raises on every call, and each
+    time leaves the generator where single draws leave it."""
+    def sampler():
+        return ScatterSampler(seed=2, unitary=False, genericity_floor=0.1, max_attempts=4)
+
+    single = sampler()
+    drawn = 0
+    with pytest.raises(GenericityError):
+        while True:
+            single.sample(space)
+            drawn += 1
+    kept = len(scatter._DRAWS)
+    for _ in range(2):
+        batch = sampler()
+        with pytest.raises(GenericityError):
+            batch.sample(space, drawn + 3)
+        assert batch._rng.bit_generator.state == single._rng.bit_generator.state
+        assert len(scatter._DRAWS) == kept
+
+
+def _within_bounds(memo):
+    stacks = [stack for stack, _ in memo._kept.values()]
+    assert memo.nbytes == sum(stack.nbytes for stack in stacks)
+    assert len(memo) <= memo.entries and memo.nbytes <= memo.max_bytes
+    assert not any(stack.flags.writeable for stack in stacks)
+
+
+def test_the_memo_keeps_to_its_bounds():
+    """Past its bounds the memo drops the least recently used stacks, and
+    keeps no stack larger than its byte bound."""
+    scatter._DRAWS.clear()
+    for seed in range(scatter._MEMO_ENTRIES + 20):
+        ScatterSampler(seed=seed).sample(hm(1), 3)
+        _within_bounds(scatter._DRAWS)
+    assert len(scatter._DRAWS) == scatter._MEMO_ENTRIES
+
+    memo = scatter._DrawMemo(entries=4, max_bytes=3 * 16 * 36 * 16)  # three 16-draw stacks of 6x6
+    space = direct_sum(h0(), hm(1))
+    stacks = [ScatterSampler(seed=seed).sample(space, 16) for seed in range(6)]
+    for seed, stack in enumerate(stacks):
+        memo.put(("seed", seed), stack.copy(), {})
+        memo.get(("seed", 0))  # in use: stays
+        _within_bounds(memo)
+    assert list(memo._kept) == [("seed", 4), ("seed", 5), ("seed", 0)]
+    memo.put(("large",), np.zeros((3 * 16 + 1, 6, 6), dtype=complex), {})
+    assert memo.get(("large",)) is None
+    _within_bounds(memo)
+    for seed in range(10):
+        memo.put(("small", seed), stacks[seed % 6][:2].copy(), {})
+        _within_bounds(memo)
+    assert len(memo) == 4
+
+
+def test_threads_share_the_memo_without_losing_an_update(monkeypatch):
+    """Samplers in more threads than cores, switching often, fill and evict
+    one small memo: every stack is still its cold draw, and the memo's
+    byte count is the sum of what it holds."""
+    import sys
+    import threading
+
+    space, seeds = direct_sum(h0(), hm(1)), range(12)
+    cold = {seed: ScatterSampler(seed=seed).sample(space, 8) for seed in seeds}
+    monkeypatch.setattr(scatter, "_DRAWS", scatter._DrawMemo(entries=5, max_bytes=4 * cold[0].nbytes))
+    wrong = []
+
+    def work(offset):
+        for k in range(60):
+            seed = seeds[(offset + k) % len(seeds)]
+            if not np.array_equal(ScatterSampler(seed=seed).sample(space, 8), cold[seed]):
+                wrong.append(seed)
+        for k in range(3000):  # puts and gets alone, to crowd the memo's lock
+            key = ("put", (offset * k) % 9)
+            scatter._DRAWS.put(key, cold[k % len(seeds)][: 1 + k % 8].copy(), {})
+            scatter._DRAWS.get(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    _within_bounds(scatter._DRAWS)
 
 
 def test_sigma_max_does_not_cancel_at_equal_singular_values():
