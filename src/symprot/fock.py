@@ -93,8 +93,9 @@ def max_photons() -> int:
     return value
 
 
-def _occupations(modes: int, total: int) -> tuple[tuple[int, ...], ...]:
-    """Occupation vectors of `total` photons in `modes` modes, lexicographically decreasing.
+def _occupations(modes: int, total: int) -> np.ndarray:
+    """Occupation vectors of `total` photons in `modes` modes, lexicographically
+    decreasing, as the rows of a read-only integer array.
 
     Stars and bars: an occupation is the gaps between modes - 1 bars placed
     among total + modes - 1 slots. ``itertools.combinations`` lists the bar
@@ -104,10 +105,15 @@ def _occupations(modes: int, total: int) -> tuple[tuple[int, ...], ...]:
     slots, bars = total + modes - 1, modes - 1
     count = math.comb(slots, bars)
     flat = itertools.chain.from_iterable(itertools.combinations(range(slots), bars))
-    edges = np.empty((count, modes + 1), dtype=int)
+    edges = np.empty((count, modes + 1), dtype=np.intp)
     edges[:, 0], edges[:, -1] = -1, slots
-    edges[:, 1:-1] = np.fromiter(flat, dtype=int, count=count * bars).reshape(count, bars)
-    return tuple(zip(*(np.diff(edges[::-1], axis=1) - 1).T.tolist()))
+    edges[:, 1:-1] = np.fromiter(flat, dtype=np.intp, count=count * bars).reshape(count, bars)
+    return _frozen(np.diff(edges[::-1], axis=1) - 1)
+
+
+def _as_tuples(occupancy: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The rows of an occupation array as tuples of Python ints."""
+    return tuple(zip(*occupancy.T.tolist()))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -150,7 +156,10 @@ class FockBasis:
 
     @cached_property
     def _occupancy(self) -> np.ndarray:
-        """The occupation vectors as a (dim, M) integer array, in basis order."""
+        """The occupation vectors as a (dim, M) integer array, in basis order.
+
+        ``enumerate_basis`` sets it from the enumeration; a basis built
+        from its states alone converts them here."""
         return _frozen(np.array(self.states, dtype=np.intp))
 
     @cached_property
@@ -238,8 +247,8 @@ class FockBasis:
         below = {(0,) * m: 0}
         levels = []
         for k in range(1, self.n_photons + 1):
-            states = self.states if k == self.n_photons else _occupations(m, k)
-            occ = np.array(states, dtype=np.intp)
+            occ = self._occupancy if k == self.n_photons else _occupations(m, k)
+            states = self.states if k == self.n_photons else _as_tuples(occ)
             lower = np.zeros_like(occ)
             for row, state in enumerate(states):
                 for i, count in enumerate(state):
@@ -278,8 +287,10 @@ def enumerate_basis(space: ModeSpace, n_photons: int) -> FockBasis:
 
 @lru_cache(maxsize=_CACHED_BASES)
 def _shared_basis(space: ModeSpace, n_photons: int) -> FockBasis:
-    states = _occupations(len(space), n_photons)
-    return FockBasis(space=space, n_photons=n_photons, states=states)
+    occupancy = _occupations(len(space), n_photons)
+    basis = FockBasis(space=space, n_photons=n_photons, states=_as_tuples(occupancy))
+    object.__setattr__(basis, "_occupancy", occupancy)  # the cached table, converted once
+    return basis
 
 
 def sector_split(basis: FockBasis) -> dict[int, list[int]]:

@@ -27,7 +27,7 @@ from symprot import (
     sector_split,
     state_from_amplitudes,
 )
-from symprot.fock import _CACHED_BASES, _occupations, _shared_basis
+from symprot.fock import _CACHED_BASES, _as_tuples, _occupations, _shared_basis
 from oracles import apply_oracle, lift_oracle, occupations_oracle, permanent_expansion
 
 
@@ -156,7 +156,9 @@ def test_pair_layouts_group_states_by_the_photons_on_a_pair(space, n):
 @pytest.mark.parametrize("modes", range(1, 11))
 def test_occupations_match_the_recursive_enumeration(modes):
     for total in range(7):
-        assert _occupations(modes, total) == tuple(occupations_oracle(modes, total))
+        occupancy = _occupations(modes, total)
+        assert occupancy.dtype == np.intp and not occupancy.flags.writeable
+        assert _as_tuples(occupancy) == tuple(occupations_oracle(modes, total))
 
 
 def test_the_photon_cap_basis_matches_the_recursive_enumeration():
@@ -164,6 +166,8 @@ def test_the_photon_cap_basis_matches_the_recursive_enumeration():
     assert len(basis) == 92378
     assert basis.states == tuple(occupations_oracle(10, 10))
     assert all(type(k) is int for k in basis.states[-1])
+    assert "_occupancy" in vars(basis)  # kept from the enumeration, not converted again
+    assert np.array_equal(basis._occupancy, np.array(basis.states, dtype=np.intp))
 
 
 def test_negative_photon_number_rejected():
