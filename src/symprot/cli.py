@@ -5,10 +5,11 @@ Output is canonical JSON (sorted keys, 2-space indent) by default, so runs
 with identical arguments are byte-identical; ``--output pretty`` renders a
 human-readable summary instead. Seeds default to 0. Exit codes: 0 on
 success, 1 when ``--expect protected`` is not met (or a dfs carrier is
-refused), 2 on usage errors and malformed state or matrix files, 3 when
-the sampler cannot draw a generic scatterer within its attempts
-(GenericityError). The SYMPROT_NMAX environment variable overrides the
-photon-number cap.
+refused), 2 on usage errors, on missing, unreadable or malformed state
+or matrix files and on requests too large for memory (MemoryError, such
+as ``--samples 10000000000000000``), 3 when the sampler cannot draw a
+generic scatterer within its attempts (GenericityError). The SYMPROT_NMAX
+environment variable overrides the photon-number cap.
 """
 
 from __future__ import annotations
@@ -42,6 +43,18 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
+def _load(path: str, what: str, parse):
+    """``parse(path)``, with a missing, unreadable or malformed ``what`` file as ValueError."""
+    try:
+        return parse(path)
+    except FileNotFoundError:
+        raise ValueError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ValueError(f"malformed {what} file {path}: {exc}") from None
+
+
 def _resolve_state(state_arg: str, space_arg: str | None) -> tuple[FockState, str]:
     """A normalized state from a catalog/family name or a JSON file, on an optional space.
 
@@ -50,15 +63,7 @@ def _resolve_state(state_arg: str, space_arg: str | None) -> tuple[FockState, st
     space = serialize.parse_space(space_arg) if space_arg else None
     if state_arg.startswith("@") or os.path.isfile(state_arg):
         path = state_arg[1:] if state_arg.startswith("@") else state_arg
-        try:
-            state = serialize.load_state_file(path)
-        except FileNotFoundError:
-            raise ValueError(f"state file not found: {path}") from None
-        except OSError as exc:
-            raise ValueError(f"cannot read state file {path}: {exc.strerror}") from None
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ValueError(f"malformed state file {path}: {exc}") from None
-        label = path
+        state, label = _load(path, "state", serialize.load_state_file), path
     else:
         recipe = parse_recipe(state_arg)
         bare_name = recipe.kind == "named" and ":" not in state_arg
@@ -277,17 +282,14 @@ def _cmd_capacity(args) -> int:
     return 0
 
 
+def _read_matrix(path: str) -> np.ndarray:
+    with open(path, encoding="utf-8") as fh:
+        return serialize.matrix_from_json(json.load(fh))
+
+
 def _cmd_validate(args) -> int:
     space = serialize.parse_space(args.space)
-    try:
-        with open(args.matrix, encoding="utf-8") as fh:
-            matrix = serialize.matrix_from_json(json.load(fh))
-    except FileNotFoundError:
-        raise ValueError(f"matrix file not found: {args.matrix}") from None
-    except OSError as exc:
-        raise ValueError(f"cannot read matrix file {args.matrix}: {exc.strerror}") from None
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"malformed matrix file {args.matrix}: {exc}") from None
+    matrix = _load(args.matrix, "matrix", _read_matrix)
     report = validate_scattering(matrix, space, tol=args.tol)
     payload = {
         "space": serialize.space_to_json(space),
@@ -380,8 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the exit code of each failure a command raises; argparse exits 2 by itself
-_EXIT_CODES = {ValueError: 2, CarrierNotProtectedError: 1, GenericityError: 3}
+# the exit code of each failure a command raises; argparse exits 2 by itself.
+# A MemoryError is a request too large for memory, such as --samples 1e16
+_EXIT_CODES = {ValueError: 2, MemoryError: 2, CarrierNotProtectedError: 1, GenericityError: 3}
 
 
 def main(argv=None) -> int:

@@ -53,6 +53,14 @@ class TwoPhotonMatrix:
         object.__setattr__(self, "matrix", mat)
 
 
+def _photon_modes(basis: FockBasis):
+    """(i, j, weight) per state of a two-photon basis: the modes of its two
+    photons and the ratio of its amplitude to C_ij, sqrt(2) if i = j, else 2."""
+    for occ in basis.states:
+        hot = [i for i, k in enumerate(occ) if k]
+        yield (hot[0], hot[0], math.sqrt(2.0)) if len(hot) == 1 else (*hot, 2.0)
+
+
 def two_photon_matrix(state: FockState) -> TwoPhotonMatrix:
     """Extract the symmetric coefficient matrix of a two-photon state."""
     basis = state.basis
@@ -60,13 +68,8 @@ def two_photon_matrix(state: FockState) -> TwoPhotonMatrix:
         raise ValueError(f"state must carry exactly 2 photons, got {basis.n_photons}")
     m = len(basis.space)
     c = np.zeros((m, m), dtype=complex)
-    for occ, amp in zip(basis.states, state.amplitudes):
-        hot = [i for i, k in enumerate(occ) if k]
-        if len(hot) == 1:
-            c[hot[0], hot[0]] = amp / math.sqrt(2.0)
-        else:
-            i, j = hot
-            c[i, j] = c[j, i] = amp / 2.0
+    for (i, j, weight), amp in zip(_photon_modes(basis), state.amplitudes):
+        c[i, j] = c[j, i] = amp / weight
     return TwoPhotonMatrix(space=basis.space, matrix=c)
 
 
@@ -74,14 +77,8 @@ def two_photon_state(coeff: TwoPhotonMatrix) -> FockState:
     """Inverse of :func:`two_photon_matrix`: amplitudes from the coefficient matrix."""
     basis = enumerate_basis(coeff.space, 2)
     amp = np.zeros(len(basis), dtype=complex)
-    c = coeff.matrix
-    for pos, occ in enumerate(basis.states):
-        hot = [i for i, k in enumerate(occ) if k]
-        if len(hot) == 1:
-            amp[pos] = c[hot[0], hot[0]] * math.sqrt(2.0)
-        else:
-            i, j = hot
-            amp[pos] = 2.0 * c[i, j]
+    for pos, (i, j, weight) in enumerate(_photon_modes(basis)):
+        amp[pos] = coeff.matrix[i, j] * weight
     return FockState(basis, amp)
 
 

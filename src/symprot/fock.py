@@ -35,10 +35,11 @@ Bases are shared: ``enumerate_basis`` returns one ``FockBasis`` per
 Every table that depends on the basis alone is built once, on first use,
 and owned by it: the lift's ladder, the occupations as one integer
 array, the index of each occupation, the m_tot of each state, the sector
-split, the mirror permutation, the mode-pair layouts, the most photons
-each state puts on one pair and the splits by the photon counts on the
-pairs, which the search visits. These arrays are read-only, since every
-caller holding the basis sees them.
+split, the mirror permutation, the splits by the photon counts on the mode
+pairs, which the search visits, and the mode-pair layouts, read off the
+splits. The splits and the mirror permutation come from one ``np.lexsort``
+each. These arrays are read-only, since every caller holding the basis
+sees them.
 ``lift_generator`` is the dense generator lift, the search's test oracle.
 """
 
@@ -176,10 +177,11 @@ class FockBasis:
     @cached_property
     def _mirror(self) -> np.ndarray:
         """``_mirror[i]`` is the index of the mirror image of basis state i."""
-        # the image puts n_j on mode perm[j]; perm is an involution, so the
-        # image's occupation of mode i is n_perm[i]
+        # the image holds n_perm[i] on mode i (perm is an involution). Sorted into
+        # basis order, lexicographically decreasing, the images put the image of
+        # state _mirror[r] at r; the mirror is its own inverse, so the sort is _mirror
         images = self._occupancy[:, self.space.mirror_permutation]
-        return _frozen(np.array([self._index[tuple(occ)] for occ in images.tolist()], dtype=np.intp))
+        return _frozen(np.lexsort(-images.T[::-1]))
 
     @cached_property
     def _pair_splits(self) -> tuple[tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...], np.ndarray]:
@@ -188,10 +190,12 @@ class FockBasis:
         Layout p serves the pair of modes (2p, 2p + 1). It lists, for each
         count k the pair holds in some state (ascending), a (k + 1) x R
         block in C order: row j holds the states with |k - j, j> on the
-        pair, and the states of one column agree on every other mode. A
-        matrix that is block diagonal over the pairs lifts to Sym^k of its
-        2x2 block on the pair (its lift on ``enumerate_basis(h0(), k)``)
-        along every column.
+        pair in basis order, and the states of one column agree on every
+        other mode. A matrix that is block diagonal over the pairs lifts to
+        Sym^k of its 2x2 block on the pair (its lift on
+        ``enumerate_basis(h0(), k)``) along every column. The blocks are
+        read off ``_splits``, whose indices form the Kronecker grid of the
+        pairs' bases: with pair p's axis first, a split's rows are rows j.
 
         Returns ``(passes, order)``: ``passes[p]`` is ``(take, groups)``,
         where ``take`` gives the slot of each state of layout p in layout
@@ -199,27 +203,20 @@ class FockBasis:
         blocks; ``order`` gives the basis index of each slot of the last
         layout.
         """
-        occ = self._occupancy.reshape(len(self), -1, 2)
-        counts = occ.sum(axis=2)
         passes, where = [], np.arange(len(self))
-        for p in range(occ.shape[1]):
-            blocks = []
-            for k in range(self.n_photons + 1):
-                # within one (k, j), basis order sorts the other modes alike
-                rows = [np.flatnonzero((counts[:, p] == k) & (occ[:, p, 1] == j)) for j in range(k + 1)]
-                if rows[0].size:
-                    blocks.append((k, np.array(rows)))
-            order = np.concatenate([rows.ravel() for _, rows in blocks])
-            passes.append((_frozen(where[order]), tuple((k, rows.shape[1]) for k, rows in blocks)))
+        for p in range(len(self.space) // 2):
+            rows: dict[int, list[np.ndarray]] = {}
+            for counts, idx in self._splits:
+                grid = np.moveaxis(idx.reshape([k + 1 for k in counts]), p, 0)
+                rows.setdefault(counts[p], []).append(grid.reshape(counts[p] + 1, -1))
+            # the other modes order every row's columns alike: sort by row 0
+            blocks = [(k, np.hstack(rows[k])) for k in sorted(rows)]
+            blocks = [(k, block[:, np.argsort(block[0])]) for k, block in blocks]
+            order = np.concatenate([block.ravel() for _, block in blocks])
+            passes.append((_frozen(where[order]), tuple((k, block.shape[1]) for k, block in blocks)))
             where = np.empty_like(order)
             where[order] = np.arange(len(self))
         return tuple(passes), _frozen(order)
-
-    @cached_property
-    def _pair_top(self) -> np.ndarray:
-        """The most photons on one mode pair (0, 1), (2, 3), ..., per basis state."""
-        occ = self._occupancy.reshape(len(self), -1, 2)
-        return _frozen(occ.sum(axis=2).max(axis=1))
 
     @cached_property
     def _splits(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
@@ -228,9 +225,10 @@ class FockBasis:
         indices ascend, so they run in the Kronecker order of the pairs'
         bases ``enumerate_basis(h0(), k_p)``, the first pair slowest."""
         counts = self._occupancy.reshape(len(self), -1, 2).sum(axis=2)
-        keys, inverse = np.unique(counts, axis=0, return_inverse=True)
-        parts = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(np.bincount(inverse.ravel()))[:-1])
-        return tuple((tuple(key.tolist()), _frozen(idx)) for key, idx in zip(keys, parts))
+        order = np.lexsort(counts.T[::-1])  # stable: the indices of a split ascend
+        keys = counts[order]
+        cuts = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
+        return tuple((tuple(keys[i].tolist()), _frozen(idx)) for i, idx in zip([0, *cuts], np.split(order, cuts)))
 
     @cached_property
     def _ladder(self) -> tuple[tuple, ...]:

@@ -30,9 +30,11 @@ the family acts as a Kronecker product over the components. A split's
 candidates are Kronecker products of per-component ones, factorised from
 closed-form (k + 1) x (k + 1) generators once per component kind and pair
 counts (``_component_factors``), a cache that holds nothing of m, the
-basis, the configuration or random draws. A call only cuts the kernels at
-``cluster_tol``, forms the products and certifies them; it builds no
-dim x dim or per-sector table.
+basis, the configuration or random draws. The generators are dSym^k of
+the 2x2 pair blocks of ``family_generators``, the one statement of the
+family's Lie algebra. A call only cuts the kernels at ``cluster_tol``,
+forms the products and certifies them; it builds no dim x dim or
+per-sector table.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .fock import (
     lift_mirror,  # noqa: F401 -- a traced call site of perfbench/tracing.py
     sector_split,
 )
-from .modes import ModeSpace, hm
-from .scatter import ScatterSampler
+from .modes import ModeSpace, h0, hm
+from .scatter import ScatterSampler, family_generators
 from .states import pair_expansion_coefficients, pair_power
 
 __all__ = [
@@ -149,7 +151,7 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
         # Sym^k of every block as (P, n, k + 1, k + 1), for k up to the most
         # photons the vectors put on one pair: Sym^1 is the block itself,
         # and the higher powers come from one recursion
-        k_max = int(basis._pair_top[vectors.any(axis=1)].max(initial=0))
+        k_max = int(basis._occupancy[vectors.any(axis=1)].reshape(-1, len(passes), 2).sum(axis=2).max(initial=0))
         sym = [None, blocks]
         if k_max > 1:
             powers = _symmetric_powers(blocks.reshape(-1, 2, 2), k_max)[1:]
@@ -233,12 +235,6 @@ class SearchResult:
     sectors: tuple[int, ...]
 
 
-# 2x2 pair blocks of the family generators: the swap X of h0, and E12, E21
-# and E11 - E22 on an hm component's +m pair, with X E X on its -m pair
-_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SL2 = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]), np.diag([1.0, -1.0]))
-
-
 def _dsym(block: np.ndarray, k: int) -> np.ndarray:
     """dSym^k of a 2x2 matrix, its ``lift_generator`` on ``enumerate_basis(h0(), k)``:
     E12 maps |k - j - 1, j + 1> to sqrt((j + 1)(k - j)) |k - j, j>."""
@@ -254,14 +250,16 @@ def _component_factors(kind: str, counts: tuple[int, ...]) -> tuple[np.ndarray, 
     column block per eigenvalue n_s - n_a, ascending; for hm with a and b
     photons on its pairs, ``(s, v)``, the singular values and right singular
     vectors (as columns) of its stacked sl(2), dSym^a(E) x 1 + 1 x dSym^b(X E X).
+    The 2x2 pair blocks are those of ``family_generators``: X is h0's swap,
+    and E and X E X the blocks of hm(1)'s sl(2) on its +m and -m pairs.
     Every hm(m) has these generators, so no key holds m: there are O(cap^2)."""
     if kind == "h0":
-        values, vectors = np.linalg.eigh(_dsym(_SWAP, counts[0]))
+        values, vectors = np.linalg.eigh(_dsym(family_generators(h0())[1][1].real, counts[0]))
         labels = np.round(values)
         return tuple(_frozen(vectors[:, labels == v]) for v in np.unique(labels))
     a, b = counts
-    stack = np.vstack([np.kron(_dsym(e, a), np.eye(b + 1)) + np.kron(np.eye(a + 1), _dsym(_SWAP @ e @ _SWAP, b))
-                       for e in _SL2])
+    pairs = [(gen[:2, :2].real, gen[2:, 2:].real) for gen in family_generators(hm(1))[0]]
+    stack = np.vstack([np.kron(_dsym(e, a), np.eye(b + 1)) + np.kron(np.eye(a + 1), _dsym(xex, b)) for e, xex in pairs])
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     return _frozen(s), _frozen(vh.conj().T)
 

@@ -197,7 +197,8 @@ class ScatterSampler:
             raise ValueError(f"size must be non-negative, got {n}")
         if size is not None:
             bg = self._rng.bit_generator
-            key = (_hashable(bg.state), self.unitary, self.genericity_floor, self.max_attempts, space, n)
+            # the repr of a PCG64 state, a dict of ints and strings, is exact
+            key = (repr(bg.state), self.unitary, self.genericity_floor, self.max_attempts, space, n)
             kept = _DRAWS.get(key)
             if kept is not None:
                 stack, bg.state = kept
@@ -312,16 +313,6 @@ class ScatterSampler:
 
 _MEMO_ENTRIES = 256  # batch draws kept by ScatterSampler.sample
 _MEMO_BYTES = 8 << 20  # and the most bytes their stacks take together
-
-
-def _hashable(value):
-    """A hashable copy of a bit generator's state: its dicts and arrays
-    become tuples, in order."""
-    if isinstance(value, dict):
-        return tuple((k, _hashable(v)) for k, v in value.items())
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    return value
 
 
 class _DrawMemo:

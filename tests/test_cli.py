@@ -124,6 +124,27 @@ def test_sampler_failure_exits_three(monkeypatch, capsys):
         assert captured.err == "symprot: no generic sample within 100 attempts (floor 0.001)\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--state", "psi4", "--samples", "10000000000000000"],
+        ["certify", "--state", "psi4", "--samples", "10000000000000000", "--unitary"],
+        ["search", "--space", "hm:1", "--n", "2", "--samples", "10000000000000000"],
+        ["dfs", "--carrier", "psi4", "--samples", "10000000000000000"],
+    ],
+    ids=["certify", "certify-unitary", "search", "dfs"],
+)
+def test_a_request_too_large_for_memory_exits_two(argv, capsys):
+    """1e16 draws need more bytes than a 64-bit address space holds, so the
+    allocation fails at once; the MemoryError is one line and exit 2."""
+    from symprot import cli
+
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("symprot: ") and captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_certify_accepts_recipes_and_state_files(tmp_path):
     doc = payload("certify", "--state", "pair:m=1,N=4", "--samples", "8")
     assert doc["verdict"] == "protected"

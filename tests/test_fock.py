@@ -28,7 +28,15 @@ from symprot import (
     state_from_amplitudes,
 )
 from symprot.fock import _CACHED_BASES, _as_tuples, _occupations, _shared_basis
-from oracles import apply_oracle, lift_oracle, occupations_oracle, permanent_expansion
+from oracles import (
+    apply_oracle,
+    lift_oracle,
+    mirror_oracle,
+    occupations_oracle,
+    pair_splits_oracle,
+    permanent_expansion,
+    splits_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +159,31 @@ def test_pair_layouts_group_states_by_the_photons_on_a_pair(space, n):
         assert start == len(basis)
     assert len(passes) == len(space) // 2
     assert np.array_equal(layout, order)
+
+
+def _same_table(table, oracle):
+    """Equal nested tuples of ints and integer arrays, dtypes included."""
+    if isinstance(oracle, np.ndarray):
+        return table.dtype == oracle.dtype and np.array_equal(table, oracle)
+    if isinstance(oracle, tuple):
+        return isinstance(table, tuple) and len(table) == len(oracle) and all(map(_same_table, table, oracle))
+    return type(table) is type(oracle) and table == oracle
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize(
+    "space",
+    [h0(), hm(1), hm(2), direct_sum(h0(), hm(1)), direct_sum(hm(1), h0()), direct_sum(hm(1), hm(2)),
+     direct_sum(h0(), hm(1), hm(2))],
+    ids=["h0", "hm1", "hm2", "h0+hm1", "hm1+h0", "hm1+hm2", "h0+hm1+hm2"],
+)
+def test_sorted_tables_match_the_scanned_ones(space, n):
+    """The split table, the pair layouts read off it and the mirror
+    permutation, all built by sorting, equal the scans they replace."""
+    basis = enumerate_basis(space, n)
+    assert _same_table(basis._splits, splits_oracle(basis))
+    assert _same_table(basis._pair_splits, pair_splits_oracle(basis))
+    assert _same_table(basis._mirror, mirror_oracle(basis))
 
 
 @pytest.mark.parametrize("modes", range(1, 11))

@@ -30,8 +30,6 @@ from symprot import (
 )
 from symprot.fock import _CACHED_BASES, _shared_basis, max_photons
 from symprot.protect import (
-    _SL2,
-    _SWAP,
     _certify_subspace,
     _component_factors,
     _dsym,
@@ -354,11 +352,23 @@ def test_generator_blocks_are_slices_of_the_dense_generators(space, n):
             assert np.array_equal(_split_generator(blocks, counts), dense[cut])
             covered[cut] = dense[cut]
         assert np.array_equal(covered, dense)
-    # the search's own pair blocks: X on h0, E and X E X on an hm component
-    hm_sl2, h0_commuting = family_generators(hm(1))[0], family_generators(h0())[1]
-    assert np.array_equal(h0_commuting[1], _SWAP)
-    for gen, e in zip(hm_sl2, _SL2, strict=True):
-        assert np.array_equal(gen, np.kron(np.diag([1, 0]), e) + np.kron(np.diag([0, 1]), _SWAP @ e @ _SWAP))
+    # the search's component factors, from literal pair blocks: X on h0, and
+    # E12, E21 and E11 - E22 on an hm component's +m pair with X E X on its -m pair
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    e12, e21 = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
+    sl2_pairs = ((e12, e21), (e21, e12), (np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])))
+    for k in range(n + 1):
+        values, vectors = np.linalg.eigh(_dsym(x, k))
+        labels = np.round(values)
+        eigenspaces = [vectors[:, labels == v] for v in np.unique(labels)]
+        factors = _component_factors("h0", (k,))
+        assert len(factors) == len(eigenspaces) and all(map(np.array_equal, factors, eigenspaces))
+    for a, b in itertools.product(range(n + 1), repeat=2):
+        stack = np.vstack([np.kron(_dsym(e, a), np.eye(b + 1)) + np.kron(np.eye(a + 1), _dsym(xex, b))
+                           for e, xex in sl2_pairs])
+        _, values, vh = np.linalg.svd(stack, full_matrices=False)
+        s, v = _component_factors("hm", (a, b))
+        assert np.array_equal(s, values) and np.array_equal(v, vh.conj().T)
 
 
 def test_search_peak_memory_is_below_a_dense_generator():
