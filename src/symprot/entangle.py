@@ -135,6 +135,8 @@ class SlaterReport:
 
 def slater_report(state: FockState, rank_tol: float = DEFAULT_RANK_TOL) -> SlaterReport:
     """Takagi values, Slater rank and single-product flag of a two-photon state."""
+    if not (math.isfinite(rank_tol) and rank_tol >= 0):
+        raise ValueError(f"rank_tol must be finite and >= 0, got {rank_tol}")
     coeff = two_photon_matrix(state)
     values, _ = takagi(coeff.matrix)
     rank = int(np.sum(values > rank_tol))

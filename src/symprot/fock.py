@@ -21,7 +21,7 @@ photon counts k_p on the pairs, of Kronecker products of the symmetric
 powers Sym^{k_p} of its 2x2 blocks, and Sym^k(B) is the lift of B on the
 two-mode basis ``enumerate_basis(h0(), k)``; ``_symmetric_powers`` takes
 them all from one recursion. ``protect._scalar_action`` applies it that
-way, one pair at a time, in the layouts of ``FockBasis._pair_splits``.
+way, split by split of ``FockBasis._splits``, one pair at a time.
 The permanent formula
 
     <n'| lift(S) |n> = Per(S[n', n]) / sqrt(prod_i n_i! * prod_j n'_j!)
@@ -35,11 +35,10 @@ Bases are shared: ``enumerate_basis`` returns one ``FockBasis`` per
 Every table that depends on the basis alone is built once, on first use,
 and owned by it: the lift's ladder, the occupations as one integer
 array, the index of each occupation, the m_tot of each state, the sector
-split, the mirror permutation, the splits by the photon counts on the mode
-pairs, which the search visits, and the mode-pair layouts, read off the
-splits. The splits and the mirror permutation come from one ``np.lexsort``
-each. These arrays are read-only, since every caller holding the basis
-sees them.
+split, the mirror permutation, and the splits by the photon counts on the
+mode pairs, which the search visits and the apply works on. The splits
+and the mirror permutation come from one ``np.lexsort`` each. These
+arrays are read-only, since every caller holding the basis sees them.
 ``lift_generator`` is the dense generator lift, the search's test oracle.
 """
 
@@ -182,41 +181,6 @@ class FockBasis:
         # state _mirror[r] at r; the mirror is its own inverse, so the sort is _mirror
         images = self._occupancy[:, self.space.mirror_permutation]
         return _frozen(np.lexsort(-images.T[::-1]))
-
-    @cached_property
-    def _pair_splits(self) -> tuple[tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...], np.ndarray]:
-        """Basis layouts that group the states by the photon count on one mode pair.
-
-        Layout p serves the pair of modes (2p, 2p + 1). It lists, for each
-        count k the pair holds in some state (ascending), a (k + 1) x R
-        block in C order: row j holds the states with |k - j, j> on the
-        pair in basis order, and the states of one column agree on every
-        other mode. A matrix that is block diagonal over the pairs lifts to
-        Sym^k of its 2x2 block on the pair (its lift on
-        ``enumerate_basis(h0(), k)``) along every column. The blocks are
-        read off ``_splits``, whose indices form the Kronecker grid of the
-        pairs' bases: with pair p's axis first, a split's rows are rows j.
-
-        Returns ``(passes, order)``: ``passes[p]`` is ``(take, groups)``,
-        where ``take`` gives the slot of each state of layout p in layout
-        p - 1 (the basis order for p = 0) and ``groups`` the (k, R) of its
-        blocks; ``order`` gives the basis index of each slot of the last
-        layout.
-        """
-        passes, where = [], np.arange(len(self))
-        for p in range(len(self.space) // 2):
-            rows: dict[int, list[np.ndarray]] = {}
-            for counts, idx in self._splits:
-                grid = np.moveaxis(idx.reshape([k + 1 for k in counts]), p, 0)
-                rows.setdefault(counts[p], []).append(grid.reshape(counts[p] + 1, -1))
-            # the other modes order every row's columns alike: sort by row 0
-            blocks = [(k, np.hstack(rows[k])) for k in sorted(rows)]
-            blocks = [(k, block[:, np.argsort(block[0])]) for k, block in blocks]
-            order = np.concatenate([block.ravel() for _, block in blocks])
-            passes.append((_frozen(where[order]), tuple((k, block.shape[1]) for k, block in blocks)))
-            where = np.empty_like(order)
-            where[order] = np.arange(len(self))
-        return tuple(passes), _frozen(order)
 
     @cached_property
     def _splits(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:

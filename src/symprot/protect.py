@@ -16,12 +16,14 @@ mirror image lies in the opposite sector.
 
 One kernel, ``_scalar_action``, applies lifted family members to states.
 A family member is block diagonal over the 2x2 blocks of its mode pairs,
-so its lift acts on the photons of each pair as the symmetric power of
-that pair's block. The kernel lifts the stacked 2x2 blocks of all the
-matrices on two-mode bases and applies them one pair at a time, each with
-batched matmuls over the matrices; no dim x dim lift is formed. On h0 the
-one block is the matrix itself: one lift on the state's basis and one
-matmul. The kernel serves ``certify`` (on the draws of ``_draws``) and
+so its lift keeps the photon count on each pair, and on each split of the
+basis (``FockBasis._splits``) it is the Kronecker product of the pairs'
+symmetric powers. The kernel lifts the stacked 2x2 blocks of all the
+matrices on two-mode bases and applies them pair by pair on each split
+the state occupies, with batched matmuls over the matrices; no dim x dim
+lift or dim-sized image is formed. On h0 the one block is the matrix
+itself: one lift on the state's basis and one matmul. The kernel serves
+``certify`` (on the draws of ``_draws``) and
 ``dfs.transmit_bins`` (on the scatterers of its time bins).
 
 The search visits the splits of the shared basis by the photon counts on
@@ -41,8 +43,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import itemgetter
 
 import numpy as np
 
@@ -131,46 +135,42 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
     tr(V^dag lift(S_i) V) / d and the residual is the Frobenius norm of
     lift(S_i) V - lam_i V.
 
-    lift(S_i) is never formed. It acts on the k photons of each pair as
-    Sym^k of the pair's block, the lift of the block on
-    ``enumerate_basis(h0(), k)``, so the images are built one pair at a time
-    in the layouts of ``FockBasis._pair_splits``, in O(n * dim * d) memory.
-    Every Sym^k comes from one recursion, run up to the most photons the
-    vectors put on one pair.
+    lift(S_i) is never formed. It keeps the photon count on every pair, so
+    it maps each split of ``FockBasis._splits`` to itself, as the Kronecker
+    product of the Sym^{k_p} of the pairs' blocks (their lifts on
+    ``enumerate_basis(h0(), k_p)``). A split's indices run in that order,
+    so each pair is one batched matmul on the split's slice, and only the
+    splits the vectors occupy are visited, in O(n * support * d) memory.
+    Every Sym^k comes from one recursion, up to the largest occupied k_p.
     """
-    passes, order = basis._pair_splits
-    n, d = len(matrices), vectors.shape[1]
-    if len(passes) == 1:
+    n, d, pairs = len(matrices), vectors.shape[1], len(basis.space) // 2
+    if pairs == 1:
         # h0: the one block is the matrix, its Sym^N the lift on this basis
         images = lift(matrices, basis).matrix @ vectors
     else:
-        at = np.arange(len(passes))
-        blocks = matrices.reshape(n, len(passes), 2, len(passes), 2)[:, at, :, at]  # (P, n, 2, 2)
+        blocks = matrices.reshape(n, pairs, 2, pairs, 2)[:, range(pairs), :, range(pairs)]  # (P, n, 2, 2)
         if np.count_nonzero(blocks) != np.count_nonzero(matrices):
             raise ValueError("matrices must be block diagonal over the 2x2 blocks of the mode pairs")
-        # Sym^k of every block as (P, n, k + 1, k + 1), for k up to the most
-        # photons the vectors put on one pair: Sym^1 is the block itself,
-        # and the higher powers come from one recursion
-        k_max = int(basis._occupancy[vectors.any(axis=1)].reshape(-1, len(passes), 2).sum(axis=2).max(initial=0))
-        sym = [None, blocks]
-        if k_max > 1:
-            powers = _symmetric_powers(blocks.reshape(-1, 2, 2), k_max)[1:]
-            sym += [power.reshape(blocks.shape[:2] + power.shape[1:]) for power in powers]
-        images = vectors
-        for p, (take, groups) in enumerate(passes):
-            part = images[..., take, :]
-            images = np.empty((n,) + vectors.shape, dtype=complex)
-            start = 0
-            for k, width in groups:
-                stop = start + (k + 1) * width
-                block = part[..., start:stop, :]
-                # lift(S) keeps the photon count on every pair: a block the
-                # vectors leave empty stays empty, and its Sym^k is not needed
-                if k and block.any():
-                    block = (sym[k][p] @ block.reshape(block.shape[:-2] + (k + 1, -1))).reshape(n, -1, d)
-                images[:, start:stop] = block
-                start = stop
-        vectors = vectors[order]
+        # the splits the vectors occupy, found by their counts in the sorted split table
+        counts = basis._occupancy[vectors.any(axis=1)].reshape(-1, pairs, 2).sum(axis=2)
+        keys = sorted(set(map(tuple, counts.tolist())))
+        splits = [basis._splits[bisect_left(basis._splits, key, key=itemgetter(0))] for key in keys]
+        # Sym^k of every block as (P, n, k + 1, k + 1); Sym^1 is the block itself
+        k_max = max(map(max, keys))
+        powers = _symmetric_powers(blocks.reshape(-1, 2, 2), k_max)[1:] if k_max > 1 else []
+        sym = [None, blocks] + [power.reshape(blocks.shape[:2] + power.shape[1:]) for power in powers]
+        support = np.concatenate([idx for _, idx in splits])
+        images = np.empty((n, len(support), d), dtype=complex)
+        start = 0
+        for key, idx in splits:
+            # the slice as a grid of pair axes, then d: each pair acts on the leading axis and moves it last
+            part = vectors[idx][None]
+            for p, k in enumerate(key):
+                part = part.reshape(len(part), k + 1, -1)
+                part = (sym[k][p] @ part if k else part).swapaxes(1, 2)
+            images[:, start : start + len(idx)] = part.reshape(len(part), d, -1).swapaxes(1, 2)
+            start += len(idx)
+        vectors = vectors[support]
     flat = images.reshape(n, vectors.size)
     eigenvalues = flat @ vectors.conj().ravel() / d
     flat -= eigenvalues[:, None] * vectors.ravel()

@@ -128,6 +128,8 @@ class ValidationReport:
 
 def validate_scattering(matrix: np.ndarray, space: ModeSpace, tol: float = 1e-12) -> ValidationReport:
     """Check a matrix against the symmetric family on a mode space."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     a = np.asarray(matrix, dtype=complex)
     m = len(space)
     if a.shape != (m, m):

@@ -148,8 +148,8 @@ def dump_state_file(state: FockState, path: str) -> None:
 
 
 def dumps(payload: dict) -> str:
-    """Canonical JSON rendering: sorted keys, two-space indent, newline at end."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, newline at end; NaN and infinities raise ValueError."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def load_schema(name: str) -> dict:

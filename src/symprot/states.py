@@ -230,6 +230,8 @@ def parse_recipe(text: str) -> StateRecipe:
             key, eq, value = part.partition("=")
             if not eq:
                 raise ValueError(f"malformed recipe parameter {part!r} in {text!r}")
+            if key.strip().lower() in params:
+                raise ValueError(f"recipe parameter {key.strip()!r} is given twice in {text!r}")
             try:
                 params[key.strip().lower()] = int(value)
             except ValueError:

@@ -92,26 +92,6 @@ def splits_oracle(basis):
     return tuple((tuple(key.tolist()), idx) for key, idx in zip(keys, parts))
 
 
-def pair_splits_oracle(basis):
-    """The pair layouts ``(passes, order)``, by one scan of the basis per
-    (pair p, count k, row j) for the states with |k - j, j> on pair p."""
-    occ = np.array(basis.states).reshape(len(basis), -1, 2)
-    counts = occ.sum(axis=2)
-    passes, where = [], np.arange(len(basis))
-    for p in range(occ.shape[1]):
-        blocks = []
-        for k in range(basis.n_photons + 1):
-            # within one (k, j), basis order sorts the other modes alike
-            rows = [np.flatnonzero((counts[:, p] == k) & (occ[:, p, 1] == j)) for j in range(k + 1)]
-            if rows[0].size:
-                blocks.append((k, np.array(rows)))
-        order = np.concatenate([rows.ravel() for _, rows in blocks])
-        passes.append((where[order], tuple((k, rows.shape[1]) for k, rows in blocks)))
-        where = np.empty_like(order)
-        where[order] = np.arange(len(basis))
-    return tuple(passes), order
-
-
 def mirror_oracle(basis):
     """The index of each basis state's mirror image, looked up state by state."""
     index = {occ: i for i, occ in enumerate(basis.states)}

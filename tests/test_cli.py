@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from symprot import named_state
-from symprot.serialize import load_schema, state_to_json
+from symprot.serialize import dumps, load_schema, state_to_json
 
 
 def run_cli(*args, check=True):
@@ -143,6 +143,45 @@ def test_a_request_too_large_for_memory_exits_two(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("symprot: ") and captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["entangle", "--state", "phi3", "--rank-tol", "nan"], "rank_tol must be finite and >= 0, got nan"),
+        (["entangle", "--state", "phi3", "--rank-tol", "inf"], "rank_tol must be finite and >= 0, got inf"),
+        (["entangle", "--state", "phi3", "--rank-tol", "-1"], "rank_tol must be finite and >= 0, got -1.0"),
+        (["validate", "--space", "h0", "--matrix", "{matrix}", "--tol", "nan"], "tol must be finite and > 0, got nan"),
+        (["validate", "--space", "h0", "--matrix", "{matrix}", "--tol", "-1"], "tol must be finite and > 0, got -1.0"),
+        (["validate", "--space", "h0", "--matrix", "{matrix}", "--tol", "0"], "tol must be finite and > 0, got 0.0"),
+        (["certify", "--state", "pair:m=1,N=4,N=2"], "recipe parameter 'N' is given twice in 'pair:m=1,N=4,N=2'"),
+        (["certify", "--state", "mirrorfock:ns=1,na=1,NS=2"], "recipe parameter 'NS' is given twice"),
+        (["entangle", "--state", "psi4:m=1,m=2"], "recipe parameter 'm' is given twice"),
+    ],
+    ids=["rank-tol-nan", "rank-tol-inf", "rank-tol-negative", "tol-nan", "tol-negative", "tol-zero",
+         "pair-repeated-n", "mirrorfock-repeated-ns", "named-repeated-m"],
+)
+def test_tolerances_and_recipes_are_refused_before_any_output(argv, message, tmp_path, capsys):
+    """A NaN, infinite or negative tolerance, or a recipe parameter given
+    twice, is one error line and exit 2, never a payload with NaN in it or
+    one computed from whichever value came last."""
+    from symprot import cli
+
+    matrix = tmp_path / "identity.json"
+    matrix.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+    assert cli.main([a.format(matrix=matrix) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("symprot: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_payloads_never_render_non_finite_floats(value):
+    """JSON has no NaN or Infinity, so ``dumps`` refuses them with ValueError."""
+    with pytest.raises(ValueError):
+        dumps({"rank_tol": value})
+    assert dumps({"rank_tol": 0.5}) == '{\n  "rank_tol": 0.5\n}\n'
 
 
 def test_certify_accepts_recipes_and_state_files(tmp_path):

@@ -33,7 +33,6 @@ from oracles import (
     lift_oracle,
     mirror_oracle,
     occupations_oracle,
-    pair_splits_oracle,
     permanent_expansion,
     splits_oracle,
 )
@@ -130,35 +129,8 @@ def test_shared_tables_are_read_only():
     tables = [basis._occupancy, basis.m_totals, basis._mirror, *basis._sectors.values()]
     for parent, scale, first, modes in basis._ladder:
         tables += [parent, scale, first, *(table for mode in modes for table in mode)]
-    passes, order = basis._pair_splits
-    tables += [order, *(take for take, _ in passes)]
+    tables += [idx for _, idx in basis._splits]
     assert tables and not any(table.flags.writeable for table in tables)
-
-
-@pytest.mark.parametrize(
-    "space,n",
-    [(h0(), 3), (hm(1), 3), (direct_sum(h0(), hm(1)), 3), (direct_sum(h0(), hm(1), hm(2)), 2)],
-    ids=["h0-3", "hm-3", "h0+hm-3", "h0+hm+hm-2"],
-)
-def test_pair_layouts_group_states_by_the_photons_on_a_pair(space, n):
-    """Layout p lists, per count k on modes (2p, 2p + 1), a (k + 1) x R
-    block: row j puts |k - j, j> on the pair, a column fixes the rest."""
-    basis = enumerate_basis(space, n)
-    passes, order = basis._pair_splits
-    occ = np.array(basis.states)
-    layout = np.arange(len(basis))
-    for p, (take, groups) in enumerate(passes):
-        layout = layout[take]
-        start = 0
-        for k, width in groups:
-            block = occ[layout[start : start + (k + 1) * width]].reshape(k + 1, width, -1)
-            assert np.array_equal(block[..., 2 * p : 2 * p + 2], [[[k - j, j]] * width for j in range(k + 1)])
-            rest = np.delete(block, [2 * p, 2 * p + 1], axis=2)
-            assert (rest == rest[:1]).all()
-            start += (k + 1) * width
-        assert start == len(basis)
-    assert len(passes) == len(space) // 2
-    assert np.array_equal(layout, order)
 
 
 def _same_table(table, oracle):
@@ -178,11 +150,10 @@ def _same_table(table, oracle):
     ids=["h0", "hm1", "hm2", "h0+hm1", "hm1+h0", "hm1+hm2", "h0+hm1+hm2"],
 )
 def test_sorted_tables_match_the_scanned_ones(space, n):
-    """The split table, the pair layouts read off it and the mirror
-    permutation, all built by sorting, equal the scans they replace."""
+    """The split table and the mirror permutation, both built by sorting,
+    equal the scans they replace."""
     basis = enumerate_basis(space, n)
     assert _same_table(basis._splits, splits_oracle(basis))
-    assert _same_table(basis._pair_splits, pair_splits_oracle(basis))
     assert _same_table(basis._mirror, mirror_oracle(basis))
 
 

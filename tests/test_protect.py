@@ -32,6 +32,7 @@ from symprot.fock import _CACHED_BASES, _shared_basis, max_photons
 from symprot.protect import (
     _certify_subspace,
     _component_factors,
+    _draws,
     _dsym,
     _ray_order,
     _scalar_action,
@@ -258,6 +259,28 @@ def test_certification_memory_stays_below_one_dense_lift():
     dim = len(psi.basis)
     assert dim == 286
     assert peak < 16 * dim * dim
+
+
+def test_a_ray_on_one_split_is_applied_on_its_support():
+    """A ray on one split is applied on that split alone: 16 draws on a
+    108-state split of the dim-24310 basis peak below 2 MB, less than one
+    dim-sized image of the draws (6.2 MB)."""
+    psi = product_state([mirror_fock(1, 1), pair_power(1, 2), pair_power(2, 1)])
+    basis = psi.basis
+    assert basis.space == direct_sum(h0(), hm(1), hm(2)) and len(basis) == 24310
+    occupied = [(counts, len(idx)) for counts, idx in basis._splits if psi.amplitudes[idx].any()]
+    assert occupied == [((2, 2, 2, 1, 1), 108)]
+    matrices = _draws(basis.space, CertificationConfig(n_samples=16, seed=0))
+    vectors = psi.amplitudes[:, None]
+    _scalar_action(basis, matrices, vectors)  # warm call: builds the cached basis tables
+    tracemalloc.start()
+    try:
+        eigenvalues, residuals = _scalar_action(basis, matrices, vectors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20 < 16 * 16 * len(basis)
+    assert residuals.max() < 1e-10 and len(eigenvalues) == 16
 
 
 def _pair_block_stack(space, count, rng):

@@ -320,7 +320,9 @@ def test_parse_mirror_fock_recipe():
      "phi1:m=3",          # the h0 names have no m
      "nope",              # unknown name
      "pair:m=one,N=2",    # non-integer
-     "pair:m1,N=2"],      # malformed key=value
+     "pair:m1,N=2",       # malformed key=value
+     "pair:m=1,N=4,N=2",  # a key given twice
+     "psi4:m=1,M=2"],     # a key given twice, in either case
 )
 def test_parse_recipe_rejects_malformed_text(text):
     with pytest.raises(ValueError):
