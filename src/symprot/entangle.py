@@ -133,10 +133,14 @@ class SlaterReport:
     rank_tol: float
 
 
-def slater_report(state: FockState, rank_tol: float = DEFAULT_RANK_TOL) -> SlaterReport:
-    """Takagi values, Slater rank and single-product flag of a two-photon state."""
+def _check_rank_tol(rank_tol: float) -> None:
     if not (math.isfinite(rank_tol) and rank_tol >= 0):
         raise ValueError(f"rank_tol must be finite and >= 0, got {rank_tol}")
+
+
+def slater_report(state: FockState, rank_tol: float = DEFAULT_RANK_TOL) -> SlaterReport:
+    """Takagi values, Slater rank and single-product flag of a two-photon state."""
+    _check_rank_tol(rank_tol)
     coeff = two_photon_matrix(state)
     values, _ = takagi(coeff.matrix)
     rank = int(np.sum(values > rank_tol))
@@ -155,6 +159,7 @@ def single_product_modes(state: FockState, rank_tol: float = DEFAULT_RANK_TOL) -
     leading Takagi directions x, y into u, v = sqrt(s1) x +- i sqrt(s2) y,
     so that the coefficient matrix equals (u v^T + v u^T) / 2.
     """
+    _check_rank_tol(rank_tol)
     coeff = two_photon_matrix(state)
     values, w = takagi(coeff.matrix)
     if int(np.sum(values > rank_tol)) > 2:

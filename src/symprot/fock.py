@@ -32,13 +32,14 @@ tests check the lift against.
 
 Bases are shared: ``enumerate_basis`` returns one ``FockBasis`` per
 (space, N), kept in a cache of the ``_CACHED_BASES`` most recently used.
-Every table that depends on the basis alone is built once, on first use,
-and owned by it: the lift's ladder, the occupations as one integer
-array, the index of each occupation, the m_tot of each state, the sector
-split, the mirror permutation, and the splits by the photon counts on the
-mode pairs, which the search visits and the apply works on. The splits
-and the mirror permutation come from one ``np.lexsort`` each. These
-arrays are read-only, since every caller holding the basis sees them.
+A basis stores its occupations once, as the enumeration's integer array,
+and derives every other table from it on first use: the tuples
+(``states``) and their index, the lift's ladder, the m_tot of each state,
+the sector split, the mirror permutation, and the splits by the photon
+counts on the mode pairs, which the search visits and the apply works on,
+reading the array alone. The splits and the mirror permutation come from
+one ``np.lexsort`` each. These arrays are read-only, since every caller
+holding the basis sees them.
 ``lift_generator`` is the dense generator lift, the search's test oracle.
 """
 
@@ -48,7 +49,7 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -123,14 +124,15 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Ordered N-photon occupation basis over a mode space."""
+    """Ordered N-photon occupation basis over a mode space. Stored: the read-only
+    (dim, M) array ``_occupancy``. Derived on first read: ``states``, ``_index`` and the tables."""
 
     space: ModeSpace
     n_photons: int
-    states: tuple[tuple[int, ...], ...]
+    _occupancy: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._occupancy)
 
     def __eq__(self, other) -> bool:
         return (
@@ -143,6 +145,11 @@ class FockBasis:
         return hash((self.space, self.n_photons))
 
     @cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        """The occupation vectors as tuples of Python ints, in basis order."""
+        return _as_tuples(self._occupancy)
+
+    @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
         return {occ: i for i, occ in enumerate(self.states)}
 
@@ -153,14 +160,6 @@ class FockBasis:
             return self._index[occ]
         except KeyError:
             raise ValueError(f"{occ} is not a {self.n_photons}-photon occupation of this space") from None
-
-    @cached_property
-    def _occupancy(self) -> np.ndarray:
-        """The occupation vectors as a (dim, M) integer array, in basis order.
-
-        ``enumerate_basis`` sets it from the enumeration; a basis built
-        from its states alone converts them here."""
-        return _frozen(np.array(self.states, dtype=np.intp))
 
     @cached_property
     def m_totals(self) -> np.ndarray:
@@ -229,7 +228,7 @@ class FockBasis:
 
     def ket(self, i: int) -> str:
         """Render basis state i in ket notation, e.g. ``|1,0,0,1>``."""
-        return "|" + ",".join(str(k) for k in self.states[i]) + ">"
+        return "|" + ",".join(map(str, self._occupancy[i].tolist())) + ">"
 
 
 def enumerate_basis(space: ModeSpace, n_photons: int) -> FockBasis:
@@ -249,10 +248,7 @@ def enumerate_basis(space: ModeSpace, n_photons: int) -> FockBasis:
 
 @lru_cache(maxsize=_CACHED_BASES)
 def _shared_basis(space: ModeSpace, n_photons: int) -> FockBasis:
-    occupancy = _occupations(len(space), n_photons)
-    basis = FockBasis(space=space, n_photons=n_photons, states=_as_tuples(occupancy))
-    object.__setattr__(basis, "_occupancy", occupancy)  # the cached table, converted once
-    return basis
+    return FockBasis(space=space, n_photons=n_photons, _occupancy=_occupations(len(space), n_photons))
 
 
 def sector_split(basis: FockBasis) -> dict[int, list[int]]:
@@ -450,7 +446,7 @@ def lift_generator(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     if basis.n_photons:
         modes = basis._ladder[-1][3]
-        occ = np.array(basis.states)
+        occ = basis._occupancy
         # upper[p, i] is the index of p + e_i, for p an (N-1)-photon state;
         # there are no more of those than N-photon states
         upper = np.zeros((len(basis), m), dtype=np.intp)
@@ -490,8 +486,5 @@ def postselect_projector(basis: FockBasis, keep, n_photons: int | None = None) -
         raise ValueError(f"mode indices must lie in [0, {len(basis.space)})")
     if n_photons is None:
         n_photons = basis.n_photons
-    diag = np.array(
-        [1.0 if sum(occ[i] for i in keep_set) == n_photons else 0.0 for occ in basis.states],
-        dtype=complex,
-    )
-    return LiftedOperator(basis, np.diag(diag))
+    kept = basis._occupancy[:, sorted(keep_set)].sum(axis=1) == n_photons
+    return LiftedOperator(basis, np.diag(kept.astype(complex)))

@@ -190,8 +190,17 @@ def test_single_product_states_factor_constructively(name):
 
 @pytest.mark.parametrize("name", ["psi3", "psi4"])
 def test_rank_four_states_do_not_factor(name):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Slater rank above 2"):
         single_product_modes(named_state(name))
+
+
+@pytest.mark.parametrize("rank_tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("function", [slater_report, single_product_modes])
+def test_rank_tolerance_must_be_finite_and_non_negative(function, rank_tol):
+    """A NaN tolerance would pass every rank test: psi4 (Slater rank 4)
+    would factor."""
+    with pytest.raises(ValueError, match=f"rank_tol must be finite and >= 0, got {rank_tol}"):
+        function(named_state("psi4"), rank_tol=rank_tol)
 
 
 def test_random_two_photon_scattering_preserves_slater_values():

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from symprot import (
     DEFAULT_N_MAX,
+    CertificationConfig,
     FockState,
     ScatterSampler,
     direct_sum,
     enumerate_basis,
+    find_protected,
     h0,
     hm,
     lift,
@@ -172,6 +174,22 @@ def test_the_photon_cap_basis_matches_the_recursive_enumeration():
     assert all(type(k) is int for k in basis.states[-1])
     assert "_occupancy" in vars(basis)  # kept from the enumeration, not converted again
     assert np.array_equal(basis._occupancy, np.array(basis.states, dtype=np.intp))
+
+
+def test_a_basis_stores_its_occupations_once():
+    """The search reads the enumerated array alone; the tuple view is built
+    on first read, with Python int entries, and index and ket agree with it."""
+    _shared_basis.cache_clear()
+    space = direct_sum(h0(), hm(1), hm(2))
+    result = find_protected(space, 8, CertificationConfig(n_samples=4))
+    basis = enumerate_basis(space, 8)
+    assert len(basis) == 24310 and result.rays
+    assert "states" not in vars(basis)
+    assert basis.states == tuple(occupations_oracle(10, 8))
+    assert all(type(k) is int for occ in basis.states for k in occ)
+    for i, occ in enumerate(basis.states):
+        assert basis.index(occ) == i
+        assert basis.ket(i) == "|" + ",".join(map(str, occ)) + ">"
 
 
 def test_negative_photon_number_rejected():
