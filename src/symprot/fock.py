@@ -8,20 +8,25 @@ operators,
 
     lift(S) |n> = prod_j (A_j^dag)^{n_j} |0> / sqrt(n_j!),   A_j^dag = sum_i S_ij a_i^dag,
 
-built one photon at a time: the column of |n> is A_j^dag applied to the
-column of |n - e_j>, divided by sqrt(n_j), where j is the first occupied
-mode of n (the SLOS recursion of Heurtel et al., arXiv:2206.10549). Each of
-the N levels costs M products of dim x dim arrays, O(N * M * dim^2) in all.
-A (k, M, M) stack of matrices runs the same recursion over a leading batch
-axis, so k small lifts cost a few NumPy calls per level rather than k times
-as many. ``lift`` is the dense materialisation and the reference; applying
-family members to states never forms it. A matrix that is block diagonal
-over the mode pairs (0, 1), (2, 3), ... lifts to a direct sum, over the
-photon counts k_p on the pairs, of Kronecker products of the symmetric
-powers Sym^{k_p} of its 2x2 blocks, and Sym^k(B) is the lift of B on the
-two-mode basis ``enumerate_basis(h0(), k)``; ``_symmetric_powers`` takes
-them all from one recursion. ``protect._scalar_action`` applies it that
-way, split by split of ``FockBasis._splits``, one pair at a time.
+built one photon at a time on M >= 4 modes: the column of |n> is A_j^dag
+applied to the column of |n - e_j>, divided by sqrt(n_j), where j is the
+first occupied mode of n (the SLOS recursion of Heurtel et al.,
+arXiv:2206.10549). Each of the N levels costs M products of dim x dim
+arrays, O(N * M * dim^2) in all. A (k, M, M) stack of matrices runs the
+same recursion over a leading batch axis, so k small lifts cost a few NumPy
+calls per level rather than k times as many. On two modes the lift is
+Sym^N of the 2x2 matrix, taken in closed form (``_symmetric_power``): the
+column of |N - j, j> is (S00 x + S10 y)^(N-j) (S01 x + S11 y)^j / sqrt((N-j)! j!)
+on x = a_0^dag, y = a_1^dag, expanded by the binomial theorem over a term
+table cached per N. Its C(N + 3, 3) terms would be C(N + M^2 - 1, M^2 - 1)
+on M modes, so SLOS stays the M >= 4 algorithm and, run on two modes
+(``_lift_group``), the closed form's oracle. ``lift`` is the dense
+materialisation and the reference; applying family members to states never
+forms it. A matrix that is block diagonal over the mode pairs (0, 1),
+(2, 3), ... lifts to a direct sum, over the photon counts k_p on the pairs,
+of Kronecker products of the symmetric powers Sym^{k_p} of its 2x2 blocks.
+``protect._scalar_action`` applies it that way, split by split of
+``FockBasis._splits``, one pair at a time.
 The permanent formula
 
     <n'| lift(S) |n> = Per(S[n', n]) / sqrt(prod_i n_i! * prod_j n'_j!)
@@ -54,7 +59,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .modes import ModeSpace, h0
+from .modes import ModeSpace
 
 __all__ = [
     "DEFAULT_N_MAX",
@@ -392,20 +397,20 @@ def lift(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
 
     Works for arbitrary complex M x M matrices (no symmetry or unitarity
     assumed); lift(A @ B) = lift(A) @ lift(B) and lift(I) = I. A (k, M, M)
-    stack lifts to the (k, dim, dim) stack of its lifts, computed by the
-    same recursion over a leading batch axis.
+    stack lifts to the (k, dim, dim) stack of its lifts, in one batched call:
+    Sym^N in closed form on two modes, the SLOS recursion on more.
     """
     a = np.asarray(matrix, dtype=complex)
     m = len(basis.space)
     if a.ndim not in (2, 3) or a.shape[-2:] != (m, m):
         raise ValueError(f"matrix must be {m}x{m} (or a stack of them) for this space, got {a.shape}")
-    out = _lift_group(a.reshape(-1, m, m), basis)
+    stack = a.reshape(-1, m, m)
+    out = _symmetric_power(stack, basis.n_photons) if m == 2 else _lift_group(stack, basis)
     return LiftedOperator(basis, out.reshape(a.shape[:-2] + out.shape[1:]))
 
 
-def _lift_group(a: np.ndarray, basis: FockBasis, levels: list | None = None) -> np.ndarray:
-    """The SLOS recursion on a (g, M, M) stack; ``levels``, if given,
-    collects its lift on every k-photon basis, k = 1..N, on the way."""
+def _lift_group(a: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """The SLOS recursion on a (g, M, M) stack."""
     cols = np.ones((len(a), 1, 1), dtype=complex)
     for parent, scale, first, modes in basis._ladder:
         # column of n - e_j divided by sqrt(n_j), j the first occupied mode of n
@@ -416,20 +421,38 @@ def _lift_group(a: np.ndarray, basis: FockBasis, levels: list | None = None) -> 
             term = parents[:, lower]
             term *= root * a[:, None, i, first]
             cols[:, occupied] += term
-        if levels is not None:
-            levels.append(cols)
     return cols
 
 
-def _symmetric_powers(blocks: np.ndarray, k_max: int) -> list[np.ndarray]:
-    """[Sym^1, ..., Sym^k_max] of a (g, 2, 2) stack, from one recursion.
+@lru_cache(maxsize=_CACHED_BASES)  # one table per photon count, k <= the photon cap in every caller
+def _symmetric_terms(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The binomial terms of Sym^k, as ``(index, coeff, starts)``.
 
-    Sym^k(B) is the lift of B on ``enumerate_basis(h0(), k)``, a (g, k + 1,
-    k + 1) stack, and the k-th level of the recursion on that basis.
+    Entry (i, j) sums coeff * S00^a S01^b S10^(k-j-a) S11^(j-b) over a + b = k - i,
+    with coeff = C(k-j, a) C(j, b) sqrt((k-i)! i! / ((k-j)! j!)). ``index`` holds a
+    term's four exponents as positions in the flat (4, k + 1) table of the powers of
+    S00, S01, S10 and S11; the terms of entry (i, j) start at starts[i * (k + 1) + j].
     """
-    levels = []
-    _lift_group(blocks, enumerate_basis(h0(), k_max), levels)
-    return levels
+    index, coeff, starts, f = [], [], [], math.factorial
+    for i, j in itertools.product(range(k + 1), repeat=2):
+        starts.append(len(coeff))
+        for a in range(max(0, k - i - j), k - max(i, j) + 1):
+            b = k - i - a
+            index.append((a, k + 1 + b, 2 * (k + 1) + k - j - a, 3 * (k + 1) + j - b))
+            coeff.append(math.comb(k - j, a) * math.comb(j, b) * math.sqrt(f(k - i) * f(i) / (f(k - j) * f(j))))
+    return tuple(map(_frozen, (np.array(index, dtype=np.intp), np.array(coeff), np.array(starts, dtype=np.intp))))
+
+
+def _symmetric_power(blocks: np.ndarray, k: int) -> np.ndarray:
+    """Sym^k of a (g, 2, 2) stack in closed form, a (g, k + 1, k + 1) stack:
+    the lift on ``enumerate_basis(h0(), k)``, or on any two-mode space."""
+    index, coeff, starts = _symmetric_terms(k)
+    powers = np.ones((len(blocks), 4, k + 1), dtype=complex)
+    powers[:, :, 1:] = blocks.reshape(-1, 4, 1)
+    np.cumprod(powers, axis=2, out=powers)
+    terms = powers.reshape(len(blocks), 4 * (k + 1))[:, index].prod(axis=2)
+    terms *= coeff
+    return np.add.reduceat(terms, starts, axis=1).reshape(-1, k + 1, k + 1)
 
 
 def lift_generator(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -55,7 +56,7 @@ from .fock import (
     FockState,
     _frozen,
     _mirror_parity,
-    _symmetric_powers,
+    _symmetric_power,
     enumerate_basis,
     lift,
     lift_mirror,  # noqa: F401 -- a traced call site of perfbench/tracing.py
@@ -96,12 +97,16 @@ class CertificationConfig:
     genericity_floor: float = 1e-3
 
     def __post_init__(self):
-        if self.n_samples < 3:
-            raise ValueError("n_samples must be at least 3")
+        if not isinstance(self.n_samples, numbers.Integral) or self.n_samples < 3:
+            raise ValueError(f"n_samples must be an integer of at least 3, got {self.n_samples!r}")
         if not 0 < self.residual_tol < 1:
             raise ValueError("residual_tol must lie in (0, 1)")
         if not 0 < self.cluster_tol < 1:
             raise ValueError("cluster_tol must lie in (0, 1)")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not 0 < self.genericity_floor < 1:
+            raise ValueError(f"genericity_floor must lie in (0, 1), got {self.genericity_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,7 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
     ``enumerate_basis(h0(), k_p)``). A split's indices run in that order,
     so each pair is one batched matmul on the split's slice, and only the
     splits the vectors occupy are visited, in O(n * support * d) memory.
-    Every Sym^k comes from one recursion, up to the largest occupied k_p.
+    Sym^k is built in closed form for each pair count k >= 2 they hold.
     """
     n, d, pairs = len(matrices), vectors.shape[1], len(basis.space) // 2
     if pairs == 1:
@@ -156,9 +161,9 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
         keys = sorted(set(map(tuple, counts.tolist())))
         splits = [basis._splits[bisect_left(basis._splits, key, key=itemgetter(0))] for key in keys]
         # Sym^k of every block as (P, n, k + 1, k + 1); Sym^1 is the block itself
-        k_max = max(map(max, keys))
-        powers = _symmetric_powers(blocks.reshape(-1, 2, 2), k_max)[1:] if k_max > 1 else []
-        sym = [None, blocks] + [power.reshape(blocks.shape[:2] + power.shape[1:]) for power in powers]
+        sym = {k: _symmetric_power(blocks.reshape(-1, 2, 2), k).reshape(pairs, n, k + 1, k + 1)
+               for k in set(itertools.chain(*keys)) - {0, 1}}
+        sym[1] = blocks
         support = np.concatenate([idx for _, idx in splits])
         images = np.empty((n, len(support), d), dtype=complex)
         start = 0

@@ -146,6 +146,25 @@ def test_a_request_too_large_for_memory_exits_two(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--state", "psi4", "--seed", "-1"],
+        ["search", "--space", "hm:1", "--n", "2", "--seed", "-1"],
+        ["dfs", "--carrier", "psi4", "--seed", "-1"],
+    ],
+    ids=["certify", "search", "dfs"],
+)
+def test_a_negative_seed_is_one_line_naming_the_seed(argv, capsys):
+    """The config refuses the seed with its own message, not NumPy's."""
+    from symprot import cli
+
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "symprot: seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (["entangle", "--state", "phi3", "--rank-tol", "nan"], "rank_tol must be finite and >= 0, got nan"),

@@ -29,7 +29,7 @@ from symprot import (
     sector_split,
     state_from_amplitudes,
 )
-from symprot.fock import _CACHED_BASES, _as_tuples, _occupations, _shared_basis
+from symprot.fock import _CACHED_BASES, _as_tuples, _lift_group, _occupations, _shared_basis, _symmetric_power
 from oracles import (
     apply_oracle,
     lift_oracle,
@@ -346,8 +346,8 @@ def _permanent_entry(S, out_occ, in_occ, permanent):
 
 @pytest.mark.parametrize("permanent", [permanent_naive, permanent_ryser], ids=["naive", "ryser"])
 @pytest.mark.parametrize(
-    "space,n", [(h0(), 3), (hm(1), 3), (direct_sum(h0(), hm(1)), 2)],
-    ids=["h0-3", "hm-3", "h0+hm-2"],
+    "space,n", [(h0(), 3), (h0(), 6), (hm(1), 3), (direct_sum(h0(), hm(1)), 2)],
+    ids=["h0-3", "h0-6", "hm-3", "h0+hm-2"],
 )
 def test_lift_matches_the_permanent_formula(space, n, permanent):
     """Every lifted entry equals the permanent of the repeated submatrix."""
@@ -396,6 +396,47 @@ def test_stacked_lift_is_the_stack_of_lifts(space, n, count):
 
 def _random_matrix(rng, m):
     return (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) / np.sqrt(m)
+
+
+def _haar_stack(rng, count):
+    """Haar-random 2x2 unitaries: QR of complex Gaussians, phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(np.array([_random_matrix(rng, 2) for _ in range(count)]).reshape(count, 2, 2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def _two_mode_stack(kind, rng, count):
+    if kind == "haar":
+        return _haar_stack(rng, count)
+    if kind == "subunitary":
+        # U diag(s) V with singular values s in [0, 1]
+        s = rng.uniform(size=(count, 1, 2))
+        return _haar_stack(rng, count) * s @ _haar_stack(rng, count)
+    return np.array([_random_matrix(rng, 2) for _ in range(count)]).reshape(count, 2, 2)
+
+
+@pytest.mark.parametrize("kind", ["haar", "subunitary", "gaussian"])
+@pytest.mark.parametrize("count", [0, 1, 16])
+def test_closed_form_symmetric_power_matches_the_recursion(kind, count):
+    """On two modes the lift is Sym^N in closed form; SLOS on the same basis is its oracle."""
+    rng = np.random.default_rng(53)
+    for n in range(11):
+        stack = _two_mode_stack(kind, rng, count)
+        basis = enumerate_basis(h0(), n)
+        expected = _lift_group(stack, basis)
+        closed = _symmetric_power(stack, n)
+        assert closed.shape == expected.shape == (count, n + 1, n + 1)
+        scale = max(1.0, np.abs(expected).max(initial=0.0))
+        assert np.abs(closed - expected).max(initial=0.0) <= 1e-12 * scale
+        assert np.array_equal(lift(stack, basis).matrix, closed)
+
+
+def test_symmetric_powers_of_unitaries_are_unitary_past_the_photon_cap():
+    """Sym^20 needs no basis, so it reaches beyond the enumeration cap."""
+    powers = _symmetric_power(_haar_stack(np.random.default_rng(59), 8), 20)
+    eye = np.eye(21)
+    for U in powers:
+        assert np.linalg.norm(U.conj().T @ U - eye) < 1e-11
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,24 @@ def test_config_validation():
         CertificationConfig(cluster_tol=1.5)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("n_samples", 3.5), ("n_samples", "8"), ("seed", -1), ("seed", 1.5), ("seed", np.int64(-2)),
+     ("genericity_floor", float("nan")), ("genericity_floor", 0.0), ("genericity_floor", 1.0)],
+    ids=["samples-float", "samples-str", "seed-negative", "seed-float", "seed-numpy-negative",
+         "floor-nan", "floor-zero", "floor-one"],
+)
+def test_config_names_the_field_it_refuses(field, value):
+    """A bad field is refused when the config is built, not at the first draw."""
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        CertificationConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = CertificationConfig(n_samples=np.int64(8), seed=np.uint32(3))
+    assert certify(named_state("psi4"), cfg).verdict is Verdict.PROTECTED
+
+
 def test_residuals_are_basis_covariant():
     """Conjugating both state and scattering by a symmetric unitary changes nothing."""
     psi = named_state("phi3")
