@@ -135,6 +135,21 @@ def _cmd_search(args) -> int:
     space = serialize.parse_space(args.space)
     cfg = CertificationConfig(n_samples=args.samples, seed=args.seed)
     result = find_protected(space, args.n, cfg, sector=args.sector)
+    if args.output == "pretty":
+        # the rays' dense amplitudes are serialised only for JSON
+        basis = enumerate_basis(space, args.n)
+        lines = [f"{len(result.rays)} protected ray(s) at N = {args.n}"]
+        for ray in result.rays:
+            tau = "" if ray.mirror_tau is None else f", tau = {ray.mirror_tau:+d}"
+            lines.append(f"  m_tot = {ray.m_tot}{tau}:")
+            amplitudes = ray.state.amplitudes
+            for i in np.flatnonzero(abs(amplitudes) > 1e-9):
+                amp = amplitudes[i]
+                lines.append(f"    {amp.real:+.6f}{amp.imag:+.6f}j  {basis.ket(i)}")
+        for sub in result.subspaces:
+            lines.append(f"  subspace dim {sub.dimension} at m_tot = {sub.m_tot}")
+        _emit(args, None, lines)
+        return 0
     payload = {
         "space": serialize.space_to_json(space),
         "n": args.n,
@@ -155,17 +170,7 @@ def _cmd_search(args) -> int:
         ],
         "config": _config_json(cfg),
     }
-    basis = enumerate_basis(space, args.n)
-    lines = [f"{len(result.rays)} protected ray(s) at N = {args.n}"]
-    for ray in result.rays:
-        tau = "" if ray.mirror_tau is None else f", tau = {ray.mirror_tau:+d}"
-        lines.append(f"  m_tot = {ray.m_tot}{tau}:")
-        for i, amp in enumerate(ray.state.amplitudes):
-            if abs(amp) > 1e-9:
-                lines.append(f"    {amp.real:+.6f}{amp.imag:+.6f}j  {basis.ket(i)}")
-    for sub in result.subspaces:
-        lines.append(f"  subspace dim {sub.dimension} at m_tot = {sub.m_tot}")
-    _emit(args, payload, lines)
+    _emit(args, payload, None)
     return 0
 
 

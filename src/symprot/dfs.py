@@ -18,6 +18,7 @@ the carrier's, or with entries outside those blocks, raises ValueError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,9 +117,12 @@ def transmit_bins(
     Bin i maps the carrier to lam_i c plus an orthogonal part of norm r_i
     (its residual), so ||out||^2 = sum_i |a_i|^2 (|lam_i|^2 + r_i^2). When
     residual_tol is given, any bin whose image leaves the carrier ray by
-    more than the tolerance raises CarrierNotProtectedError. A scatterer
-    on another mode space than the carrier's raises ValueError.
+    more than the tolerance raises CarrierNotProtectedError; a tolerance
+    that is not finite and > 0 raises ValueError. A scatterer on another
+    mode space than the carrier's raises ValueError.
     """
+    if residual_tol is not None and not (math.isfinite(residual_tol) and residual_tol > 0):
+        raise ValueError(f"residual_tol must be finite and > 0, got {residual_tol}")
     scatterings = list(scatterings)
     if len(scatterings) != qudit.d:
         raise ValueError(f"need one scattering per bin: {qudit.d} bins, {len(scatterings)} given")

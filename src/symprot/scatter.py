@@ -26,14 +26,17 @@ eigensolver, Householder QR) to rounding and consume the generator in the
 same order. ``family_generators`` is a basis of the family's Lie algebra,
 which the exact protected-state search lifts.
 
-A seeded batch is drawn once per process. ``sample(space, n)`` keeps each
-stack it draws in a memo keyed by the generator's full state before the
-draw, the sampler's ``unitary``, ``genericity_floor`` and
-``max_attempts``, the space and n, together with the generator's state
-after the draw. A second call with the same key sets the generator to
-that end state and returns a copy of the stack, so the stack and every
-later draw are bit for bit those of drawing again. Single draws and
-batches that raise GenericityError are never kept. The memo is a
+A seeded batch is drawn once per process. A sampler with an integer seed
+seeds its generator on first use, and ``sample(space, n)`` on one that
+has not drawn yet keeps the stack it draws in a memo keyed by the seed,
+the sampler's ``unitary``, ``genericity_floor`` and ``max_attempts``,
+the space and n, together with the generator's state after the draw.
+The same call on another such sampler returns a copy of the stack
+without seeding a generator, and leaves that end state for the
+generator's first use, so the stack and every later draw are bit for
+bit those of drawing again. Single draws, batches after a draw, batches
+of samplers seeded otherwise (``None``, a ``SeedSequence``) and batches
+that raise GenericityError are never kept. The memo is a
 least-recently-used cache of at most ``_MEMO_ENTRIES`` stacks and
 ``_MEMO_BYTES`` bytes of them.
 """
@@ -150,21 +153,39 @@ class ScatterSampler:
     ``sample`` calls on one sampler walk the stream, and ``sample(space, n)``
     takes the next n draws at once, exactly as n single calls would. Draws
     failing the genericity floor (block determinant or eigenvalue gap too
-    small) are rejected and redrawn, up to ``max_attempts``.
+    small) are rejected and redrawn, up to ``max_attempts``. ``seed`` is
+    anything ``np.random.default_rng`` takes; an integer seed is checked
+    here and seeds the generator on first use.
     """
 
     seed: int = 0
     unitary: bool = True
     genericity_floor: float = 1e-3
     max_attempts: int = 100
-    _rng: np.random.Generator = field(init=False, repr=False)
+    _gen: np.random.Generator | None = field(default=None, init=False, repr=False)
+    _resume: dict | None = field(default=None, init=False, repr=False)  # a kept batch's end state
 
     def __post_init__(self):
         if not 0.0 < self.genericity_floor < 1.0:
             raise ValueError("genericity_floor must lie in (0, 1)")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        self._rng = np.random.default_rng(self.seed)
+        try:
+            if operator.index(self.seed) < 0:
+                raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        except TypeError:
+            # None, a SeedSequence or a sequence of ints: seeded now, its batches never kept
+            self._gen = np.random.default_rng(self.seed)
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        """The generator: seeded on first use, and set to the end state of
+        the kept batch this sampler read, if it read one."""
+        if self._gen is None:
+            self._gen = np.random.default_rng(self.seed)
+            if self._resume is not None:
+                self._gen.bit_generator.state = self._resume
+        return self._gen
 
     def clone(self, seed: int) -> "ScatterSampler":
         """Independent sampler with a different seed, same configuration."""
@@ -185,32 +206,36 @@ class ScatterSampler:
         GenericityError comes at the draw where single calls raise it,
         with the generator left where they leave it.
 
-        A stack is drawn once per process: it is kept, with the
-        generator's state after it, under the generator's state before
-        it, ``unitary``, ``genericity_floor``, ``max_attempts``, ``space``
-        and ``size``. The same call from the same state again jumps the
-        generator to the kept end state and returns a writable copy of
-        the kept stack. Single draws and failed batches are not kept,
-        and the memo holds at most ``_MEMO_ENTRIES`` stacks and
+        The generator is seeded on the sampler's first draw, not at its
+        construction. A batch from the seed is drawn once per process: on
+        a sampler with an integer seed that has not drawn yet, the stack
+        is kept, with the generator's state after it, under the seed,
+        ``unitary``, ``genericity_floor``, ``max_attempts``, ``space`` and
+        ``size``. The same call on another such sampler returns a writable
+        copy of the kept stack without seeding a generator; the kept end
+        state becomes the generator's start when it is first used.
+        Single draws, batches after a draw or a read, batches of samplers
+        not seeded by an integer and failed batches are drawn and not
+        kept. The memo holds at most ``_MEMO_ENTRIES`` stacks and
         ``_MEMO_BYTES`` bytes, dropping the least recently used.
         """
         n = 1 if size is None else operator.index(size)
         if n < 0:
             raise ValueError(f"size must be non-negative, got {n}")
-        if size is not None:
-            bg = self._rng.bit_generator
-            # the repr of a PCG64 state, a dict of ints and strings, is exact
-            key = (repr(bg.state), self.unitary, self.genericity_floor, self.max_attempts, space, n)
+        key = None
+        if size is not None and self._gen is None and self._resume is None:
+            key = (operator.index(self.seed), self.unitary, self.genericity_floor, self.max_attempts, space, n)
             kept = _DRAWS.get(key)
             if kept is not None:
-                stack, bg.state = kept
+                stack, self._resume = kept
                 return stack.copy()
         comps = space.components if space.kind == "sum" else (space,)
         blocks = self._stream([sp.kind for sp in comps], n)
         mats = _assemble(space, comps, blocks.reshape(n, len(comps), 2, 2))
         if size is None:
             return SymmetricScattering(space=space, matrix=mats[0], unitary=self.unitary)
-        _DRAWS.put(key, mats.copy(), bg.state)
+        if key is not None:
+            _DRAWS.put(key, mats.copy(), self._rng.bit_generator.state)
         return mats
 
     # -- internals ---------------------------------------------------------

@@ -310,6 +310,25 @@ def test_pretty_output_mode(args, expected, tmp_path):
     assert result.stderr == ""
 
 
+def test_pretty_search_serialises_no_ray(monkeypatch, capsys):
+    """A pretty search prints its lines without converting the rays' dense
+    amplitudes to JSON, and prints what a fresh process prints."""
+    from symprot import cli, serialize
+
+    def refuse(*args):
+        raise AssertionError("a pretty search serialised a ray")
+
+    argv = ["search", "--space", "h0+hm:1", "--n", "4", "--samples", "8", "--seed", "7"]
+    expected = run_cli(*argv, "--output", "pretty").stdout
+    monkeypatch.setattr(serialize, "vector_to_json", refuse)
+    assert cli.main([*argv, "--output", "pretty"]) == 0
+    out, err = capsys.readouterr()
+    assert out == expected and err == ""
+    assert expected.count("\n") > 20
+    with pytest.raises(AssertionError, match="serialised a ray"):  # JSON still needs it
+        cli.main(argv)
+
+
 def test_state_files_are_normalized_before_use(tmp_path):
     """Scaling a state file's amplitudes changes nothing but the state label."""
     amps = np.zeros(10, dtype=complex)

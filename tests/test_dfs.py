@@ -196,6 +196,20 @@ def test_transmit_flags_unprotected_carriers_at_the_channel():
         transmit(q, s)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("carrier", ["phi1", "psi4"])
+def test_transmission_refuses_a_tolerance_that_is_not_finite_and_positive(carrier, tol):
+    """A NaN tolerance would pass the unprotected phi1, and a negative one
+    would refuse the protected psi4: both are refused as arguments."""
+    q = time_bin_qudit([1.0, 1.0], named_state(carrier), cfg=None)
+    s = ScatterSampler(seed=3, unitary=True).sample(q.carrier.basis.space)
+    with pytest.raises(ValueError, match="residual_tol"):
+        transmit(q, s, residual_tol=tol)
+    with pytest.raises(ValueError, match="residual_tol"):
+        transmit_bins(q, [s, s], residual_tol=tol)
+    assert transmit_bins(q, [s, s], residual_tol=None).fidelity <= 1.0 + 1e-12
+
+
 def test_success_counts_the_part_that_leaves_the_ray():
     """Without a residual check an unprotected carrier goes through, and its
     success probability is sum_i |a_i|^2 ||lift(S_i) c||^2, taken here from

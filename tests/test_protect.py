@@ -92,6 +92,26 @@ def test_twin_beam_residual_is_known_in_closed_form():
     assert report.worst_residual == report.residuals[w]
 
 
+def test_a_repeated_certification_seeds_no_generator(monkeypatch):
+    """A certify or search repeated with the same config and space reads
+    its kept draws back without seeding a generator, and reports the same
+    numbers bit for bit."""
+    cfg = CertificationConfig(n_samples=16, seed=13)
+    state, space = named_state("psi4"), direct_sum(h0(), hm(1))
+    first, rays = certify(state, cfg), find_protected(space, 4, cfg).rays
+
+    def refuse(*args):
+        raise AssertionError("a repeated certification seeded a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    again = certify(state, cfg)
+    assert again.verdict == first.verdict and again.witness_sample_index == first.witness_sample_index
+    assert np.array_equal(again.eigenvalues, first.eigenvalues) and np.array_equal(again.residuals, first.residuals)
+    for ray, fresh in zip(rays, find_protected(space, 4, cfg).rays, strict=True):
+        assert np.array_equal(ray.state.amplitudes, fresh.state.amplitudes)
+        assert (ray.m_tot, ray.mirror_tau) == (fresh.m_tot, fresh.mirror_tau)
+
+
 def test_certify_requires_normalized_states():
     basis = enumerate_basis(h0(), 2)
     bad = state_from_amplitudes(basis, {(2, 0): 2.0})

@@ -304,6 +304,56 @@ def test_a_failed_batch_fails_again_and_is_not_kept(space):
         assert len(scatter._DRAWS) == 0
 
 
+def _no_seeding(*args):
+    raise AssertionError("a kept batch seeded a generator")
+
+
+@pytest.mark.parametrize("space", MEMO_SPACES, ids=MEMO_IDS)
+def test_a_sampler_that_read_a_kept_batch_goes_on_as_the_cold_one(space, monkeypatch):
+    """The read seeds no generator; the batch after it is the stream's
+    next, not the kept one again, and the single draw and the batch after
+    that are bit for bit the cold sampler's."""
+    scatter._DRAWS.clear()
+    cold = ScatterSampler(seed=6, unitary=False)
+    first = cold.sample(space, 16)
+    warm = ScatterSampler(seed=6, unitary=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(ScatterSampler, "_stream", _no_draw)
+        patch.setattr(np.random, "default_rng", _no_seeding)
+        assert np.array_equal(warm.sample(space, 16), first)
+    assert np.array_equal(warm.sample(space, 16), cold.sample(space, 16))
+    assert np.array_equal(warm.sample(space).matrix, cold.sample(space).matrix)
+    assert np.array_equal(warm.sample(space, 9), cold.sample(space, 9))
+    assert warm._rng.bit_generator.state == cold._rng.bit_generator.state
+    assert len(scatter._DRAWS) == 1  # only the batch from the seed is kept
+
+
+def test_a_numpy_integer_seed_reads_the_batch_its_int_kept(monkeypatch):
+    scatter._DRAWS.clear()
+    kept = ScatterSampler(seed=5).sample(hm(1), 16)
+    monkeypatch.setattr(ScatterSampler, "_stream", _no_draw)
+    assert np.array_equal(ScatterSampler(seed=np.int64(5)).sample(hm(1), 16), kept)
+    assert len(scatter._DRAWS) == 1
+
+
+def test_samplers_not_seeded_by_an_integer_keep_nothing():
+    """Unseeded samplers draw fresh entropy, so two of them draw different
+    batches; a SeedSequence seed draws its own stream. No batch of theirs
+    is kept."""
+    scatter._DRAWS.clear()
+    assert not np.array_equal(ScatterSampler(seed=None).sample(hm(1), 8), ScatterSampler(seed=None).sample(hm(1), 8))
+    by_sequence = ScatterSampler(seed=np.random.SeedSequence(5)).sample(hm(1), 8)
+    singles = ScatterSampler(seed=np.random.SeedSequence(5))
+    assert np.array_equal(by_sequence, [singles.sample(hm(1)).matrix for _ in range(8)])
+    assert len(scatter._DRAWS) == 0
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (np.int64(-1), ValueError), (1.5, TypeError), ("3", TypeError)])
+def test_a_bad_seed_fails_at_construction(seed, error):
+    with pytest.raises(error):
+        ScatterSampler(seed=seed)
+
+
 def _within_bounds(memo):
     stacks = [stack for stack, _ in memo._kept.values()]
     assert memo.nbytes == sum(stack.nbytes for stack in stacks)
