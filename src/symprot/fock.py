@@ -300,11 +300,16 @@ class FockState:
 
     def phase_fixed(self, threshold: float = 1e-10) -> "FockState":
         """Rotate the global phase so the first significant amplitude is real positive."""
-        idx = np.flatnonzero(np.abs(self.amplitudes) > threshold)
-        if idx.size == 0:
-            return FockState(self.basis, self.amplitudes.copy())
-        lead = self.amplitudes[idx[0]]
-        return FockState(self.basis, self.amplitudes * (abs(lead) / lead))
+        return FockState(self.basis, _phase_fixed(self.amplitudes, threshold))
+
+
+def _phase_fixed(amplitudes: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
+    """A copy of ``amplitudes`` rotated so the first one above ``threshold`` is real positive."""
+    idx = np.flatnonzero(np.abs(amplitudes) > threshold)
+    if idx.size == 0:
+        return amplitudes.copy()
+    lead = amplitudes[idx[0]]
+    return amplitudes * (abs(lead) / lead)
 
 
 def _mirror_parity(state: FockState) -> int | None:
@@ -314,9 +319,14 @@ def _mirror_parity(state: FockState) -> int | None:
     +-psi iff psi[_mirror] = +-psi, to 1e-10 in norm. The mirror maps
     m_tot to -m_tot, so a state of one m_tot other than 0 has none.
     """
-    image = state.amplitudes[state.basis._mirror]
+    return _parity(state.amplitudes[state.basis._mirror], state.amplitudes)
+
+
+def _parity(image: np.ndarray, amplitudes: np.ndarray) -> int | None:
+    """tau in (+1, -1) with image = tau * amplitudes to 1e-10 in norm, or None."""
     for tau in (1, -1):
-        if np.linalg.norm(image - tau * state.amplitudes) < 1e-10:
+        diff = image - tau * amplitudes
+        if np.vdot(diff, diff).real < 1e-20:
             return tau
     return None
 

@@ -72,6 +72,11 @@ class ModeSpace:
         return isinstance(other, ModeSpace) and self.labels == other.labels
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """``hash(self.labels)``, taken once: every basis and sampler-memo lookup hashes the space."""
         return hash(self.labels)
 
     @property

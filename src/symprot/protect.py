@@ -11,8 +11,8 @@ representation of the family's Lie algebra (``family_generators``): the
 lifted sl(2) generators annihilate it and it is an eigenvector of the lifted
 commuting ones. The search finds these spaces without random draws, then
 certifies each one. Each ray's mirror parity is read off the basis's mirror
-permutation (``fock._mirror_parity``); it is None off m_tot = 0, where the
-mirror image lies in the opposite sector.
+permutation, as ``fock._mirror_parity`` reads it; it is None off m_tot = 0,
+where the mirror image lies in the opposite sector.
 
 One kernel, ``_scalar_action``, applies lifted family members to states.
 A family member is block diagonal over the 2x2 blocks of its mode pairs,
@@ -35,14 +35,19 @@ counts (``_component_factors``), a cache that holds nothing of m, the
 basis, the configuration or random draws. The generators are dSym^k of
 the 2x2 pair blocks of ``family_generators``, the one statement of the
 family's Lie algebra. A call only cuts the kernels at ``cluster_tol``,
-forms the products and certifies them; it builds no dim x dim or
-per-sector table.
+forms the products (one broadcast multiply each, ``_kron``) and certifies
+them; it builds no dim x dim or per-sector table. A ray is handled on its
+split's slice: normalised, phase-fixed and compared with its mirror image
+there, and scattered once into the dense vector its ``FockState`` and
+``certify`` need. The rays are ordered over the union of their splits
+(``_ray_order``), with no pass over dense rays.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -55,12 +60,13 @@ from .fock import (
     FockBasis,
     FockState,
     _frozen,
-    _mirror_parity,
+    _parity,
+    _phase_fixed,
     _symmetric_power,
     enumerate_basis,
     lift,
     lift_mirror,  # noqa: F401 -- a traced call site of perfbench/tracing.py
-    sector_split,
+    sector_split,  # noqa: F401 -- a traced call site of perfbench/tracing.py
 )
 from .modes import ModeSpace, h0, hm
 from .scatter import ScatterSampler, family_generators
@@ -279,18 +285,32 @@ def _split_candidates(space: ModeSpace, counts: tuple[int, ...], tol: float):
             options.append(_component_factors("h0", counts[p : p + 1]))
         else:
             s, v = _component_factors("hm", counts[p : p + 2])
-            rank = int(np.sum(s > tol * s[0]))
+            rank = np.count_nonzero(s > tol * s[0])
             options.append((v[:, rank:],) if rank < len(s) else ())
         p += len(comp) // 2
     for factors in itertools.product(*options):
-        yield reduce(np.kron, factors)
+        yield _kron(factors)
 
 
-def _ray_order(rays: list[ProtectedRay]) -> np.ndarray:
+def _kron(factors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``reduce(np.kron, factors)`` of k 2-D factors by broadcasting: factor p
+    spans axes p and k + p of one 2k-axis grid, so each entry is the same
+    left-to-right product of one entry per factor, bit for bit."""
+    k = len(factors)
+    if k == 1:
+        return factors[0]
+    views = [f.reshape((1,) * p + f.shape[:1] + (1,) * (k - 1) + f.shape[1:] + (1,) * (k - 1 - p))
+             for p, f in enumerate(factors)]
+    return reduce(np.multiply, views).reshape(math.prod(f.shape[0] for f in factors), -1)
+
+
+def _ray_order(rays: list[ProtectedRay], supports: list[np.ndarray]) -> np.ndarray:
     """The stable lexicographic order of rays by -m_tot, then the real and
     then the imaginary parts of the amplitudes rounded to 9 digits, over
-    the basis states some ray occupies (the others compare equal)."""
-    cols = np.unique(np.concatenate([np.flatnonzero(ray.state.amplitudes) for ray in rays]))
+    the basis states some ray may occupy. ``supports[i]`` holds the indices
+    outside which ray i is zero (the search passes its split), so the other
+    states compare equal."""
+    cols = np.unique(np.concatenate(supports))
     amps = np.array([ray.state.amplitudes[cols] for ray in rays])
     keys = np.column_stack([[-ray.m_tot for ray in rays], np.round(amps.real, 9), np.round(amps.imag, 9)])
     return np.lexsort(keys.T[::-1])
@@ -312,15 +332,21 @@ def find_protected(
     candidate is certified against cfg's sampling class with
     cfg.n_samples draws; rays are phase-fixed and carry their mirror
     parity on the m_tot = 0 sector.
+
+    A ray lives on its split ``idx``: it is normalised and phase-fixed on
+    that slice, scattered once into a dense zero vector for its
+    ``FockState``, and its parity compares the slice with the amplitudes
+    at the mirror images of ``idx``. The rays are ordered over the union
+    of their splits.
     """
     basis = enumerate_basis(space, n_photons)
-    sectors = sector_split(basis)
+    sectors = tuple(basis._sectors)
     if sector is not None:
         if sector not in sectors:
             raise ValueError(f"no m_tot = {sector} sector at N = {n_photons}")
-        sectors = {sector: sectors[sector]}
+        sectors = (sector,)
 
-    rays, subspaces, samples_used = [], [], 0
+    rays, supports, subspaces, samples_used = [], [], [], 0
     for counts, idx in basis._splits:
         m = int(basis.m_totals[idx[0]])
         if m not in sectors:
@@ -328,18 +354,24 @@ def find_protected(
         for cand in _split_candidates(space, counts, cfg.cluster_tol):
             samples_used += cfg.n_samples
             if cand.shape[1] == 1:
+                # complex before the phase fix: its product sets the signs of the zero imaginary parts
+                col = cand[:, 0].astype(complex)
+                col = _phase_fixed(col / np.linalg.norm(col))
                 amps = np.zeros(len(basis), dtype=complex)
-                amps[idx] = cand[:, 0]
-                state = FockState(basis, amps).normalized().phase_fixed()
+                amps[idx] = col
+                state = FockState(basis, amps)
                 report = certify(state, cfg)
                 if report.verdict is Verdict.PROTECTED:
-                    rays.append(ProtectedRay(state=state, m_tot=m, mirror_tau=_mirror_parity(state), report=report))
+                    # off m_tot = 0 the mirror image lies in the opposite sector
+                    tau = _parity(amps[basis._mirror[idx]], col) if m == 0 else None
+                    rays.append(ProtectedRay(state=state, m_tot=m, mirror_tau=tau, report=report))
+                    supports.append(idx)
             else:
                 sub = _certify_subspace(basis, idx, cand, m, cfg)
                 if sub is not None:
                     subspaces.append(sub)
     if len(rays) > 1:
-        rays = [rays[i] for i in _ray_order(rays)]
+        rays = [rays[i] for i in _ray_order(rays, supports)]
     subspaces.sort(key=lambda s: (-s.m_tot, -s.dimension))
     return SearchResult(
         rays=tuple(rays),

@@ -134,3 +134,30 @@ def sample_block_oracle(rng, kind, unitary, floor, max_attempts=100):
         if abs(np.linalg.det(block)) > floor and abs(evals[0] - evals[1]) > floor:
             return block, attempt
     return None, max_attempts
+
+
+def dense_bookkeeping_oracle(basis, candidates):
+    """Rays of a search from its one-column candidates, by dense bookkeeping.
+
+    ``candidates`` holds ``(m_tot, indices, column)`` per candidate. Each
+    column is embedded in a dense zero vector over the basis, normalised,
+    rotated so its first amplitude above 1e-10 is real positive, and given
+    the mirror parity of the whole vector under ``mirror_oracle``. The rays
+    are sorted by the tuple of -m_tot and every rounded real, then
+    imaginary, amplitude. Returns ``(m_tot, tau, amplitudes)`` per ray.
+    """
+    mirror = mirror_oracle(basis)
+    rays = []
+    for m_tot, indices, column in candidates:
+        amps = np.zeros(len(basis), dtype=complex)
+        amps[indices] = column
+        amps = amps / np.linalg.norm(amps)
+        lead = amps[np.flatnonzero(np.abs(amps) > 1e-10)[0]]
+        amps = amps * (abs(lead) / lead)
+        taus = [tau for tau in (1, -1) if np.linalg.norm(amps[mirror] - tau * amps) < 1e-10]
+        rays.append((m_tot, taus[0] if taus else None, amps))
+
+    def key(ray):
+        return (-ray[0],) + tuple(np.round(ray[2].real, 9)) + tuple(np.round(ray[2].imag, 9))
+
+    return sorted(rays, key=key)

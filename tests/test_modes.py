@@ -1,5 +1,7 @@
 """Mode spaces, labels, and the mirror/J_z operator pair."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,26 @@ def test_space_equality_and_hash():
     assert h0() != hm(1)
     d = {h0(): "axial", hm(1): "m=1"}
     assert d[h0()] == "axial"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [h0, lambda: hm(1), lambda: direct_sum(h0(), hm(1), hm(2)), lambda: direct_sum(hm(2), h0())],
+    ids=["h0", "hm1", "h0+hm1+hm2", "hm2+h0"],
+)
+def test_separately_built_spaces_hash_and_compare_equal(build):
+    """The hash is taken once per instance and is still the labels' hash, so
+    spaces built apart, or read back from a pickle, are interchangeable keys."""
+    a, b = build(), build()
+    unhashed = pickle.loads(pickle.dumps(build()))
+    assert a is not b
+    assert hash(a) == hash(b) == hash(a.labels) == hash(a)
+    assert a == b
+    restored = pickle.loads(pickle.dumps(a))
+    for copy in (restored, unhashed):
+        assert copy == a and hash(copy) == hash(a) == hash(copy.labels)
+        assert {a: "kept"}[copy] == "kept"
+    assert direct_sum(hm(2), h0()) != direct_sum(h0(), hm(2))
 
 
 def test_m_accessor_only_on_single_sectors():

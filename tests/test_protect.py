@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -28,14 +29,18 @@ from symprot import (
     state_from_amplitudes,
     verify_pair_uniqueness,
 )
-from symprot.fock import _CACHED_BASES, _shared_basis, max_photons
+from oracles import dense_bookkeeping_oracle
+from symprot import fock, protect
+from symprot.fock import _CACHED_BASES, FockState, _shared_basis, max_photons
 from symprot.protect import (
     _certify_subspace,
     _component_factors,
     _draws,
     _dsym,
+    _kron,
     _ray_order,
     _scalar_action,
+    _split_candidates,
 )
 
 CFG = CertificationConfig(n_samples=24, seed=0)
@@ -538,14 +543,84 @@ def _tuple_key(ray):
 
 
 def test_ray_order_is_the_tuple_key_order():
-    """The compact lexsort keys order rays as the tuples of -m_tot and all
-    rounded real, then imaginary parts do, ties kept in place."""
+    """The compact lexsort keys, over the rays' splits, order rays as the
+    tuples of -m_tot and all rounded real, then imaginary parts do, ties
+    kept in place."""
     rays = find_protected(direct_sum(h0(), hm(1), hm(2)), 4, CFG).rays
     assert len(rays) == 14
     assert list(rays) == sorted(rays, key=_tuple_key)
     rng = np.random.default_rng(5)
     mixed = [rays[i] for i in rng.permutation(len(rays))] + [rays[3], rays[0], rays[3]]
-    assert _ray_order(mixed).tolist() == sorted(range(len(mixed)), key=lambda i: _tuple_key(mixed[i]))
+    split_of = {i: idx for _, idx in rays[0].state.basis._splits for i in idx.tolist()}
+    supports = [split_of[int(np.flatnonzero(ray.state.amplitudes)[0])] for ray in mixed]
+    assert _ray_order(mixed, supports).tolist() == sorted(range(len(mixed)), key=lambda i: _tuple_key(mixed[i]))
+
+
+_BOOKKEEPING_SPACES = [
+    ("h0", h0(), 8),
+    ("hm1", hm(1), 8),
+    ("hm2", hm(2), 8),
+    ("h0+hm1", direct_sum(h0(), hm(1)), 6),
+    ("h0+hm1+hm2", direct_sum(h0(), hm(1), hm(2)), 6),
+]
+
+
+@pytest.mark.parametrize(
+    "space,n",
+    [pytest.param(space, n, id=f"{name}-{n}") for name, space, top in _BOOKKEEPING_SPACES for n in range(top + 1)],
+)
+def test_search_bookkeeping_matches_the_dense_oracle(space, n):
+    """Rays normalised, phase-fixed and mirrored on their split's slice, and
+    ordered over the splits, are the dense bookkeeping's rays: amplitudes
+    to 1e-15 (the slice's norm may differ from the dense one in the last
+    bit), m_tot, parity and order exactly."""
+    cfg = CertificationConfig(n_samples=4)
+    basis = enumerate_basis(space, n)
+    candidates = [
+        (int(basis.m_totals[idx[0]]), idx, cand[:, 0])
+        for counts, idx in basis._splits
+        for cand in _split_candidates(space, counts, cfg.cluster_tol)
+        if cand.shape[1] == 1
+    ]
+    expected = dense_bookkeeping_oracle(basis, candidates)
+    rays = find_protected(space, n, cfg).rays
+    assert len(rays) == len(expected)
+    for ray, (m_tot, tau, amps) in zip(rays, expected):
+        assert (ray.m_tot, ray.mirror_tau) == (m_tot, tau)
+        assert np.allclose(ray.state.amplitudes, amps, atol=1e-15, rtol=0)
+
+
+def test_search_rays_need_no_dense_bookkeeping(monkeypatch):
+    """No ray is normalised, phase-fixed or mirrored as a dense state, and
+    no candidate is formed by np.kron (the component factors, cached by
+    the first call, are)."""
+    space = direct_sum(h0(), hm(1), hm(2))
+    expected = find_protected(space, 4, CFG)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense per-ray bookkeeping in the search")
+
+    monkeypatch.setattr(FockState, "normalized", refuse)
+    monkeypatch.setattr(FockState, "phase_fixed", refuse)
+    monkeypatch.setattr(fock, "_mirror_parity", refuse)
+    monkeypatch.setattr(protect, "_mirror_parity", refuse, raising=False)
+    monkeypatch.setattr(np, "kron", refuse)
+    _assert_same_search(find_protected(space, 4, CFG), expected)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[(3, 2)], [(1, 1), (4, 1)], [(2, 3), (3, 1), (1, 2)], [(3, 1), (2, 2), (1, 1), (4, 1)]],
+    ids=["one", "two", "three", "four"],
+)
+def test_kron_is_np_kron_bit_for_bit(shapes):
+    rng = np.random.default_rng(len(shapes))
+    real = [rng.normal(size=shape) for shape in shapes]
+    complex_ = [f + 1j * rng.normal(size=f.shape) for f in real]
+    for factors in (real, complex_):
+        out = _kron(factors)
+        assert out.shape == reduce(np.kron, factors).shape
+        assert out.tobytes() == reduce(np.kron, factors).tobytes()
 
 
 @pytest.mark.parametrize("n,count", [(5, 20), (6, 30), (7, 40), (8, 55)])
