@@ -136,7 +136,7 @@ def transmit_bins(
             )
     slot = {id(s): k for k, s in enumerate(distinct)}
     matrices = np.array([s.matrix for s in distinct])
-    lam, residuals = _scalar_action(qudit.carrier.basis, matrices, qudit.carrier.amplitudes[:, None])
+    lam, residuals = _scalar_action(qudit.carrier.basis, matrices, qudit.carrier.amplitudes[:, None], {})
     bins = [slot[id(s)] for s in scatterings]
     lam, residuals = lam[bins], residuals[bins]
     if residual_tol is not None and np.any(residuals >= residual_tol):

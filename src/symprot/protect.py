@@ -24,7 +24,18 @@ the state occupies, with batched matmuls over the matrices; no dim x dim
 lift or dim-sized image is formed. On h0 the one block is the matrix
 itself: one lift on the state's basis and one matmul. The kernel serves
 ``certify`` (on the draws of ``_draws``) and
-``dfs.transmit_bins`` (on the scatterers of its time bins).
+``dfs.transmit_bins`` (on the scatterers of its time bins), and keeps what
+it lifts in a dict by pair count that its caller hands in.
+
+Every candidate of one search is certified against the same draws on the
+same basis, so ``find_protected`` opens a scope (``_SCOPE``, a context
+variable, so each thread and task has its own) for its certification
+phase. In it, ``certify`` and ``_certify_subspace`` on the search's basis
+with the search's config share one ``_Stream``: the first of them reads
+the draws, and each pair count is lifted once, for all the candidates.
+The scope closes when the search returns or raises; a search with no
+candidate opens none. Outside it every call reads and lifts afresh, and
+nothing lifted outlives the call that lifted it.
 
 The search visits the splits of the shared basis by the photon counts on
 the mode pairs (``FockBasis._splits``), each in one m_tot sector, where
@@ -45,10 +56,12 @@ there, and scattered once into the dense vector its ``FockState`` and
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import itertools
 import math
 import numbers
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -113,6 +126,9 @@ class CertificationConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0 < self.genericity_floor < 1:
             raise ValueError(f"genericity_floor must lie in (0, 1), got {self.genericity_floor!r}")
+        if not isinstance(self.unitary, (bool, np.bool_)):
+            raise ValueError(f"unitary must be a bool, got {self.unitary!r}")
+        object.__setattr__(self, "unitary", bool(self.unitary))
 
 
 @dataclass(frozen=True)
@@ -136,7 +152,33 @@ def _draws(space: ModeSpace, cfg: CertificationConfig) -> np.ndarray:
     return sampler.sample(space, cfg.n_samples)
 
 
-def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
+class _Stream:
+    """One search's certification stream: its draws on ``basis.space``,
+    read at the first certification, and their lifts by pair count."""
+
+    __slots__ = ("basis", "cfg", "draws", "powers")
+
+    def __init__(self, basis: FockBasis, cfg: CertificationConfig):
+        self.basis, self.cfg, self.draws, self.powers = basis, cfg, None, {}
+
+
+# the stream of the find_protected call certifying in this context, if any
+_SCOPE: contextvars.ContextVar[_Stream | None] = contextvars.ContextVar("symprot_certification_scope", default=None)
+
+
+def _stream(basis: FockBasis, cfg: CertificationConfig) -> tuple[np.ndarray, dict]:
+    """The draws of ``cfg`` on ``basis.space`` and the dict of their lifts
+    by pair count: the open search scope's when it certifies on this basis
+    with an equal config, else a fresh read and an empty dict."""
+    scope = _SCOPE.get()
+    if scope is None or scope.basis is not basis or scope.cfg != cfg:
+        return _draws(basis.space, cfg), {}
+    if scope.draws is None:
+        scope.draws = _draws(basis.space, cfg)
+    return scope.draws, scope.powers
+
+
+def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, powers: dict):
     """Per-matrix eigenvalues and residuals of lift(S_i) on the span of ``vectors``.
 
     ``matrices`` is an (n, M, M) stack of matrices that are block diagonal
@@ -152,24 +194,34 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
     ``enumerate_basis(h0(), k_p)``). A split's indices run in that order,
     so each pair is one batched matmul on the split's slice, and only the
     splits the vectors occupy are visited, in O(n * support * d) memory.
-    Sym^k is built in closed form for each pair count k >= 2 they hold.
+
+    ``powers`` maps a pair count k to the lifted ``matrices``: on h0 the
+    entry for N is their lift on ``basis``; on pair spaces the entry for 1
+    is the (P, n, 2, 2) stack of validated pair blocks and each k >= 2 their
+    Sym^k, built in closed form, as (P, n, k + 1, k + 1). The kernel reads
+    the dict and fills the counts it needs and misses, so the dict must
+    belong to these matrices on this basis. ``certify`` passes the open
+    search's dict, which lives as long as that ``find_protected`` call;
+    every other caller passes a fresh one.
     """
     n, d, pairs = len(matrices), vectors.shape[1], len(basis.space) // 2
     if pairs == 1:
         # h0: the one block is the matrix, its Sym^N the lift on this basis
-        images = lift(matrices, basis).matrix @ vectors
+        if basis.n_photons not in powers:
+            powers[basis.n_photons] = lift(matrices, basis).matrix
+        images = powers[basis.n_photons] @ vectors
     else:
-        blocks = matrices.reshape(n, pairs, 2, pairs, 2)[:, range(pairs), :, range(pairs)]  # (P, n, 2, 2)
-        if np.count_nonzero(blocks) != np.count_nonzero(matrices):
-            raise ValueError("matrices must be block diagonal over the 2x2 blocks of the mode pairs")
+        if 1 not in powers:
+            blocks = matrices.reshape(n, pairs, 2, pairs, 2)[:, range(pairs), :, range(pairs)]  # (P, n, 2, 2)
+            if np.count_nonzero(blocks) != np.count_nonzero(matrices):
+                raise ValueError("matrices must be block diagonal over the 2x2 blocks of the mode pairs")
+            powers[1] = blocks
         # the splits the vectors occupy, found by their counts in the sorted split table
         counts = basis._occupancy[vectors.any(axis=1)].reshape(-1, pairs, 2).sum(axis=2)
         keys = sorted(set(map(tuple, counts.tolist())))
         splits = [basis._splits[bisect_left(basis._splits, key, key=itemgetter(0))] for key in keys]
-        # Sym^k of every block as (P, n, k + 1, k + 1); Sym^1 is the block itself
-        sym = {k: _symmetric_power(blocks.reshape(-1, 2, 2), k).reshape(pairs, n, k + 1, k + 1)
-               for k in set(itertools.chain(*keys)) - {0, 1}}
-        sym[1] = blocks
+        for k in set(itertools.chain(*keys)) - {0} - powers.keys():
+            powers[k] = _symmetric_power(powers[1].reshape(-1, 2, 2), k).reshape(pairs, n, k + 1, k + 1)
         support = np.concatenate([idx for _, idx in splits])
         images = np.empty((n, len(support), d), dtype=complex)
         start = 0
@@ -178,7 +230,7 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray):
             part = vectors[idx][None]
             for p, k in enumerate(key):
                 part = part.reshape(len(part), k + 1, -1)
-                part = (sym[k][p] @ part if k else part).swapaxes(1, 2)
+                part = (powers[k][p] @ part if k else part).swapaxes(1, 2)
             images[:, start : start + len(idx)] = part.reshape(len(part), d, -1).swapaxes(1, 2)
             start += len(idx)
         vectors = vectors[support]
@@ -196,12 +248,16 @@ def certify(state: FockState, cfg: CertificationConfig = CertificationConfig()) 
     unitary=cfg.unitary, genericity_floor=cfg.genericity_floor) on the
     state's mode space; this correspondence is part of the contract so
     callers can regenerate the stream and inspect individual samples.
+
+    Called by ``find_protected`` on its basis with its config, it shares
+    that call's stream: the draws read once and each pair count lifted
+    once for all its candidates, until the search returns. Any other call
+    reads the stream and lifts it afresh.
     """
     if not state.is_normalized():
         raise ValueError(f"state must be normalized (norm {state.norm:.3e})")
-    eigenvalues, residuals = _scalar_action(
-        state.basis, _draws(state.basis.space, cfg), state.amplitudes[:, None]
-    )
+    draws, powers = _stream(state.basis, cfg)
+    eigenvalues, residuals = _scalar_action(state.basis, draws, state.amplitudes[:, None], powers)
     worst = int(np.argmax(residuals))
     protected = residuals[worst] < cfg.residual_tol
     return ProtectionReport(
@@ -338,20 +394,39 @@ def find_protected(
     ``FockState``, and its parity compares the slice with the amplitudes
     at the mirror images of ``idx``. The rays are ordered over the union
     of their splits.
+
+    The candidates are collected first. If there are any, they are
+    certified in one scope that shares the stream: the draws are read once
+    and lifted once per pair count, and each candidate still gets its own
+    ``certify`` (or ``_certify_subspace``) call. A ``sector`` that is not
+    an integer raises ValueError.
     """
     basis = enumerate_basis(space, n_photons)
-    sectors = tuple(basis._sectors)
-    if sector is not None:
-        if sector not in sectors:
+    if sector is None:
+        sectors = tuple(basis._sectors)
+    else:
+        try:
+            sector = operator.index(sector)
+        except TypeError:
+            raise ValueError(f"sector must be an integer, got {sector!r}") from None
+        if sector not in basis._sectors:
             raise ValueError(f"no m_tot = {sector} sector at N = {n_photons}")
         sectors = (sector,)
 
-    rays, supports, subspaces, samples_used = [], [], [], 0
+    m_totals = basis.m_totals
+    found = []
     for counts, idx in basis._splits:
-        m = int(basis.m_totals[idx[0]])
-        if m not in sectors:
-            continue
-        for cand in _split_candidates(space, counts, cfg.cluster_tol):
+        m = int(m_totals[idx[0]])
+        if m in sectors:
+            for cand in _split_candidates(space, counts, cfg.cluster_tol):
+                found.append((m, idx, cand))
+    if not found:
+        # most one-sector searches end here, and they open no scope
+        return SearchResult(rays=(), subspaces=(), verdict=Verdict.PROTECTED, samples_used=0, sectors=sectors)
+    rays, supports, subspaces, samples_used = [], [], [], 0
+    token = _SCOPE.set(_Stream(basis, cfg))
+    try:
+        for m, idx, cand in found:
             samples_used += cfg.n_samples
             if cand.shape[1] == 1:
                 # complex before the phase fix: its product sets the signs of the zero imaginary parts
@@ -370,6 +445,8 @@ def find_protected(
                 sub = _certify_subspace(basis, idx, cand, m, cfg)
                 if sub is not None:
                     subspaces.append(sub)
+    finally:
+        _SCOPE.reset(token)
     if len(rays) > 1:
         rays = [rays[i] for i in _ray_order(rays, supports)]
     subspaces.sort(key=lambda s: (-s.m_tot, -s.dimension))
@@ -378,15 +455,17 @@ def find_protected(
         subspaces=tuple(subspaces),
         verdict=Verdict.PROTECTED,
         samples_used=samples_used,
-        sectors=tuple(sectors),
+        sectors=sectors,
     )
 
 
 def _certify_subspace(basis, idx, cand, m_tot, cfg) -> ProtectedSubspace | None:
-    """Scalar-action test of a d > 1 candidate against fresh generic samples."""
+    """Scalar-action test of a d > 1 candidate against the certification
+    stream of ``cfg``: the search's shared one inside ``find_protected``."""
     vectors = np.zeros((len(basis), cand.shape[1]), dtype=complex)
     vectors[idx, :] = cand
-    _, residuals = _scalar_action(basis, _draws(basis.space, cfg), vectors)
+    draws, powers = _stream(basis, cfg)
+    _, residuals = _scalar_action(basis, draws, vectors, powers)
     worst = float(np.max(residuals))
     if worst >= cfg.residual_tol:
         return None

@@ -170,6 +170,9 @@ class ScatterSampler:
             raise ValueError("genericity_floor must lie in (0, 1)")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        if not isinstance(self.unitary, (bool, np.bool_)):
+            raise ValueError(f"unitary must be a bool, got {self.unitary!r}")
+        self.unitary = bool(self.unitary)
         try:
             if operator.index(self.seed) < 0:
                 raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from functools import reduce
 
@@ -30,7 +32,7 @@ from symprot import (
     verify_pair_uniqueness,
 )
 from oracles import dense_bookkeeping_oracle
-from symprot import fock, protect
+from symprot import fock, protect, scatter
 from symprot.fock import _CACHED_BASES, FockState, _shared_basis, max_photons
 from symprot.protect import (
     _certify_subspace,
@@ -144,6 +146,23 @@ def test_config_names_the_field_it_refuses(field, value):
     """A bad field is refused when the config is built, not at the first draw."""
     with pytest.raises(ValueError, match=f"^{field} must"):
         CertificationConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", ["no", "", 1, 0, None, 1.0], ids=repr)
+@pytest.mark.parametrize("build", [CertificationConfig, ScatterSampler], ids=["config", "sampler"])
+def test_unitary_must_be_a_bool(build, value):
+    """A truthy string such as "no" would draw unitary matrices; it is refused."""
+    with pytest.raises(ValueError, match="^unitary must"):
+        build(unitary=value)
+
+
+@pytest.mark.parametrize("build", [CertificationConfig, ScatterSampler], ids=["config", "sampler"])
+def test_unitary_is_stored_as_a_python_bool(build):
+    for value in (True, False, np.True_, np.False_):
+        made = build(unitary=value)
+        assert type(made.unitary) is bool and made.unitary == value
+    sigma = np.linalg.norm(ScatterSampler(seed=4, unitary=np.False_).sample(hm(1), 8), ord=2, axis=(1, 2))
+    assert np.all(sigma < 1)
 
 
 def test_config_takes_numpy_integers():
@@ -315,10 +334,10 @@ def test_a_ray_on_one_split_is_applied_on_its_support():
     assert occupied == [((2, 2, 2, 1, 1), 108)]
     matrices = _draws(basis.space, CertificationConfig(n_samples=16, seed=0))
     vectors = psi.amplitudes[:, None]
-    _scalar_action(basis, matrices, vectors)  # warm call: builds the cached basis tables
+    _scalar_action(basis, matrices, vectors, {})  # warm call: builds the cached basis tables
     tracemalloc.start()
     try:
-        eigenvalues, residuals = _scalar_action(basis, matrices, vectors)
+        eigenvalues, residuals = _scalar_action(basis, matrices, vectors, {})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -356,7 +375,7 @@ def test_factorised_apply_matches_the_dense_lift(space, n):
         images = dense @ vectors
         lam = np.einsum("nd,knd->k", vectors.conj(), images) / d
         res = np.linalg.norm(images - lam[:, None, None] * vectors, axis=(1, 2))
-        eigenvalues, residuals = _scalar_action(basis, matrices, vectors)
+        eigenvalues, residuals = _scalar_action(basis, matrices, vectors, {})
         assert np.allclose(eigenvalues, lam, atol=1e-12, rtol=0)
         assert np.allclose(residuals, res, atol=1e-12, rtol=0)
     # a state on few pair photon counts, so most blocks are skipped
@@ -364,7 +383,7 @@ def test_factorised_apply_matches_the_dense_lift(space, n):
     sparse[[0, -1]] = 1 / np.sqrt(2) if len(basis) > 1 else 1
     images = dense @ sparse
     lam = (sparse.conj().T @ images)[:, 0, 0]
-    eigenvalues, residuals = _scalar_action(basis, matrices, sparse)
+    eigenvalues, residuals = _scalar_action(basis, matrices, sparse, {})
     assert np.allclose(eigenvalues, lam, atol=1e-12, rtol=0)
     assert np.allclose(residuals, np.linalg.norm(images - lam[:, None, None] * sparse, axis=(1, 2)), atol=1e-12, rtol=0)
 
@@ -470,6 +489,19 @@ def test_search_sector_restriction():
     assert top.rays == ()
     with pytest.raises(ValueError):
         find_protected(hm(1), 2, CFG, sector=5)
+
+
+@pytest.mark.parametrize("sector", [0.0, "0", 1.5], ids=["float", "str", "fraction"])
+def test_search_sector_must_be_an_integer(sector):
+    with pytest.raises(ValueError, match="^sector must"):
+        find_protected(hm(1), 2, CFG, sector=sector)
+
+
+def test_search_sectors_are_python_ints():
+    for sector in (0, np.int64(0), np.int8(2)):
+        result = find_protected(hm(1), 2, CFG, sector=sector)
+        assert result.sectors == (int(sector),) and type(result.sectors[0]) is int
+    assert all(type(m) is int for m in find_protected(hm(1), 2, CFG).sectors)
 
 
 def _assert_same_search(a, b):
@@ -688,6 +720,142 @@ def test_subspace_certification_rejects_an_unprotected_direction():
     noise = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
     cand, _ = np.linalg.qr(np.column_stack([psi.amplitudes[idx], noise]))
     assert _certify_subspace(psi.basis, idx, cand, 0, CFG) is None
+
+
+# ---------------------------------------------------------------------------
+# one certification stream per search
+
+
+def _count_stream_work(monkeypatch):
+    """Counters of the lifts, Sym^k builds (by k), draws and certify calls."""
+    calls = {"lift": 0, "sample": 0, "certify": 0, "sym": []}
+    lift_, sym_, sample_, certify_ = protect.lift, protect._symmetric_power, ScatterSampler.sample, protect.certify
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    def sym(blocks, k):
+        calls["sym"].append(k)
+        return sym_(blocks, k)
+
+    monkeypatch.setattr(protect, "lift", counted("lift", lift_))
+    monkeypatch.setattr(protect, "_symmetric_power", sym)
+    monkeypatch.setattr(ScatterSampler, "sample", counted("sample", sample_))
+    monkeypatch.setattr(protect, "certify", counted("certify", certify_))
+    return calls
+
+
+def test_an_h0_search_draws_and_lifts_once(monkeypatch):
+    cfg = CertificationConfig(n_samples=16)
+    calls = _count_stream_work(monkeypatch)
+    result = find_protected(h0(), 6, cfg)
+    assert len(result.rays) == 7
+    assert calls == {"lift": 1, "sample": 1, "certify": 7, "sym": []}
+
+
+def test_a_pair_space_search_builds_each_pair_count_once(monkeypatch):
+    calls = _count_stream_work(monkeypatch)
+    result = find_protected(direct_sum(h0(), hm(1), hm(2)), 4, CFG)
+    assert len(result.rays) == 14 and calls["certify"] == 14 and calls["sample"] == 1
+    basis = result.rays[0].state.basis
+    occupied = np.vstack([basis._occupancy[ray.state.amplitudes != 0] for ray in result.rays])
+    counts = set(occupied.reshape(len(occupied), -1, 2).sum(axis=2).ravel().tolist())
+    assert sorted(calls["sym"]) == sorted(counts - {0, 1}) == [2, 4]
+
+
+def test_a_search_that_certifies_nothing_draws_nothing(monkeypatch):
+    calls = _count_stream_work(monkeypatch)
+    result = find_protected(hm(1), 2, CFG, sector=2)
+    assert result.rays == () and result.samples_used == 0
+    assert calls == {"lift": 0, "sample": 0, "certify": 0, "sym": []}
+
+
+@pytest.mark.parametrize(
+    "space,n",
+    [(h0(), 6), (hm(1), 4), (direct_sum(h0(), hm(1)), 4), (direct_sum(h0(), hm(1), hm(2)), 4)],
+    ids=["h0-6", "hm1-4", "h0+hm1-4", "h0+hm1+hm2-4"],
+)
+def test_search_reports_equal_standalone_certification(space, n):
+    """The shared stream changes no bit of a report: each ray's report is the
+    one certify gives the ray outside any search."""
+    result = find_protected(space, n, CFG)
+    assert result.rays
+    for ray in result.rays:
+        alone = certify(ray.state, CFG)
+        assert ray.report.verdict is alone.verdict
+        assert ray.report.worst_residual == alone.worst_residual
+        assert ray.report.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+        assert ray.report.residuals.tobytes() == alone.residuals.tobytes()
+
+
+def test_a_failed_draw_leaves_no_search_scope(monkeypatch):
+    def exhausted(self, space, size=None):
+        raise scatter.GenericityError("no generic draw")
+
+    monkeypatch.setattr(ScatterSampler, "sample", exhausted)
+    with pytest.raises(scatter.GenericityError):
+        find_protected(h0(), 4, CFG)
+    assert protect._SCOPE.get() is None
+    monkeypatch.undo()
+    assert certify(mirror_fock(2, 2), CFG).verdict is Verdict.PROTECTED
+
+
+def test_a_certification_off_the_search_basis_reads_its_own_stream(monkeypatch):
+    """Inside a search, certify on another basis or config lifts its own draws."""
+    psi, other = mirror_fock(1, 1), CertificationConfig(n_samples=8, seed=3)
+    certify_ = protect.certify
+    seen = []
+
+    def certify_and_compare(state, cfg):
+        seen.append((certify_(psi, CFG), certify_(state, other)))
+        return certify_(state, cfg)
+
+    monkeypatch.setattr(protect, "certify", certify_and_compare)
+    find_protected(h0(), 4, CFG)
+    monkeypatch.undo()
+    assert len(seen) == 5
+    for report, ray_report in seen:
+        assert report.eigenvalues.tobytes() == certify(psi, CFG).eigenvalues.tobytes()
+        assert len(ray_report.eigenvalues) == 8
+
+
+def test_concurrent_searches_keep_their_own_streams(monkeypatch):
+    """Threads searching different spaces at once, more threads than cores,
+    each certifying only once every scope is open, get what they get one
+    after the other."""
+    jobs = [(h0(), 6), (direct_sum(h0(), hm(1)), 4), (hm(1), 4), (direct_sum(hm(1), hm(2)), 4)]
+    expected = [find_protected(space, n, CFG) for space, n in jobs]
+    barrier, certify_ = threading.Barrier(len(jobs), timeout=60), protect.certify
+    first = threading.local()
+
+    def certify_in_step(state, cfg):
+        if not getattr(first, "done", False):
+            first.done = True
+            barrier.wait()
+        return certify_(state, cfg)
+
+    monkeypatch.setattr(protect, "certify", certify_in_step)
+    results = [None] * len(jobs)
+
+    def run(i):
+        results[i] = find_protected(*jobs[i], CFG)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expected, strict=True):
+        _assert_same_search(got, want)
 
 
 # ---------------------------------------------------------------------------
