@@ -136,15 +136,16 @@ def _cmd_search(args) -> int:
     cfg = CertificationConfig(n_samples=args.samples, seed=args.seed)
     result = find_protected(space, args.n, cfg, sector=args.sector)
     if args.output == "pretty":
-        # the rays' dense amplitudes are serialised only for JSON
+        # the rays' dense amplitudes are built and serialised only for JSON
         basis = enumerate_basis(space, args.n)
         lines = [f"{len(result.rays)} protected ray(s) at N = {args.n}"]
         for ray in result.rays:
             tau = "" if ray.mirror_tau is None else f", tau = {ray.mirror_tau:+d}"
             lines.append(f"  m_tot = {ray.m_tot}{tau}:")
-            amplitudes = ray.state.amplitudes
-            for i in np.flatnonzero(abs(amplitudes) > 1e-9):
-                amp = amplitudes[i]
+            # a ray holds its values on its split, whose indices ascend
+            support, values = ray.state._sparse()
+            keep = abs(values) > 1e-9
+            for i, amp in zip(support[keep].tolist(), values[keep]):
                 lines.append(f"    {amp.real:+.6f}{amp.imag:+.6f}j  {basis.ket(i)}")
         for sub in result.subspaces:
             lines.append(f"  subspace dim {sub.dimension} at m_tot = {sub.m_tot}")

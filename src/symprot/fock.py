@@ -43,9 +43,16 @@ and derives every other table from it on first use: the tuples
 the sector split, the mirror permutation, and the splits by the photon
 counts on the mode pairs, which the search visits and the apply works on,
 reading the array alone. The splits and the mirror permutation come from
-one ``np.lexsort`` each. These arrays are read-only, since every caller
-holding the basis sees them.
+one ``np.lexsort`` each; ``_split_table`` maps each state to its split and
+its place there. These arrays are read-only, since every caller holding
+the basis sees them.
 ``lift_generator`` is the dense generator lift, the search's test oracle.
+
+A ``FockState`` built with ``FockState(basis, amplitudes)`` stores that
+dense vector. The search's rays are built by ``FockState._on_split`` and
+store only their values on one split; each derives its dense
+``amplitudes`` on first read and keeps them. The norm, the certification
+and the CLI's ket lines read the values alone.
 """
 
 from __future__ import annotations
@@ -199,6 +206,18 @@ class FockBasis:
         return tuple((tuple(keys[i].tolist()), _frozen(idx)) for i, idx in zip([0, *cuts], np.split(order, cuts)))
 
     @cached_property
+    def _split_table(self) -> np.ndarray:
+        """The read-only (2, dim) array whose column i holds the position of
+        basis state i's split in ``_splits`` and i's position in that split's
+        indices, built from ``_splits`` alone."""
+        sizes = [len(idx) for _, idx in self._splits]
+        order = np.concatenate([idx for _, idx in self._splits])
+        table = np.empty((2, len(self)), dtype=np.intp)
+        table[0, order] = np.repeat(np.arange(len(sizes)), sizes)
+        table[1, order] = np.arange(len(self)) - np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+        return _frozen(table)
+
+    @cached_property
     def _ladder(self) -> tuple[tuple, ...]:
         """Creation-operator tables for the lift, one level per photon number k = 1..N.
 
@@ -266,10 +285,18 @@ def sector_split(basis: FockBasis) -> dict[int, list[int]]:
 
 @dataclass
 class FockState:
-    """Amplitude vector over a Fock basis."""
+    """Amplitude vector over a Fock basis.
+
+    ``FockState(basis, amplitudes)`` stores the dense vector. A state built
+    by ``_on_split`` stores only its values on one split of the basis (the
+    indices ``basis._splits[_split][1]``) and derives the dense
+    ``amplitudes`` on first read, keeping them; its norm and the
+    certification read the values alone.
+    """
 
     basis: FockBasis
     amplitudes: np.ndarray
+    _split = None  # the position in basis._splits of a split-backed state's support
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -279,9 +306,36 @@ class FockState:
             )
         self.amplitudes = amp
 
+    @classmethod
+    def _on_split(cls, basis: FockBasis, split: int, values: np.ndarray) -> "FockState":
+        """The state that is the complex ``values`` on the indices of split
+        ``split`` of ``basis._splits``, in their order, and zero elsewhere."""
+        state = cls.__new__(cls)
+        state.basis, state._split, state._values = basis, split, values
+        return state
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance lacks: a split-backed
+        # state's amplitudes before their first read
+        if name != "amplitudes" or "_values" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        support, values = self._sparse()
+        amplitudes = np.zeros(len(self.basis), dtype=complex)
+        amplitudes[support] = values
+        self.amplitudes = amplitudes
+        return amplitudes
+
+    def _sparse(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(support, values)``: basis indices, ascending, outside which the
+        state is zero, and its amplitudes there. A split-backed state gives
+        its split's indices and its values, building no dense vector."""
+        if self._split is None:
+            return np.arange(len(self.basis)), self.amplitudes
+        return self.basis._splits[self._split][1], self._values
+
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes if self._split is None else self._values)
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.norm - 1.0) <= tol
@@ -303,12 +357,20 @@ class FockState:
         return FockState(self.basis, _phase_fixed(self.amplitudes, threshold))
 
 
+def _norm(vector: np.ndarray) -> float:
+    """The 2-norm of a 1-D complex vector by the formula ``np.linalg.norm``
+    uses for one, sqrt(re . re + im . im), so bit for bit its value."""
+    re, im = vector.real, vector.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _phase_fixed(amplitudes: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
     """A copy of ``amplitudes`` rotated so the first one above ``threshold`` is real positive."""
-    idx = np.flatnonzero(np.abs(amplitudes) > threshold)
-    if idx.size == 0:
+    above = np.abs(amplitudes) > threshold
+    first = above.argmax()
+    if not above[first]:
         return amplitudes.copy()
-    lead = amplitudes[idx[0]]
+    lead = amplitudes[first]
     return amplitudes * (abs(lead) / lead)
 
 

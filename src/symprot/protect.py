@@ -25,7 +25,9 @@ lift or dim-sized image is formed. On h0 the one block is the matrix
 itself: one lift on the state's basis and one matmul. The kernel serves
 ``certify`` (on the draws of ``_draws``) and
 ``dfs.transmit_bins`` (on the scatterers of its time bins), and keeps what
-it lifts in a dict by pair count that its caller hands in.
+it lifts in a dict by pair count that its caller hands in. Handed a
+state's values on one split, it applies them there directly; for a dense
+vector it finds the occupied splits in ``FockBasis._split_table``.
 
 Every candidate of one search is certified against the same draws on the
 same basis, so ``find_protected`` opens a scope (``_SCOPE``, a context
@@ -49,9 +51,11 @@ family's Lie algebra. A call only cuts the kernels at ``cluster_tol``,
 forms the products (one broadcast multiply each, ``_kron``) and certifies
 them; it builds no dim x dim or per-sector table. A ray is handled on its
 split's slice: normalised, phase-fixed and compared with its mirror image
-there, and scattered once into the dense vector its ``FockState`` and
-``certify`` need. The rays are ordered over the union of their splits
-(``_ray_order``), with no pass over dense rays.
+there, and kept there as a ``FockState`` of its values on the split
+(``FockState._on_split``), which ``certify`` applies on that split alone.
+No search step builds a dense vector; a ray's ``amplitudes`` are built
+when something first reads them. The rays are ordered by their values
+over the union of their splits (``_ray_order``).
 """
 
 from __future__ import annotations
@@ -62,10 +66,8 @@ import itertools
 import math
 import numbers
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import itemgetter
 
 import numpy as np
 
@@ -73,6 +75,7 @@ from .fock import (
     FockBasis,
     FockState,
     _frozen,
+    _norm,
     _parity,
     _phase_fixed,
     _symmetric_power,
@@ -128,6 +131,9 @@ class CertificationConfig:
             raise ValueError(f"genericity_floor must lie in (0, 1), got {self.genericity_floor!r}")
         if not isinstance(self.unitary, (bool, np.bool_)):
             raise ValueError(f"unitary must be a bool, got {self.unitary!r}")
+        # NumPy scalars are stored as Python ones, so what derives from them serialises
+        object.__setattr__(self, "n_samples", int(self.n_samples))
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "unitary", bool(self.unitary))
 
 
@@ -178,15 +184,16 @@ def _stream(basis: FockBasis, cfg: CertificationConfig) -> tuple[np.ndarray, dic
     return scope.draws, scope.powers
 
 
-def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, powers: dict):
+def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, powers: dict, split: int | None = None):
     """Per-matrix eigenvalues and residuals of lift(S_i) on the span of ``vectors``.
 
     ``matrices`` is an (n, M, M) stack of matrices that are block diagonal
     over the 2x2 blocks of the mode pairs (0, 1), (2, 3), ..., as every
     family member is; any other nonzero entry raises ValueError.
-    ``vectors`` holds d orthonormal columns V. The eigenvalue is lam_i =
-    tr(V^dag lift(S_i) V) / d and the residual is the Frobenius norm of
-    lift(S_i) V - lam_i V.
+    ``vectors`` holds d orthonormal columns V: dense, (dim, d), or, when
+    ``split`` is given, their rows on the indices of ``basis._splits[split]``,
+    zero elsewhere. The eigenvalue is lam_i = tr(V^dag lift(S_i) V) / d and
+    the residual is the Frobenius norm of lift(S_i) V - lam_i V.
 
     lift(S_i) is never formed. It keeps the photon count on every pair, so
     it maps each split of ``FockBasis._splits`` to itself, as the Kronecker
@@ -194,6 +201,8 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, 
     ``enumerate_basis(h0(), k_p)``). A split's indices run in that order,
     so each pair is one batched matmul on the split's slice, and only the
     splits the vectors occupy are visited, in O(n * support * d) memory.
+    Given ``split``, that is the one split; for dense vectors the occupied
+    rows are looked up in ``basis._split_table`` and gathered once.
 
     ``powers`` maps a pair count k to the lifted ``matrices``: on h0 the
     entry for N is their lift on ``basis``; on pair spaces the entry for 1
@@ -206,38 +215,41 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, 
     """
     n, d, pairs = len(matrices), vectors.shape[1], len(basis.space) // 2
     if pairs == 1:
-        # h0: the one block is the matrix, its Sym^N the lift on this basis
+        # h0: the one block is the matrix, its Sym^N the lift on this basis,
+        # whose one split holds every index in order
         if basis.n_photons not in powers:
             powers[basis.n_photons] = lift(matrices, basis).matrix
         images = powers[basis.n_photons] @ vectors
     else:
         if 1 not in powers:
-            blocks = matrices.reshape(n, pairs, 2, pairs, 2)[:, range(pairs), :, range(pairs)]  # (P, n, 2, 2)
+            # the (P, n, 2, 2) pair blocks, a view of the stack's block diagonal
+            blocks = np.diagonal(matrices.reshape(n, pairs, 2, pairs, 2), axis1=1, axis2=3).transpose(3, 0, 1, 2)
             if np.count_nonzero(blocks) != np.count_nonzero(matrices):
                 raise ValueError("matrices must be block diagonal over the 2x2 blocks of the mode pairs")
             powers[1] = blocks
-        # the splits the vectors occupy, found by their counts in the sorted split table
-        counts = basis._occupancy[vectors.any(axis=1)].reshape(-1, pairs, 2).sum(axis=2)
-        keys = sorted(set(map(tuple, counts.tolist())))
-        splits = [basis._splits[bisect_left(basis._splits, key, key=itemgetter(0))] for key in keys]
-        for k in set(itertools.chain(*keys)) - {0} - powers.keys():
+        if split is None:
+            occupied = np.unique(basis._split_table[0][vectors.any(axis=1)]).tolist()
+            splits = [basis._splits[s] for s in occupied]
+            vectors = vectors[splits[0][1] if len(splits) == 1 else np.concatenate([idx for _, idx in splits])]
+        else:
+            splits = [basis._splits[split]]
+        for k in set(itertools.chain(*(key for key, _ in splits))) - {0} - powers.keys():
             powers[k] = _symmetric_power(powers[1].reshape(-1, 2, 2), k).reshape(pairs, n, k + 1, k + 1)
-        support = np.concatenate([idx for _, idx in splits])
-        images = np.empty((n, len(support), d), dtype=complex)
+        images = np.empty((n, len(vectors), d), dtype=complex)
         start = 0
         for key, idx in splits:
             # the slice as a grid of pair axes, then d: each pair acts on the leading axis and moves it last
-            part = vectors[idx][None]
+            part = vectors[start : start + len(idx)][None]
             for p, k in enumerate(key):
                 part = part.reshape(len(part), k + 1, -1)
                 part = (powers[k][p] @ part if k else part).swapaxes(1, 2)
             images[:, start : start + len(idx)] = part.reshape(len(part), d, -1).swapaxes(1, 2)
             start += len(idx)
-        vectors = vectors[support]
     flat = images.reshape(n, vectors.size)
     eigenvalues = flat @ vectors.conj().ravel() / d
     flat -= eigenvalues[:, None] * vectors.ravel()
-    residuals = np.linalg.norm(flat, axis=1)
+    # np.linalg.norm(flat, axis=1) by its own formula, bit for bit, without its argument handling
+    residuals = np.sqrt(np.add.reduce((flat.conj() * flat).real, axis=1))
     return eigenvalues, residuals
 
 
@@ -252,12 +264,17 @@ def certify(state: FockState, cfg: CertificationConfig = CertificationConfig()) 
     Called by ``find_protected`` on its basis with its config, it shares
     that call's stream: the draws read once and each pair count lifted
     once for all its candidates, until the search returns. Any other call
-    reads the stream and lifts it afresh.
+    reads the stream and lifts it afresh. A state that holds only its
+    values on one split (the search's rays) is checked and applied on those
+    values and that split, with no dim-sized pass; a dense state on the
+    splits its amplitudes occupy.
     """
     if not state.is_normalized():
         raise ValueError(f"state must be normalized (norm {state.norm:.3e})")
     draws, powers = _stream(state.basis, cfg)
-    eigenvalues, residuals = _scalar_action(state.basis, draws, state.amplitudes[:, None], powers)
+    split = state._split
+    values = state.amplitudes if split is None else state._values
+    eigenvalues, residuals = _scalar_action(state.basis, draws, values[:, None], powers, split)
     worst = int(np.argmax(residuals))
     protected = residuals[worst] < cfg.residual_tol
     return ProtectionReport(
@@ -360,14 +377,17 @@ def _kron(factors: tuple[np.ndarray, ...]) -> np.ndarray:
     return reduce(np.multiply, views).reshape(math.prod(f.shape[0] for f in factors), -1)
 
 
-def _ray_order(rays: list[ProtectedRay], supports: list[np.ndarray]) -> np.ndarray:
+def _ray_order(rays: list[ProtectedRay]) -> np.ndarray:
     """The stable lexicographic order of rays by -m_tot, then the real and
     then the imaginary parts of the amplitudes rounded to 9 digits, over
-    the basis states some ray may occupy. ``supports[i]`` holds the indices
-    outside which ray i is zero (the search passes its split), so the other
-    states compare equal."""
-    cols = np.unique(np.concatenate(supports))
-    amps = np.array([ray.state.amplitudes[cols] for ray in rays])
+    the basis states some ray occupies. Each ray's values are read on its
+    support (``FockState._sparse``); the other states compare equal."""
+    sparse = [ray.state._sparse() for ray in rays]
+    supports = np.concatenate([support for support, _ in sparse])
+    cols = np.unique(supports)
+    amps = np.zeros((len(rays), len(cols)), dtype=complex)
+    rows = np.repeat(np.arange(len(rays)), [len(support) for support, _ in sparse])
+    amps[rows, np.searchsorted(cols, supports)] = np.concatenate([values for _, values in sparse])
     keys = np.column_stack([[-ray.m_tot for ray in rays], np.round(amps.real, 9), np.round(amps.imag, 9)])
     return np.lexsort(keys.T[::-1])
 
@@ -390,16 +410,17 @@ def find_protected(
     parity on the m_tot = 0 sector.
 
     A ray lives on its split ``idx``: it is normalised and phase-fixed on
-    that slice, scattered once into a dense zero vector for its
-    ``FockState``, and its parity compares the slice with the amplitudes
-    at the mirror images of ``idx``. The rays are ordered over the union
-    of their splits.
+    that slice and held there (``FockState._on_split``), so the search
+    builds no dense vector; its ``amplitudes`` are built when first read.
+    Its parity compares the slice with its own entries at the mirror
+    images of ``idx``, which lie in the same split at m_tot = 0. The rays
+    are ordered over the union of their splits.
 
     The candidates are collected first. If there are any, they are
     certified in one scope that shares the stream: the draws are read once
     and lifted once per pair count, and each candidate still gets its own
-    ``certify`` (or ``_certify_subspace``) call. A ``sector`` that is not
-    an integer raises ValueError.
+    ``certify`` (or ``_certify_subspace``) call, which applies it on its
+    split alone. A ``sector`` that is not an integer raises ValueError.
     """
     basis = enumerate_basis(space, n_photons)
     if sector is None:
@@ -423,24 +444,22 @@ def find_protected(
     if not found:
         # most one-sector searches end here, and they open no scope
         return SearchResult(rays=(), subspaces=(), verdict=Verdict.PROTECTED, samples_used=0, sectors=sectors)
-    rays, supports, subspaces, samples_used = [], [], [], 0
+    rays, subspaces, samples_used = [], [], 0
     token = _SCOPE.set(_Stream(basis, cfg))
     try:
+        split_of, position = basis._split_table
         for m, idx, cand in found:
             samples_used += cfg.n_samples
             if cand.shape[1] == 1:
                 # complex before the phase fix: its product sets the signs of the zero imaginary parts
                 col = cand[:, 0].astype(complex)
-                col = _phase_fixed(col / np.linalg.norm(col))
-                amps = np.zeros(len(basis), dtype=complex)
-                amps[idx] = col
-                state = FockState(basis, amps)
+                col = _phase_fixed(col / _norm(col))
+                state = FockState._on_split(basis, int(split_of[idx[0]]), col)
                 report = certify(state, cfg)
                 if report.verdict is Verdict.PROTECTED:
-                    # off m_tot = 0 the mirror image lies in the opposite sector
-                    tau = _parity(amps[basis._mirror[idx]], col) if m == 0 else None
+                    # the mirror keeps an m_tot = 0 split; off it the image lies in the opposite sector
+                    tau = _parity(col[position[basis._mirror[idx]]], col) if m == 0 else None
                     rays.append(ProtectedRay(state=state, m_tot=m, mirror_tau=tau, report=report))
-                    supports.append(idx)
             else:
                 sub = _certify_subspace(basis, idx, cand, m, cfg)
                 if sub is not None:
@@ -448,7 +467,7 @@ def find_protected(
     finally:
         _SCOPE.reset(token)
     if len(rays) > 1:
-        rays = [rays[i] for i in _ray_order(rays, supports)]
+        rays = [rays[i] for i in _ray_order(rays)]
     subspaces.sort(key=lambda s: (-s.m_tot, -s.dimension))
     return SearchResult(
         rays=tuple(rays),

@@ -329,6 +329,33 @@ def test_pretty_search_serialises_no_ray(monkeypatch, capsys):
         cli.main(argv)
 
 
+def test_pretty_search_kets_are_the_dense_amplitudes_above_the_cut(monkeypatch, capsys):
+    """The ket lines, read from each ray's values on its split, list its
+    dense amplitudes above 1e-9 in basis order, and no dense ray is built."""
+    from symprot import CertificationConfig, FockState, cli, enumerate_basis, find_protected
+    from symprot.serialize import parse_space
+
+    def refuse(state, name):
+        raise AssertionError(f"a pretty search built a ray's {name}")
+
+    argv = ["search", "--space", "h0+hm:1", "--n", "4", "--samples", "8", "--seed", "7", "--output", "pretty"]
+    monkeypatch.setattr(FockState, "__getattr__", refuse)  # reached only by a ray's first dense read
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    result = find_protected(parse_space("h0+hm:1"), 4, CertificationConfig(n_samples=8, seed=7))
+    basis = enumerate_basis(parse_space("h0+hm:1"), 4)
+    expected = [f"{len(result.rays)} protected ray(s) at N = 4"]
+    for ray in result.rays:
+        tau = "" if ray.mirror_tau is None else f", tau = {ray.mirror_tau:+d}"
+        expected.append(f"  m_tot = {ray.m_tot}{tau}:")
+        amplitudes = ray.state.amplitudes
+        expected += [f"    {amplitudes[i].real:+.6f}{amplitudes[i].imag:+.6f}j  {basis.ket(i)}"
+                     for i in np.flatnonzero(abs(amplitudes) > 1e-9)]
+    out, err = capsys.readouterr()
+    assert out == "\n".join(expected) + "\n" and err == ""
+    assert len(expected) > 20
+
+
 def test_state_files_are_normalized_before_use(tmp_path):
     """Scaling a state file's amplitudes changes nothing but the state label."""
     amps = np.zeros(10, dtype=complex)

@@ -1,6 +1,7 @@
 """Certification of protected states and the exhaustive ray search."""
 
 import itertools
+import json
 import math
 import sys
 import threading
@@ -32,7 +33,7 @@ from symprot import (
     verify_pair_uniqueness,
 )
 from oracles import dense_bookkeeping_oracle
-from symprot import fock, protect, scatter
+from symprot import fock, protect, scatter, serialize
 from symprot.fock import _CACHED_BASES, FockState, _shared_basis, max_photons
 from symprot.protect import (
     _certify_subspace,
@@ -410,6 +411,22 @@ def test_split_table_runs_in_the_kronecker_order_of_the_pairs(space, n):
     assert [counts for counts, _ in basis._splits] == sorted(counts for counts, _ in basis._splits)
 
 
+@pytest.mark.parametrize("n", range(4))
+@_SPLIT_GRID
+def test_the_split_position_table_agrees_with_the_splits(space, n):
+    """Column i of ``_split_table`` holds the position of state i's split in
+    ``_splits`` and i's position in that split's indices; it is read-only."""
+    basis = enumerate_basis(space, n)
+    table = basis._split_table
+    assert table.shape == (2, len(basis)) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    for split, (_, idx) in enumerate(basis._splits):
+        assert table[0, idx].tolist() == [split] * len(idx)
+        assert table[1, idx].tolist() == list(range(len(idx)))
+    assert basis._split_table is table
+
+
 def _split_generator(blocks, counts):
     """sum_p 1 x dSym^{k_p}(B_p) x 1 over the pairs, first pair slowest."""
     sizes = [k + 1 for k in counts]
@@ -583,9 +600,7 @@ def test_ray_order_is_the_tuple_key_order():
     assert list(rays) == sorted(rays, key=_tuple_key)
     rng = np.random.default_rng(5)
     mixed = [rays[i] for i in rng.permutation(len(rays))] + [rays[3], rays[0], rays[3]]
-    split_of = {i: idx for _, idx in rays[0].state.basis._splits for i in idx.tolist()}
-    supports = [split_of[int(np.flatnonzero(ray.state.amplitudes)[0])] for ray in mixed]
-    assert _ray_order(mixed, supports).tolist() == sorted(range(len(mixed)), key=lambda i: _tuple_key(mixed[i]))
+    assert _ray_order(mixed).tolist() == sorted(range(len(mixed)), key=lambda i: _tuple_key(mixed[i]))
 
 
 _BOOKKEEPING_SPACES = [
@@ -638,6 +653,112 @@ def test_search_rays_need_no_dense_bookkeeping(monkeypatch):
     monkeypatch.setattr(protect, "_mirror_parity", refuse, raising=False)
     monkeypatch.setattr(np, "kron", refuse)
     _assert_same_search(find_protected(space, 4, CFG), expected)
+
+
+def test_a_search_builds_no_dense_ray_until_one_is_read():
+    """A warm search holds each ray as its values on its split; the dense
+    amplitudes are built on first read and equal the dense bookkeeping's."""
+    space, cfg = direct_sum(h0(), hm(1), hm(2)), CertificationConfig(n_samples=4)
+    find_protected(space, 6, cfg)
+    rays = find_protected(space, 6, cfg).rays
+    assert len(rays) == 30
+    assert not any("amplitudes" in vars(ray.state) for ray in rays)
+    basis = rays[0].state.basis
+    candidates = [
+        (int(basis.m_totals[idx[0]]), idx, cand[:, 0])
+        for counts, idx in basis._splits
+        for cand in _split_candidates(space, counts, cfg.cluster_tol)
+        if cand.shape[1] == 1
+    ]
+    expected = dense_bookkeeping_oracle(basis, candidates)
+    assert len(rays) == len(expected)
+    for ray, (m_tot, tau, amps) in zip(rays, expected):
+        assert (ray.m_tot, ray.mirror_tau) == (m_tot, tau)
+        support, values = ray.state._sparse()
+        assert np.array_equal(support, basis._splits[ray.state._split][1])
+        assert np.allclose(ray.state.amplitudes, amps, atol=1e-15, rtol=0)
+        assert "amplitudes" in vars(ray.state) and ray.state.amplitudes is ray.state.amplitudes
+        assert np.array_equal(ray.state.amplitudes[support], values)
+        assert not np.delete(ray.state.amplitudes, support).any()
+
+
+_TWIN_SPLITS = [
+    pytest.param(h0(), 4, 0, id="h0-4"),
+    pytest.param(hm(1), 4, 2, id="hm1-4-(2,2)"),
+    pytest.param(hm(1), 3, 1, id="hm1-3-(1,2)"),
+    pytest.param(direct_sum(h0(), hm(1), hm(2)), 4, 16, id="h0+hm1+hm2-4-(0,1,0,1,2)"),
+    pytest.param(direct_sum(h0(), hm(1), hm(2)), 5, 62, id="h0+hm1+hm2-5-(1,0,1,1,2)"),
+]
+
+
+def _twins(space, n, split, seed=0):
+    """A state held as random normalised values on one split, and the dense
+    state with the same amplitudes."""
+    basis = enumerate_basis(space, n)
+    idx = basis._splits[split][1]
+    rng = np.random.default_rng(seed + split)
+    values = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+    values /= np.linalg.norm(values)
+    dense = np.zeros(len(basis), dtype=complex)
+    dense[idx] = values
+    return FockState._on_split(basis, split, values), FockState(basis, dense)
+
+
+@pytest.mark.parametrize("space,n,split", _TWIN_SPLITS)
+def test_a_split_backed_state_matches_its_dense_twin(space, n, split):
+    state, twin = _twins(space, n, split)
+    other = _twins(space, n, split, seed=1)[0]
+    cfg = CertificationConfig(n_samples=8, seed=3)
+    report, twin_report = certify(state, cfg), certify(twin, cfg)
+    for a, b in ((report.eigenvalues, twin_report.eigenvalues), (report.residuals, twin_report.residuals)):
+        assert a.tobytes() == b.tobytes()
+    assert (report.verdict, report.worst_residual) == (twin_report.verdict, twin_report.worst_residual)
+    # the norm is read from the values alone, np.linalg.norm's formula on them
+    assert "amplitudes" not in vars(state)
+    assert state.norm == np.linalg.norm(state._values) and state.is_normalized()
+    assert twin.norm == np.linalg.norm(twin.amplitudes)
+    assert state.norm == pytest.approx(twin.norm, rel=4e-16, abs=0)
+    assert state.amplitudes.tobytes() == twin.amplitudes.tobytes()
+    assert state.overlap(other) == twin.overlap(other) and other.overlap(state) == other.overlap(twin)
+    assert state.phase_fixed().amplitudes.tobytes() == twin.phase_fixed().amplitudes.tobytes()
+    assert np.array_equal(state.normalized().amplitudes, twin.amplitudes / state.norm)
+    assert np.allclose(state.normalized().amplitudes, twin.normalized().amplitudes, atol=1e-16, rtol=0)
+    assert serialize.state_to_json(state) == serialize.state_to_json(twin)
+
+
+@pytest.mark.parametrize("n", range(5))
+@_SPLIT_GRID
+def test_the_apply_on_a_split_equals_the_dense_apply(space, n):
+    """``_scalar_action`` on the values of one split gives the bits it gives
+    on the dense vectors, for one and two columns."""
+    basis = enumerate_basis(space, n)
+    matrices = _pair_block_stack(space, 5, np.random.default_rng(n))
+    rng = np.random.default_rng(100 + n)
+    for split, (_, idx) in enumerate(basis._splits):
+        for d in (1, 2):
+            values = rng.normal(size=(len(idx), d)) + 1j * rng.normal(size=(len(idx), d))
+            values /= np.linalg.norm(values)
+            dense = np.zeros((len(basis), d), dtype=complex)
+            dense[idx] = values
+            on_split = _scalar_action(basis, matrices, values, {}, split)
+            assert not np.shares_memory(on_split[1], values)
+            for a, b in zip(on_split, _scalar_action(basis, matrices, dense, {})):
+                assert a.tobytes() == b.tobytes()
+
+
+def test_numpy_integer_config_fields_are_stored_as_python_ints():
+    """A config built from NumPy integers stores Python ints, so a search's
+    samples_used is a Python int and its result serialises."""
+    cfg = CertificationConfig(n_samples=np.int64(8), seed=np.int64(3))
+    assert type(cfg.n_samples) is int and type(cfg.seed) is int
+    assert (cfg.n_samples, cfg.seed) == (8, 3)
+    result = find_protected(h0(), 2, cfg)
+    assert type(result.samples_used) is int and result.samples_used == 3 * 8
+    assert result.rays[0].report.eigenvalues.shape == (8,)
+    doc = json.loads(json.dumps({"samples_used": result.samples_used, "sectors": list(result.sectors),
+                                 "n_samples": cfg.n_samples, "seed": cfg.seed}))
+    assert doc == {"samples_used": 24, "sectors": [0], "n_samples": 8, "seed": 3}
+    assert find_protected(h0(), 2, CertificationConfig(n_samples=8, seed=3)).samples_used == 24
 
 
 @pytest.mark.parametrize(
