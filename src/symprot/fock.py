@@ -39,13 +39,14 @@ Bases are shared: ``enumerate_basis`` returns one ``FockBasis`` per
 (space, N), kept in a cache of the ``_CACHED_BASES`` most recently used.
 A basis stores its occupations once, as the enumeration's integer array,
 and derives every other table from it on first use: the tuples
-(``states``) and their index, the lift's ladder, the m_tot of each state,
-the sector split, the mirror permutation, and the splits by the photon
-counts on the mode pairs, which the search visits and the apply works on,
-reading the array alone. The splits and the mirror permutation come from
-one ``np.lexsort`` each; ``_split_table`` maps each state to its split and
-its place there. These arrays are read-only, since every caller holding
-the basis sees them.
+(``states``), the lift's ladder, the m_tot of each state, the sector
+split, the mirror permutation, and the splits by the photon counts on the
+mode pairs, which the search visits and the apply works on, reading the
+array alone. ``_rank``, one closed form over arrays of occupations, gives
+every position of an occupation: ``index``, the ladder, the mirror
+permutation and ``lift_generator``'s images. The splits come from one
+``np.lexsort``; ``_split_table`` maps each state to its split and its place
+there. The arrays are read-only, as every caller holding the basis sees them.
 ``lift_generator`` is the dense generator lift, the search's test oracle.
 
 A ``FockState`` built with ``FockState(basis, amplitudes)`` stores that
@@ -124,6 +125,29 @@ def _occupations(modes: int, total: int) -> np.ndarray:
     return _frozen(np.diff(edges[::-1], axis=1) - 1)
 
 
+_binomial_table = np.zeros((0, 0), dtype=np.intp)  # [a, j] = C(a + j, j + 1) below its size, grown by _rank
+
+
+def _rank(occupancy: np.ndarray, total: int) -> np.ndarray:
+    """The position in basis order of each row of an (r, M) integer array of
+    occupations of ``total`` photons, unchecked, as intp. With a_i the photons on
+    the modes after mode i and k_i = M - 1 - i, C(a_i + k_i - 1, k_i) occupations
+    first exceed the row on mode i and come before it, so
+
+        rank = sum_{i < M - 1} C(a_i + k_i - 1, k_i),   C(x, k) = 0 for x < k.
+
+    One read-only table, grown to total + M, holds C(a + k - 1, k) at [a, k - 1], clipped
+    at the intp maximum; no rank reads a clipped entry, as each term is at most the rank."""
+    global _binomial_table
+    m, table = occupancy.shape[1], _binomial_table  # read once: another thread may swap in a smaller one
+    if len(table) < total + m:
+        top = np.iinfo(np.intp).max
+        rows = [[min(math.comb(a + j, j + 1), top) for j in range(total + m)] for a in range(total + m)]
+        table = _binomial_table = _frozen(np.array(rows, dtype=np.intp))
+    # a_i, summed from the last mode, against k_i - 1 = 0, ..., M - 2
+    return table[occupancy[:, :0:-1].cumsum(axis=1), np.arange(m - 1)].sum(axis=1)
+
+
 def _as_tuples(occupancy: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """The rows of an occupation array as tuples of Python ints."""
     return tuple(zip(*occupancy.T.tolist()))
@@ -137,7 +161,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class FockBasis:
     """Ordered N-photon occupation basis over a mode space. Stored: the read-only
-    (dim, M) array ``_occupancy``. Derived on first read: ``states``, ``_index`` and the tables."""
+    (dim, M) array ``_occupancy``. Derived on first read: ``states`` and the tables."""
 
     space: ModeSpace
     n_photons: int
@@ -161,17 +185,21 @@ class FockBasis:
         """The occupation vectors as tuples of Python ints, in basis order."""
         return _as_tuples(self._occupancy)
 
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {occ: i for i, occ in enumerate(self.states)}
-
     def index(self, occupation) -> int:
-        """Position of an occupation vector in the basis order."""
-        occ = tuple(int(k) for k in occupation)
-        try:
-            return self._index[occ]
-        except KeyError:
-            raise ValueError(f"{occ} is not a {self.n_photons}-photon occupation of this space") from None
+        """Position of an occupation vector, of Python or NumPy integers, in the basis order."""
+        return int(self._positions([occupation])[0])
+
+    def _positions(self, occupations) -> np.ndarray:
+        """Positions of occupations, in one ``_rank``; ValueError unless each is M integers >= 0 summing to N."""
+        rows = []
+        for occ in map(tuple, occupations):
+            try:
+                rows.append([operator.index(k) for k in occ])
+            except TypeError:
+                rows.append([])
+            if len(rows[-1]) != len(self.space) or min(rows[-1]) < 0 or sum(rows[-1]) != self.n_photons:
+                raise ValueError(f"{occ} is not a {self.n_photons}-photon occupation of this space")
+        return _rank(np.array(rows, dtype=np.intp).reshape(-1, len(self.space)), self.n_photons)
 
     @cached_property
     def m_totals(self) -> np.ndarray:
@@ -186,12 +214,8 @@ class FockBasis:
 
     @cached_property
     def _mirror(self) -> np.ndarray:
-        """``_mirror[i]`` is the index of the mirror image of basis state i."""
-        # the image holds n_perm[i] on mode i (perm is an involution). Sorted into
-        # basis order, lexicographically decreasing, the images put the image of
-        # state _mirror[r] at r; the mirror is its own inverse, so the sort is _mirror
-        images = self._occupancy[:, self.space.mirror_permutation]
-        return _frozen(np.lexsort(-images.T[::-1]))
+        """``_mirror[i]`` is the index of basis state i's mirror image, which holds n_perm[i] on mode i."""
+        return _frozen(_rank(self._occupancy[:, self.space.mirror_permutation], self.n_photons))
 
     @cached_property
     def _splits(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
@@ -226,28 +250,19 @@ class FockBasis:
         index of n - e_j among the (k-1)-photon states and ``scale[n] =
         sqrt(n_j)``. ``modes[i]`` is ``(occupied, lower, root)``: the states
         with n_i > 0, the index of n - e_i for each, and sqrt(n_i) as a
-        column.
+        column. Every index is a ``_rank`` among the (k-1)-photon states.
         """
-        m = len(self.space)
-        below = {(0,) * m: 0}
+        unit = np.eye(len(self.space), dtype=np.intp)
         levels = []
         for k in range(1, self.n_photons + 1):
-            occ = self._occupancy if k == self.n_photons else _occupations(m, k)
-            states = self.states if k == self.n_photons else _as_tuples(occ)
-            lower = np.zeros_like(occ)
-            for row, state in enumerate(states):
-                for i, count in enumerate(state):
-                    if count:
-                        lower[row, i] = below[state[:i] + (count - 1,) + state[i + 1 :]]
-            root = np.sqrt(occ)
-            first = np.argmax(occ > 0, axis=1)
-            rows = np.arange(len(states))
+            occ = self._occupancy if k == self.n_photons else _occupations(len(unit), k)
+            root, first = np.sqrt(occ), np.argmax(occ > 0, axis=1)
             modes = []
-            for i in range(m):
-                occupied = np.flatnonzero(occ[:, i])
-                modes.append(tuple(map(_frozen, (occupied, lower[occupied, i], root[occupied, i, None]))))
-            levels.append((_frozen(lower[rows, first]), _frozen(root[rows, first]), _frozen(first), tuple(modes)))
-            below = {state: row for row, state in enumerate(states)}
+            for i, occupied in enumerate(map(np.flatnonzero, occ.T)):
+                lower = _rank(occ[occupied] - unit[i], k - 1)
+                modes.append(tuple(map(_frozen, (occupied, lower, root[occupied, i, None]))))
+            parent, scale = _rank(occ - unit[first], k - 1), root[np.arange(len(occ)), first]
+            levels.append((*map(_frozen, (parent, scale, first)), tuple(modes)))
         return tuple(levels)
 
     def ket(self, i: int) -> str:
@@ -396,8 +411,7 @@ def _parity(image: np.ndarray, amplitudes: np.ndarray) -> int | None:
 def state_from_amplitudes(basis: FockBasis, mapping) -> FockState:
     """Build a state from an {occupation: amplitude} mapping (unlisted entries are 0)."""
     amp = np.zeros(len(basis), dtype=complex)
-    for occ, value in mapping.items():
-        amp[basis.index(occ)] = value
+    amp[basis._positions(mapping)] = list(mapping.values())
     return FockState(basis, amp)
 
 
@@ -532,26 +546,20 @@ def lift_generator(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
 
     The derivative of ``lift`` at the identity, so lift(expm(E)) =
     expm(lift_generator(E)). Each nonzero E_ij fills at most one entry per
-    column, so past the dense output the cost is O(nnz(E) * dim).
+    column, found by ``_rank``, so past the dense output the cost is
+    O(nnz(E) * dim * M); it builds no ladder.
     """
     a = np.asarray(matrix, dtype=complex)
     m = len(basis.space)
     if a.shape != (m, m):
         raise ValueError(f"matrix must be {m}x{m} for this space, got {a.shape}")
     out = np.zeros((len(basis), len(basis)), dtype=complex)
-    if basis.n_photons:
-        modes = basis._ladder[-1][3]
-        occ = basis._occupancy
-        # upper[p, i] is the index of p + e_i, for p an (N-1)-photon state;
-        # there are no more of those than N-photon states
-        upper = np.zeros((len(basis), m), dtype=np.intp)
-        for i, (occupied, lower, _) in enumerate(modes):
-            upper[lower, i] = occupied
-        for i, j in zip(*np.nonzero(a)):
-            # a_i^dag a_j |n> = sqrt(n'_i n_j) |n'> with n' = n - e_j + e_i
-            cols, lower, _ = modes[j]
-            image = upper[lower, i]
-            out[image, cols] += a[i, j] * np.sqrt(occ[image, i] * occ[cols, j])
+    occ, unit = basis._occupancy, np.eye(m, dtype=np.intp)
+    for i, j in zip(*np.nonzero(a)):
+        # a_i^dag a_j |n> = sqrt(n'_i n_j) |n'> with n' = n - e_j + e_i, over the n with n_j > 0
+        cols = np.flatnonzero(occ[:, j])
+        image = _rank(occ[cols] - unit[j] + unit[i], basis.n_photons)
+        out[image, cols] += a[i, j] * np.sqrt(occ[image, i] * occ[cols, j])
     return LiftedOperator(basis, out)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, _mirror_parity, enumerate_basis, state_from_amplitudes
+from .fock import FockState, _mirror_parity, _rank, enumerate_basis, state_from_amplitudes
 from .modes import ModeSpace, direct_sum, h0, hm
 
 __all__ = [
@@ -74,14 +74,12 @@ def mirror_fock(n_sym: int, n_anti: int) -> FockState:
     basis = enumerate_basis(h0(), n)
     amp = np.zeros(len(basis), dtype=complex)
     for p in range(n + 1):
-        # coefficient of (a+)^p (a-)^(n-p) in (a+ + a-)^n_sym (a+ - a-)^n_anti
+        # coefficient of (a+)^p (a-)^(n-p) in (a+ + a-)^n_sym (a+ - a-)^n_anti, on state n - p = (p, n - p)
         g = sum(
             math.comb(n_sym, p - j) * math.comb(n_anti, j) * (-1) ** (n_anti - j)
             for j in range(max(0, p - n_sym), min(n_anti, p) + 1)
         )
-        amp[basis.index((p, n - p))] = g * math.sqrt(
-            math.factorial(p) * math.factorial(n - p)
-        )
+        amp[n - p] = g * math.sqrt(math.factorial(p) * math.factorial(n - p))
     return FockState(basis, amp).normalized()
 
 
@@ -106,12 +104,10 @@ def pair_power(m: int, pairs: int) -> FockState:
     if pairs < 0:
         raise ValueError("pairs must be non-negative")
     basis = enumerate_basis(hm(m), 2 * pairs)
-    coeffs = pair_expansion_coefficients(pairs)
     amp = np.zeros(len(basis), dtype=complex)
-    for l, x_l in enumerate(coeffs):
-        k = pairs - l
-        # exact integer amplitude x_l * (K-l)! * l! = (-1)^l K!
-        amp[basis.index((k, l, k, l))] = x_l * math.factorial(k) * math.factorial(l)
+    # the exact integer amplitude x_l (K-l)! l! = (-1)^l K! on (K-l, l, K-l, l), x_l = pair_expansion_coefficients(K)[l]
+    occupancy = np.array([(pairs - l, l, pairs - l, l) for l in range(pairs + 1)], dtype=np.intp)
+    amp[_rank(occupancy, 2 * pairs)] = [(-1) ** l * math.factorial(pairs) for l in range(pairs + 1)]
     return FockState(basis, amp).normalized()
 
 
@@ -141,14 +137,10 @@ def product_state(factors) -> FockState:
     basis = enumerate_basis(space, n)
     amp = np.zeros(len(basis), dtype=complex)
     supports = [np.flatnonzero(np.abs(f.amplitudes) > 0.0) for f in factors]
-    for combo in itertools.product(*supports):
-        occ = tuple(
-            k
-            for f, i in zip(factors, combo)
-            for k in f.basis.states[i]
-        )
-        value = math.prod((f.amplitudes[i] for f, i in zip(factors, combo)), start=1.0 + 0j)
-        amp[basis.index(occ)] = value
+    combos = list(itertools.product(*supports))  # a supported state per factor, their occupations concatenated
+    picks = np.array(combos, dtype=np.intp).reshape(len(combos), len(factors)).T
+    values = [math.prod((f.amplitudes[i] for f, i in zip(factors, combo)), start=1.0 + 0j) for combo in combos]
+    amp[_rank(np.hstack([f.basis._occupancy[c] for f, c in zip(factors, picks)]), n)] = values
     return FockState(basis, amp)
 
 

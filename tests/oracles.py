@@ -37,9 +37,10 @@ def lift_oracle(matrix, basis):
     """
     matrix = np.asarray(matrix, dtype=complex)
     n_modes = len(basis.space)
-    dim = len(basis)
+    index = _index_oracle(n_modes, basis.n_photons)
+    dim = len(index)
     out = np.zeros((dim, dim), dtype=complex)
-    for col, occ in enumerate(basis.states):
+    for occ, col in index.items():
         poly = {(0,) * n_modes: 1.0 + 0.0j}
         for j, n_j in enumerate(occ):
             for _ in range(n_j):
@@ -47,8 +48,52 @@ def lift_oracle(matrix, basis):
         in_norm = math.sqrt(math.prod(math.factorial(k) for k in occ))
         for image_occ, coeff in poly.items():
             amp = coeff * math.sqrt(math.prod(math.factorial(k) for k in image_occ)) / in_norm
-            out[basis.index(image_occ), col] = amp
+            out[index[image_occ], col] = amp
     return out
+
+
+def lift_generator_oracle(matrix, basis):
+    """dGamma(E) = sum_ij E_ij a_i^dag a_j, column by column: each nonzero
+    E_ij, in row-major order, maps |n> with n_j > 0 to sqrt(n'_i n_j) |n'>,
+    n' = n - e_j + e_i, found in a dict of the occupations."""
+    matrix = np.asarray(matrix, dtype=complex)
+    n_modes = len(basis.space)
+    index = _index_oracle(n_modes, basis.n_photons)
+    out = np.zeros((len(index), len(index)), dtype=complex)
+    for i, j in zip(*np.nonzero(matrix)):
+        for occ, col in index.items():
+            if occ[j]:
+                image = list(occ)
+                image[j] -= 1
+                image[i] += 1
+                out[index[tuple(image)], col] += matrix[i, j] * np.sqrt(float(image[i] * occ[j]))
+    return out
+
+
+def ladder_oracle(basis):
+    """The lift's creation-operator tables (``FockBasis._ladder``), with every
+    index of n - e_i looked up state by state in a dict of the level below."""
+    m = len(basis.space)
+    below = {(0,) * m: 0}
+    levels = []
+    for k in range(1, basis.n_photons + 1):
+        states = list(occupations_oracle(m, k))
+        occ = np.array(states, dtype=np.intp)
+        lower = np.zeros_like(occ)
+        for row, state in enumerate(states):
+            for i, count in enumerate(state):
+                if count:
+                    lower[row, i] = below[state[:i] + (count - 1,) + state[i + 1 :]]
+        root = np.sqrt(occ)
+        first = np.argmax(occ > 0, axis=1)
+        rows = np.arange(len(states))
+        modes = []
+        for i in range(m):
+            occupied = np.flatnonzero(occ[:, i])
+            modes.append((occupied, lower[occupied, i], root[occupied, i, None]))
+        levels.append((lower[rows, first], root[rows, first], first, tuple(modes)))
+        below = {state: row for row, state in enumerate(states)}
+    return tuple(levels)
 
 
 def apply_oracle(matrix, state):
@@ -83,6 +128,12 @@ def occupations_oracle(modes, total):
             yield (first,) + rest
 
 
+def _index_oracle(modes, total):
+    """{occupation: position} over the occupations of ``total`` photons in
+    ``modes`` modes, in the recursive enumeration's order."""
+    return {occ: i for i, occ in enumerate(occupations_oracle(modes, total))}
+
+
 def splits_oracle(basis):
     """The split table, ``(counts, indices)`` per split ascending in the
     per-pair photon counts, by ``np.unique`` over the rows of counts."""
@@ -94,9 +145,9 @@ def splits_oracle(basis):
 
 def mirror_oracle(basis):
     """The index of each basis state's mirror image, looked up state by state."""
-    index = {occ: i for i, occ in enumerate(basis.states)}
+    index = _index_oracle(len(basis.space), basis.n_photons)
     perm = basis.space.mirror_permutation
-    return np.array([index[tuple(occ[j] for j in perm)] for occ in basis.states], dtype=np.intp)
+    return np.array([index[tuple(occ[j] for j in perm)] for occ in index], dtype=np.intp)
 
 
 def sample_block_oracle(rng, kind, unitary, floor, max_attempts=100):

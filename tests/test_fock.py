@@ -29,9 +29,11 @@ from symprot import (
     sector_split,
     state_from_amplitudes,
 )
-from symprot.fock import _CACHED_BASES, _as_tuples, _lift_group, _occupations, _shared_basis, _symmetric_power
+from symprot.fock import _CACHED_BASES, _as_tuples, _lift_group, _occupations, _rank, _shared_basis, _symmetric_power
 from oracles import (
     apply_oracle,
+    ladder_oracle,
+    lift_generator_oracle,
     lift_oracle,
     mirror_oracle,
     occupations_oracle,
@@ -82,10 +84,17 @@ def test_basis_index_roundtrip():
     basis = enumerate_basis(hm(2), 3)
     for i, occ in enumerate(basis.states):
         assert basis.index(occ) == i
+        assert type(basis.index(occ)) is int
+        assert basis.index(np.array(occ)) == i  # NumPy integer entries
     with pytest.raises(ValueError):
         basis.index((4, 0, 0, 0))  # wrong photon number
     with pytest.raises(ValueError):
         basis.index((1, 1))  # wrong mode count
+    one = enumerate_basis(h0(), 1)
+    # not integers, a negative entry, the wrong mode count, the wrong photon sum
+    for bad in ((1.5, -0.5), (1.5, 0.5), (1.0, 0), (np.float64(1), 0), ("1", "0"), (2, -1), (1,), (1, 0, 0), (1, 1)):
+        with pytest.raises(ValueError):
+            one.index(bad)
 
 
 def test_ket_rendering():
@@ -144,19 +153,55 @@ def _same_table(table, oracle):
     return type(table) is type(oracle) and table == oracle
 
 
+_GRID_SPACES = {
+    "h0": h0(), "hm1": hm(1), "hm2": hm(2), "h0+hm1": direct_sum(h0(), hm(1)), "hm1+h0": direct_sum(hm(1), h0()),
+    "hm1+hm2": direct_sum(hm(1), hm(2)), "h0+hm1+hm2": direct_sum(h0(), hm(1), hm(2)),
+}
+_TABLE_GRID = pytest.mark.parametrize("space", list(_GRID_SPACES.values()), ids=list(_GRID_SPACES))
+
+
 @pytest.mark.parametrize("n", range(7))
-@pytest.mark.parametrize(
-    "space",
-    [h0(), hm(1), hm(2), direct_sum(h0(), hm(1)), direct_sum(hm(1), h0()), direct_sum(hm(1), hm(2)),
-     direct_sum(h0(), hm(1), hm(2))],
-    ids=["h0", "hm1", "hm2", "h0+hm1", "hm1+h0", "hm1+hm2", "h0+hm1+hm2"],
-)
+@_TABLE_GRID
 def test_sorted_tables_match_the_scanned_ones(space, n):
     """The split table and the mirror permutation, both built by sorting,
     equal the scans they replace."""
     basis = enumerate_basis(space, n)
     assert _same_table(basis._splits, splits_oracle(basis))
     assert _same_table(basis._mirror, mirror_oracle(basis))
+
+
+@pytest.mark.parametrize("n", range(7))
+@_TABLE_GRID
+def test_the_ladder_matches_the_dict_built_one(space, n):
+    basis = enumerate_basis(space, n)
+    assert _same_table(basis._ladder, ladder_oracle(basis))
+
+
+@pytest.mark.parametrize(
+    "occupations,total",
+    [pytest.param(name, n, id=f"{name}-{n}") for name in _GRID_SPACES for n in range(7)]
+    + [pytest.param(modes, total, id=f"M{modes}-{total}") for modes in range(1, 11) for total in range(7)]
+    + [pytest.param("h0+hm1+hm2", 10, id="h0+hm1+hm2-10"), pytest.param(70, 2, id="M70-2")],
+)
+def test_the_rank_of_each_occupation_is_its_position(occupations, total):
+    """On a basis's occupations (a space named) or on an enumeration (a mode count);
+    on 70 modes the binomial table holds entries past the intp range."""
+    if isinstance(occupations, str):
+        occupancy = enumerate_basis(_GRID_SPACES[occupations], total)._occupancy
+    else:
+        occupancy = _occupations(occupations, total)
+    ranks = _rank(occupancy, total)
+    assert ranks.dtype == np.intp and np.array_equal(ranks, np.arange(len(occupancy)))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_lift_generator_matches_the_dict_built_one(n):
+    """Bitwise, on a complex generator with zero entries, diagonal included."""
+    basis = enumerate_basis(direct_sum(hm(1), hm(2)), n)
+    rng = np.random.default_rng(17 + n)
+    E = _random_matrix(rng, 8)
+    E[rng.random((8, 8)) < 0.3] = 0
+    assert np.array_equal(lift_generator(E, basis).matrix, lift_generator_oracle(E, basis))
 
 
 @pytest.mark.parametrize("modes", range(1, 11))
