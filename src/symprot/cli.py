@@ -140,8 +140,7 @@ def _cmd_search(args) -> int:
         basis = enumerate_basis(space, args.n)
         lines = [f"{len(result.rays)} protected ray(s) at N = {args.n}"]
         for ray in result.rays:
-            tau = "" if ray.mirror_tau is None else f", tau = {ray.mirror_tau:+d}"
-            lines.append(f"  m_tot = {ray.m_tot}{tau}:")
+            lines.append(f"  m_tot = {ray.m_tot}, tau = {ray.mirror_tau:+d}:")
             # a ray holds its values on its split, whose indices ascend
             support, values = ray.state._sparse()
             keep = abs(values) > 1e-9

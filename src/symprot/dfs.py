@@ -45,7 +45,7 @@ class CarrierNotProtectedError(RuntimeError):
     """The carrier state failed protection certification."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeBinQudit:
     """d normalized logical coefficients over one normalized carrier state per bin."""
 
@@ -92,7 +92,7 @@ def time_bin_qudit(
     return TimeBinQudit(coefficients=coeff, carrier=carrier)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelOutcome:
     """Transmission diagnostics of a time-bin qudit."""
 

@@ -36,7 +36,7 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoPhotonMatrix:
     """Symmetric coefficient matrix of a two-photon state over a mode space."""
 
@@ -123,7 +123,7 @@ def takagi(matrix: np.ndarray, group_tol: float = 1e-8) -> tuple[np.ndarray, np.
     return s, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlaterReport:
     """Slater-rank diagnostics of a two-photon state."""
 

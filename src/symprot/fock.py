@@ -298,7 +298,7 @@ def sector_split(basis: FockBasis) -> dict[int, list[int]]:
     return {m: idx.tolist() for m, idx in basis._sectors.items()}
 
 
-@dataclass
+@dataclass(eq=False)
 class FockState:
     """Amplitude vector over a Fock basis.
 
@@ -464,7 +464,7 @@ def permanent_naive(matrix: np.ndarray) -> complex:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedOperator:
     """A single-particle matrix lifted to an N-photon basis: a (dim, dim)
     matrix, or a (k, dim, dim) stack when a stack was lifted."""

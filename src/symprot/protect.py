@@ -10,9 +10,8 @@ by I and X on h0, so a state is protected iff it spans a one-dimensional
 representation of the family's Lie algebra (``family_generators``): the
 lifted sl(2) generators annihilate it and it is an eigenvector of the lifted
 commuting ones. The search finds these spaces without random draws, then
-certifies each one. Each ray's mirror parity is read off the basis's mirror
-permutation, as ``fock._mirror_parity`` reads it; it is None off m_tot = 0,
-where the mirror image lies in the opposite sector.
+certifies each one. Every ray lies at m_tot = 0, and its mirror parity is
+read off the basis's mirror permutation, as ``fock._mirror_parity`` reads it.
 
 One kernel, ``_scalar_action``, applies lifted family members to states.
 A family member is block diagonal over the 2x2 blocks of its mode pairs,
@@ -40,8 +39,10 @@ candidate opens none. Outside it every call reads and lifts afresh, and
 nothing lifted outlives the call that lifted it.
 
 The search visits the splits of the shared basis by the photon counts on
-the mode pairs (``FockBasis._splits``), each in one m_tot sector, where
-the family acts as a Kronecker product over the components. A split's
+the mode pairs (``FockBasis._splits``), where the family acts as a
+Kronecker product over the components. An hm component's sl(2) has an
+invariant on Sym^a x Sym^b only when a = b, so only splits with a = b on
+every hm component hold candidates, all at m_tot = 0. A split's
 candidates are Kronecker products of per-component ones, factorised from
 closed-form (k + 1) x (k + 1) generators once per component kind and pair
 counts (``_component_factors``), a cache that holds nothing of m, the
@@ -109,7 +110,7 @@ class Verdict(enum.Enum):
 @dataclass(frozen=True)
 class CertificationConfig:
     """Certification draws and pass mark; ``cluster_tol`` is the relative
-    singular-value cut of find_protected's generator kernels."""
+    singular-value cut of find_protected's kernels on hm splits with a = b."""
 
     n_samples: int = 64
     residual_tol: float = 1e-10
@@ -137,7 +138,7 @@ class CertificationConfig:
         object.__setattr__(self, "unitary", bool(self.unitary))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtectionReport:
     """Outcome of certifying one state against n_samples random lifts."""
 
@@ -286,17 +287,17 @@ def certify(state: FockState, cfg: CertificationConfig = CertificationConfig()) 
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtectedRay:
     """A certified one-dimensional protected subspace."""
 
     state: FockState  # phase-fixed: first significant amplitude real positive
     m_tot: int
-    mirror_tau: int | None  # mirror parity; defined on the m_tot = 0 sector
+    mirror_tau: int  # mirror parity, +1 or -1: every ray lies at m_tot = 0
     report: ProtectionReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtectedSubspace:
     """A certified protected subspace of dimension > 1 (scalar action)."""
 
@@ -336,7 +337,8 @@ def _component_factors(kind: str, counts: tuple[int, ...]) -> tuple[np.ndarray, 
     vectors (as columns) of its stacked sl(2), dSym^a(E) x 1 + 1 x dSym^b(X E X).
     The 2x2 pair blocks are those of ``family_generators``: X is h0's swap,
     and E and X E X the blocks of hm(1)'s sl(2) on its +m and -m pairs.
-    Every hm(m) has these generators, so no key holds m: there are O(cap^2)."""
+    Every hm(m) has these generators, so no key holds m, and a search asks
+    for hm keys with a = b only: there are O(cap)."""
     if kind == "h0":
         values, vectors = np.linalg.eigh(_dsym(family_generators(h0())[1][1].real, counts[0]))
         labels = np.round(values)
@@ -350,13 +352,15 @@ def _component_factors(kind: str, counts: tuple[int, ...]) -> tuple[np.ndarray, 
 
 def _split_candidates(space: ModeSpace, counts: tuple[int, ...], tol: float):
     """Protected candidates of one split: the Kronecker products of the
-    components' candidates, h0's swap eigenspaces and the joint kernel of
-    each hm's sl(2), cut at singular values ``tol`` relative to the largest."""
+    components' candidates, h0's swap eigenspaces and each hm's sl(2) kernel:
+    none at a != b, else cut at singular values ``tol`` relative to the largest."""
     options, p = [], 0
     for comp in space.components or (space,):
         if comp.kind == "h0":
             options.append(_component_factors("h0", counts[p : p + 1]))
         else:
+            if counts[p] != counts[p + 1]:  # sl(2) has an invariant on Sym^a x Sym^b only when a = b
+                return
             s, v = _component_factors("hm", counts[p : p + 2])
             rank = np.count_nonzero(s > tol * s[0])
             options.append((v[:, rank:],) if rank < len(s) else ())
@@ -378,8 +382,8 @@ def _kron(factors: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _ray_order(rays: list[ProtectedRay]) -> np.ndarray:
-    """The stable lexicographic order of rays by -m_tot, then the real and
-    then the imaginary parts of the amplitudes rounded to 9 digits, over
+    """The stable lexicographic order of rays by the real and then the
+    imaginary parts of the amplitudes rounded to 9 digits, over
     the basis states some ray occupies. Each ray's values are read on its
     support (``FockState._sparse``); the other states compare equal."""
     sparse = [ray.state._sparse() for ray in rays]
@@ -388,7 +392,7 @@ def _ray_order(rays: list[ProtectedRay]) -> np.ndarray:
     amps = np.zeros((len(rays), len(cols)), dtype=complex)
     rows = np.repeat(np.arange(len(rays)), [len(support) for support, _ in sparse])
     amps[rows, np.searchsorted(cols, supports)] = np.concatenate([values for _, values in sparse])
-    keys = np.column_stack([[-ray.m_tot for ray in rays], np.round(amps.real, 9), np.round(amps.imag, 9)])
+    keys = np.column_stack([np.round(amps.real, 9), np.round(amps.imag, 9)])
     return np.lexsort(keys.T[::-1])
 
 
@@ -404,10 +408,11 @@ def find_protected(
     mode pairs, the candidates are the joint eigenspaces of the commuting
     generators within the joint kernel of the sl(2) generators
     (``family_generators``), from ``_split_candidates``; ``cfg.cluster_tol``
-    is the relative rank cut of each kernel. Certification phase: each
-    candidate is certified against cfg's sampling class with
-    cfg.n_samples draws; rays are phase-fixed and carry their mirror
-    parity on the m_tot = 0 sector.
+    is the relative rank cut of each kernel. A split with a != b photons on
+    some hm component's pairs yields none, so every ray lies at m_tot = 0,
+    and a ``sector`` other than 0 returns at once with no ray and no draw.
+    Certification phase: each candidate is certified with cfg.n_samples
+    draws of cfg's sampling class; rays are phase-fixed, with their parity.
 
     A ray lives on its split ``idx``: it is normalised and phase-fixed on
     that slice and held there (``FockState._on_split``), so the search
@@ -434,21 +439,16 @@ def find_protected(
             raise ValueError(f"no m_tot = {sector} sector at N = {n_photons}")
         sectors = (sector,)
 
-    m_totals = basis.m_totals
-    found = []
-    for counts, idx in basis._splits:
-        m = int(m_totals[idx[0]])
-        if m in sectors:
-            for cand in _split_candidates(space, counts, cfg.cluster_tol):
-                found.append((m, idx, cand))
+    splits = basis._splits if 0 in sectors else ()  # every ray lies at m_tot = 0
+    found = [(idx, cand) for counts, idx in splits for cand in _split_candidates(space, counts, cfg.cluster_tol)]
     if not found:
-        # most one-sector searches end here, and they open no scope
+        # every search of a sector other than 0 ends here, and opens no scope
         return SearchResult(rays=(), subspaces=(), verdict=Verdict.PROTECTED, samples_used=0, sectors=sectors)
     rays, subspaces, samples_used = [], [], 0
     token = _SCOPE.set(_Stream(basis, cfg))
     try:
         split_of, position = basis._split_table
-        for m, idx, cand in found:
+        for idx, cand in found:
             samples_used += cfg.n_samples
             if cand.shape[1] == 1:
                 # complex before the phase fix: its product sets the signs of the zero imaginary parts
@@ -457,18 +457,18 @@ def find_protected(
                 state = FockState._on_split(basis, int(split_of[idx[0]]), col)
                 report = certify(state, cfg)
                 if report.verdict is Verdict.PROTECTED:
-                    # the mirror keeps an m_tot = 0 split; off it the image lies in the opposite sector
-                    tau = _parity(col[position[basis._mirror[idx]]], col) if m == 0 else None
-                    rays.append(ProtectedRay(state=state, m_tot=m, mirror_tau=tau, report=report))
+                    # the mirror keeps an m_tot = 0 split
+                    tau = _parity(col[position[basis._mirror[idx]]], col)
+                    rays.append(ProtectedRay(state=state, m_tot=0, mirror_tau=tau, report=report))
             else:
-                sub = _certify_subspace(basis, idx, cand, m, cfg)
+                sub = _certify_subspace(basis, idx, cand, cfg)
                 if sub is not None:
                     subspaces.append(sub)
     finally:
         _SCOPE.reset(token)
     if len(rays) > 1:
         rays = [rays[i] for i in _ray_order(rays)]
-    subspaces.sort(key=lambda s: (-s.m_tot, -s.dimension))
+    subspaces.sort(key=lambda s: -s.dimension)
     return SearchResult(
         rays=tuple(rays),
         subspaces=tuple(subspaces),
@@ -478,7 +478,7 @@ def find_protected(
     )
 
 
-def _certify_subspace(basis, idx, cand, m_tot, cfg) -> ProtectedSubspace | None:
+def _certify_subspace(basis, idx, cand, cfg) -> ProtectedSubspace | None:
     """Scalar-action test of a d > 1 candidate against the certification
     stream of ``cfg``: the search's shared one inside ``find_protected``."""
     vectors = np.zeros((len(basis), cand.shape[1]), dtype=complex)
@@ -488,7 +488,7 @@ def _certify_subspace(basis, idx, cand, m_tot, cfg) -> ProtectedSubspace | None:
     worst = float(np.max(residuals))
     if worst >= cfg.residual_tol:
         return None
-    return ProtectedSubspace(basis=basis, vectors=vectors, m_tot=m_tot, worst_residual=worst)
+    return ProtectedSubspace(basis=basis, vectors=vectors, m_tot=0, worst_residual=worst)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ class GenericityError(RuntimeError):
     """Raised when the sampler cannot reach the genericity floor."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricScattering:
     """A scattering matrix together with its mode space and unitarity class."""
 
@@ -485,7 +485,7 @@ def family_generators(space: ModeSpace) -> tuple[list[np.ndarray], list[np.ndarr
     return sl2, commuting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenMode:
     """One eigenvalue of the symmetric family with its single-particle eigenvectors."""
 

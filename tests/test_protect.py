@@ -1,5 +1,6 @@
 """Certification of protected states and the exhaustive ray search."""
 
+import copy
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ from symprot import (
     Verdict,
     certify,
     direct_sum,
+    eigen_modes,
     enumerate_basis,
     family_generators,
     find_protected,
@@ -29,10 +31,14 @@ from symprot import (
     pair_power,
     product_state,
     sector_split,
+    slater_report,
     state_from_amplitudes,
+    time_bin_qudit,
+    transmit,
+    two_photon_matrix,
     verify_pair_uniqueness,
 )
-from oracles import dense_bookkeeping_oracle
+from oracles import dense_bookkeeping_oracle, lift_generator_oracle
 from symprot import fock, protect, scatter, serialize
 from symprot.fock import _CACHED_BASES, FockState, _shared_basis, max_photons
 from symprot.protect import (
@@ -581,9 +587,9 @@ def test_search_tables_are_read_only_and_bounded():
     for m in range(1, _CACHED_BASES + 9):
         assert find_protected(hm(m), 1, CFG).rays == ()
     assert _shared_basis.cache_info().currsize <= _CACHED_BASES
-    assert _component_factors.cache_info().currsize == 2  # (1, 0) and (0, 1) on hm
+    assert _component_factors.cache_info().currsize == 0  # (1, 0) and (0, 1) on hm have a != b
     cap = max_photons()
-    assert _component_factors.cache_info().currsize <= (cap + 1) + (cap + 1) * (cap + 2) // 2
+    assert _component_factors.cache_info().currsize <= (cap + 1) + (cap // 2 + 1)
 
 
 def _tuple_key(ray):
@@ -635,6 +641,78 @@ def test_search_bookkeeping_matches_the_dense_oracle(space, n):
     for ray, (m_tot, tau, amps) in zip(rays, expected):
         assert (ray.m_tot, ray.mirror_tau) == (m_tot, tau)
         assert np.allclose(ray.state.amplitudes, amps, atol=1e-15, rtol=0)
+
+
+def test_hm_kernels_exist_only_at_equal_counts():
+    """Clebsch-Gordan: sl(2) has an invariant on Sym^a x Sym^b only when
+    a = b. Every a != b stack has full rank far above the default
+    ``cluster_tol`` (the smallest ratio up to a + b = 16 is 0.091), and
+    each (K, K) stack has a one-dimensional kernel with a wide gap."""
+    for a, b in itertools.product(range(17), repeat=2):
+        if a != b and a + b <= 16:
+            s, _ = _component_factors("hm", (a, b))
+            assert s[-1] / s[0] > 0.05, (a, b)
+    for pairs in range(1, 9):
+        s, _ = _component_factors("hm", (pairs, pairs))
+        assert np.count_nonzero(s < 1e-12 * s[0]) == 1
+        assert s[-2] / s[0] > 0.1
+
+
+def test_search_visits_only_the_splits_a_ray_can_live_on(monkeypatch):
+    """No search factorises an hm component with a != b photons on its
+    pairs, and a search of a sector other than 0 returns before it visits
+    a split, with no ray and no draw."""
+    asked = []
+    factors = protect._component_factors
+
+    def recording(kind, counts):
+        asked.append((kind, counts))
+        return factors(kind, counts)
+
+    monkeypatch.setattr(protect, "_component_factors", recording)
+    cfg = CertificationConfig(n_samples=4)
+    for _, space, top in _BOOKKEEPING_SPACES:
+        for n in range(top + 1):
+            find_protected(space, n, cfg)
+    assert {kind for kind, _ in asked} == {"h0", "hm"}
+    assert all(counts[0] == counts[1] for kind, counts in asked if kind == "hm")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a split visited off m_tot = 0")
+
+    monkeypatch.setattr(protect, "_split_candidates", refuse)
+    for _, space, top in _BOOKKEEPING_SPACES:
+        for n in range(top + 1):
+            for m in enumerate_basis(space, n)._sectors:
+                if m != 0:
+                    result = find_protected(space, n, cfg, sector=m)
+                    assert (result.rays, result.subspaces, result.samples_used, result.sectors) == ((), (), 0, (m,))
+
+
+@pytest.mark.parametrize(
+    "space,n",
+    [pytest.param(space, n, id=f"{name}-{n}")
+     for name, space, top in [
+         ("h0+hm1", direct_sum(h0(), hm(1)), 6),
+         ("hm1+hm2", direct_sum(hm(1), hm(2)), 4),
+         ("h0+hm1+hm2", direct_sum(h0(), hm(1), hm(2)), 4),
+     ]
+     for n in range(top + 1)],
+)
+def test_search_rays_span_the_dense_joint_kernel(space, n):
+    """Completeness without the splits: the joint kernel of the dense
+    lifted sl(2) generators (element by element, ``lift_generator_oracle``)
+    has as many dimensions as the search has rays, and the rays span it."""
+    basis = enumerate_basis(space, n)
+    # the generators are real, and so are their lifts
+    stack = np.vstack([lift_generator_oracle(g, basis) for g in family_generators(space)[0]]).real
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    rank = np.count_nonzero(s > 1e-9 * s[0]) if s.size else 0
+    kernel = vh[rank:].T
+    result = find_protected(space, n, CertificationConfig(n_samples=4))
+    assert len(result.rays) == kernel.shape[1] and not result.subspaces
+    rays = np.array([ray.state.amplitudes for ray in result.rays]).reshape(-1, len(basis))
+    assert np.abs(rays.T @ rays.conj() - kernel @ kernel.T).max() < 1e-9
 
 
 def test_search_rays_need_no_dense_bookkeeping(monkeypatch):
@@ -816,7 +894,7 @@ def test_product_of_protected_rays_is_protected():
 def test_subspace_certification_accepts_a_protected_ray():
     psi = pair_power(1, 1)
     idx = sector_split(psi.basis)[0]
-    sub = _certify_subspace(psi.basis, idx, psi.amplitudes[idx, None], 0, CFG)
+    sub = _certify_subspace(psi.basis, idx, psi.amplitudes[idx, None], CFG)
     assert sub is not None
     assert sub.dimension == 1
     assert sub.worst_residual < CFG.residual_tol
@@ -830,8 +908,8 @@ def test_subspace_certification_rejects_distinct_eigenvalues():
     idx = list(range(len(basis)))
     assert np.allclose(cand.conj().T @ cand, np.eye(2), atol=1e-15, rtol=0)
     for k in range(2):
-        assert _certify_subspace(basis, idx, cand[:, [k]], 0, CFG) is not None
-    assert _certify_subspace(basis, idx, cand, 0, CFG) is None
+        assert _certify_subspace(basis, idx, cand[:, [k]], CFG) is not None
+    assert _certify_subspace(basis, idx, cand, CFG) is None
 
 
 def test_subspace_certification_rejects_an_unprotected_direction():
@@ -840,7 +918,7 @@ def test_subspace_certification_rejects_an_unprotected_direction():
     rng = np.random.default_rng(3)
     noise = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
     cand, _ = np.linalg.qr(np.column_stack([psi.amplitudes[idx], noise]))
-    assert _certify_subspace(psi.basis, idx, cand, 0, CFG) is None
+    assert _certify_subspace(psi.basis, idx, cand, CFG) is None
 
 
 # ---------------------------------------------------------------------------
@@ -977,6 +1055,42 @@ def test_concurrent_searches_keep_their_own_streams(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     for got, want in zip(results, expected, strict=True):
         _assert_same_search(got, want)
+
+
+def _instances():
+    """One instance of every class that holds an ndarray (or a state)."""
+    psi = named_state("psi4")
+    scattering = ScatterSampler(seed=0).sample(hm(1))
+    qudit = time_bin_qudit(np.ones(2), psi, cfg=None)
+    idx = sector_split(psi.basis)[0]
+    return {
+        "FockState": psi,
+        "LiftedOperator": lift(scattering.matrix, psi.basis),
+        "ProtectionReport": certify(psi, CFG),
+        "ProtectedRay": find_protected(hm(1), 2, CFG).rays[0],
+        "ProtectedSubspace": _certify_subspace(psi.basis, idx, psi.amplitudes[idx, None], CFG),
+        "SymmetricScattering": scattering,
+        "EigenMode": eigen_modes(scattering)[0],
+        "TwoPhotonMatrix": two_photon_matrix(psi),
+        "SlaterReport": slater_report(psi),
+        "TimeBinQudit": qudit,
+        "ChannelOutcome": transmit(qudit, scattering),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "FockState", "LiftedOperator", "ProtectionReport", "ProtectedRay", "ProtectedSubspace", "SymmetricScattering",
+    "EigenMode", "TwoPhotonMatrix", "SlaterReport", "TimeBinQudit", "ChannelOutcome",
+])
+def test_states_and_reports_compare_by_identity(name):
+    """``==`` on these is identity, never an elementwise array comparison
+    (which raises), and they hash by identity."""
+    x = _instances()[name]
+    assert type(x).__name__ == name
+    other = copy.deepcopy(x)
+    assert x == x
+    assert (x == other) is False and (x != other) is True
+    assert hash(x) == hash(x) and {x: 1}[x] == 1
 
 
 # ---------------------------------------------------------------------------
