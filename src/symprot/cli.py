@@ -94,7 +94,6 @@ def _config_json(cfg: CertificationConfig) -> dict:
     return {
         "n_samples": cfg.n_samples,
         "residual_tol": cfg.residual_tol,
-        "cluster_tol": cfg.cluster_tol,
         "seed": cfg.seed,
         "unitary": cfg.unitary,
     }
@@ -146,8 +145,6 @@ def _cmd_search(args) -> int:
             keep = abs(values) > 1e-9
             for i, amp in zip(support[keep].tolist(), values[keep]):
                 lines.append(f"    {amp.real:+.6f}{amp.imag:+.6f}j  {basis.ket(i)}")
-        for sub in result.subspaces:
-            lines.append(f"  subspace dim {sub.dimension} at m_tot = {sub.m_tot}")
         _emit(args, None, lines)
         return 0
     payload = {
@@ -164,9 +161,6 @@ def _cmd_search(args) -> int:
                 "worst_residual": ray.report.worst_residual,
             }
             for ray in result.rays
-        ],
-        "subspaces": [
-            {"m_tot": sub.m_tot, "dimension": sub.dimension} for sub in result.subspaces
         ],
         "config": _config_json(cfg),
     }

@@ -580,9 +580,13 @@ def postselect_projector(basis: FockBasis, keep, n_photons: int | None = None) -
     """Diagonal projector onto occupation vectors with ``n_photons`` in ``keep``.
 
     With the default n_photons = basis.n_photons this keeps exactly the states
-    fully supported on the kept modes.
+    fully supported on the kept modes. Mode indices are Python or NumPy
+    integers; any other entry raises ValueError.
     """
-    keep_set = {int(i) for i in keep}
+    try:
+        keep_set = set(map(operator.index, keep))
+    except TypeError as exc:
+        raise ValueError(f"mode indices must be integers: {exc}") from None
     if not keep_set and basis.n_photons > 0:
         raise ValueError("empty mode set cannot hold photons")
     if not all(0 <= i < len(basis.space) for i in keep_set):

@@ -2,16 +2,16 @@
 
 A state is protected when every scattering matrix of the symmetric family
 maps it to a scalar multiple of itself. ``certify`` tests a given state
-against a stream of generic random samples. ``find_protected`` discovers all
-protected rays (and any higher-dimensional protected subspaces) of an
-N-photon space exactly, split by split over the mode pairs. The
-family is Zariski-dense in GL(2) on each hm block and in the torus spanned
-by I and X on h0, so a state is protected iff it spans a one-dimensional
-representation of the family's Lie algebra (``family_generators``): the
-lifted sl(2) generators annihilate it and it is an eigenvector of the lifted
-commuting ones. The search finds these spaces without random draws, then
-certifies each one. Every ray lies at m_tot = 0, and its mirror parity is
-read off the basis's mirror permutation, as ``fock._mirror_parity`` reads it.
+against a stream of generic random samples. ``find_protected`` discovers
+all protected rays of an N-photon space exactly, split by split over the
+mode pairs. The family is Zariski-dense in GL(2) on each hm block and in
+the torus spanned by I and X on h0, so a state is protected iff it spans a
+one-dimensional representation of the family's Lie algebra
+(``family_generators``): the lifted sl(2) generators annihilate it and it
+is an eigenvector of the lifted commuting ones. The search finds these
+spaces without random draws, then certifies each one. Every ray lies at
+m_tot = 0, and its mirror parity is read off the basis's mirror
+permutation, as ``fock._mirror_parity`` reads it.
 
 One kernel, ``_scalar_action``, applies lifted family members to states.
 A family member is block diagonal over the 2x2 blocks of its mode pairs,
@@ -31,9 +31,9 @@ vector it finds the occupied splits in ``FockBasis._split_table``.
 Every candidate of one search is certified against the same draws on the
 same basis, so ``find_protected`` opens a scope (``_SCOPE``, a context
 variable, so each thread and task has its own) for its certification
-phase. In it, ``certify`` and ``_certify_subspace`` on the search's basis
-with the search's config share one ``_Stream``: the first of them reads
-the draws, and each pair count is lifted once, for all the candidates.
+phase. In it, ``certify`` calls on the search's basis with the search's
+config share one ``_Stream``: the first of them reads the draws, and each
+pair count is lifted once, for all the candidates.
 The scope closes when the search returns or raises; a search with no
 candidate opens none. Outside it every call reads and lifts afresh, and
 nothing lifted outlives the call that lifted it.
@@ -42,21 +42,23 @@ The search visits the splits of the shared basis by the photon counts on
 the mode pairs (``FockBasis._splits``), where the family acts as a
 Kronecker product over the components. An hm component's sl(2) has an
 invariant on Sym^a x Sym^b only when a = b, so only splits with a = b on
-every hm component hold candidates, all at m_tot = 0. A split's
-candidates are Kronecker products of per-component ones, factorised from
-closed-form (k + 1) x (k + 1) generators once per component kind and pair
-counts (``_component_factors``), a cache that holds nothing of m, the
-basis, the configuration or random draws. The generators are dSym^k of
-the 2x2 pair blocks of ``family_generators``, the one statement of the
-family's Lie algebra. A call only cuts the kernels at ``cluster_tol``,
-forms the products (one broadcast multiply each, ``_kron``) and certifies
-them; it builds no dim x dim or per-sector table. A ray is handled on its
-split's slice: normalised, phase-fixed and compared with its mirror image
-there, and kept there as a ``FockState`` of its values on the split
+every hm component hold candidates, all at m_tot = 0. A split's candidates
+are Kronecker products of per-component ones, factorised from closed-form
+(k + 1) x (k + 1) generators once per component kind and pair counts
+(``_component_factors``), a cache that holds nothing of m, the basis, the
+configuration or random draws. The generators are dSym^k of the 2x2 pair
+blocks of ``family_generators``, the one statement of the family's Lie
+algebra. Every candidate is one column, by the algebra: dSym^k of h0's
+swap has the distinct eigenvalues k - 2j, and the (K, K) sl(2) kernel is
+one-dimensional, so a search sets no tolerance. A call only forms the
+products (one broadcast multiply each, ``_kron``) and certifies them; it
+builds no dim x dim or per-sector table. A ray is handled on its split's
+slice: normalised, phase-fixed and compared with its mirror image there,
+and kept there as a ``FockState`` of its values on the split
 (``FockState._on_split``), which ``certify`` applies on that split alone.
 No search step builds a dense vector; a ray's ``amplitudes`` are built
-when something first reads them. The rays are ordered by their values
-over the union of their splits (``_ray_order``).
+when something first reads them. The rays are ordered by their values over
+the union of their splits (``_ray_order``).
 """
 
 from __future__ import annotations
@@ -109,12 +111,10 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class CertificationConfig:
-    """Certification draws and pass mark; ``cluster_tol`` is the relative
-    singular-value cut of find_protected's kernels on hm splits with a = b."""
+    """Certification draws and pass mark."""
 
     n_samples: int = 64
     residual_tol: float = 1e-10
-    cluster_tol: float = 1e-8
     seed: int = 0
     unitary: bool = False  # sampling class used for certification draws
     genericity_floor: float = 1e-3
@@ -124,8 +124,6 @@ class CertificationConfig:
             raise ValueError(f"n_samples must be an integer of at least 3, got {self.n_samples!r}")
         if not 0 < self.residual_tol < 1:
             raise ValueError("residual_tol must lie in (0, 1)")
-        if not 0 < self.cluster_tol < 1:
-            raise ValueError("cluster_tol must lie in (0, 1)")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0 < self.genericity_floor < 1:
@@ -297,6 +295,7 @@ class ProtectedRay:
     report: ProtectionReport
 
 
+# kept, with SearchResult.subspaces and _certify_subspace, while perfbench/tracing.py and workloads.py read them (ROADMAP item 7)
 @dataclass(frozen=True, eq=False)
 class ProtectedSubspace:
     """A certified protected subspace of dimension > 1 (scalar action)."""
@@ -314,9 +313,9 @@ class ProtectedSubspace:
 @dataclass(frozen=True)
 class SearchResult:
     rays: tuple[ProtectedRay, ...]
-    subspaces: tuple[ProtectedSubspace, ...]
+    subspaces: tuple[ProtectedSubspace, ...]  # always (): every candidate is a ray
     verdict: Verdict  # always PROTECTED: the exact search is complete
-    samples_used: int  # certification draws: n_samples per candidate eigenspace
+    samples_used: int  # certification draws: n_samples per candidate
     sectors: tuple[int, ...]
 
 
@@ -331,18 +330,18 @@ def _dsym(block: np.ndarray, k: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _component_factors(kind: str, counts: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Read-only factorisations behind a component's candidates on a split:
-    for h0 with k photons (no sl(2)), the eigenspaces of dSym^k(X), one
-    column block per eigenvalue n_s - n_a, ascending; for hm with a and b
-    photons on its pairs, ``(s, v)``, the singular values and right singular
-    vectors (as columns) of its stacked sl(2), dSym^a(E) x 1 + 1 x dSym^b(X E X).
+    for h0 with k photons (no sl(2)), the eigenvectors of dSym^k(X), one
+    column each, by ascending eigenvalue n_s - n_a = -k, -k + 2, ..., k; for
+    hm with a and b photons on its pairs, ``(s, v)``, the singular values
+    and right singular vectors (as columns) of its stacked sl(2),
+    dSym^a(E) x 1 + 1 x dSym^b(X E X), whose kernel at a = b is the last column.
     The 2x2 pair blocks are those of ``family_generators``: X is h0's swap,
     and E and X E X the blocks of hm(1)'s sl(2) on its +m and -m pairs.
     Every hm(m) has these generators, so no key holds m, and a search asks
     for hm keys with a = b only: there are O(cap)."""
     if kind == "h0":
-        values, vectors = np.linalg.eigh(_dsym(family_generators(h0())[1][1].real, counts[0]))
-        labels = np.round(values)
-        return tuple(_frozen(vectors[:, labels == v]) for v in np.unique(labels))
+        _, vectors = np.linalg.eigh(_dsym(family_generators(h0())[1][1].real, counts[0]))
+        return tuple(_frozen(vectors[:, [j]]) for j in range(counts[0] + 1))
     a, b = counts
     pairs = [(gen[:2, :2].real, gen[2:, 2:].real) for gen in family_generators(hm(1))[0]]
     stack = np.vstack([np.kron(_dsym(e, a), np.eye(b + 1)) + np.kron(np.eye(a + 1), _dsym(xex, b)) for e, xex in pairs])
@@ -350,10 +349,10 @@ def _component_factors(kind: str, counts: tuple[int, ...]) -> tuple[np.ndarray, 
     return _frozen(s), _frozen(vh.conj().T)
 
 
-def _split_candidates(space: ModeSpace, counts: tuple[int, ...], tol: float):
-    """Protected candidates of one split: the Kronecker products of the
-    components' candidates, h0's swap eigenspaces and each hm's sl(2) kernel:
-    none at a != b, else cut at singular values ``tol`` relative to the largest."""
+def _split_candidates(space: ModeSpace, counts: tuple[int, ...]):
+    """Protected candidates of one split, one column each: the Kronecker
+    products of the components' candidates, h0's swap eigenvectors and each
+    hm's one-dimensional sl(2) kernel, none at a != b."""
     options, p = [], 0
     for comp in space.components or (space,):
         if comp.kind == "h0":
@@ -361,9 +360,8 @@ def _split_candidates(space: ModeSpace, counts: tuple[int, ...], tol: float):
         else:
             if counts[p] != counts[p + 1]:  # sl(2) has an invariant on Sym^a x Sym^b only when a = b
                 return
-            s, v = _component_factors("hm", counts[p : p + 2])
-            rank = np.count_nonzero(s > tol * s[0])
-            options.append((v[:, rank:],) if rank < len(s) else ())
+            # Clebsch-Gordan: the kernel on Sym^K x Sym^K is one-dimensional
+            options.append((_component_factors("hm", counts[p : p + 2])[1][:, -1:],))
         p += len(comp) // 2
     for factors in itertools.product(*options):
         yield _kron(factors)
@@ -402,13 +400,13 @@ def find_protected(
     cfg: CertificationConfig = CertificationConfig(),
     sector: int | None = None,
 ) -> SearchResult:
-    """All protected rays (and subspaces) of the N-photon space.
+    """All protected rays of the N-photon space; ``subspaces`` is always ().
 
     Search phase, exact and sample-free: per split of the basis over the
-    mode pairs, the candidates are the joint eigenspaces of the commuting
+    mode pairs, the candidates are the joint eigenvectors of the commuting
     generators within the joint kernel of the sl(2) generators
-    (``family_generators``), from ``_split_candidates``; ``cfg.cluster_tol``
-    is the relative rank cut of each kernel. A split with a != b photons on
+    (``family_generators``), from ``_split_candidates``, each one column,
+    as the classification proves. A split with a != b photons on
     some hm component's pairs yields none, so every ray lies at m_tot = 0,
     and a ``sector`` other than 0 returns at once with no ray and no draw.
     Certification phase: each candidate is certified with cfg.n_samples
@@ -424,8 +422,8 @@ def find_protected(
     The candidates are collected first. If there are any, they are
     certified in one scope that shares the stream: the draws are read once
     and lifted once per pair count, and each candidate still gets its own
-    ``certify`` (or ``_certify_subspace``) call, which applies it on its
-    split alone. A ``sector`` that is not an integer raises ValueError.
+    ``certify`` call, which applies it on its split alone. A ``sector``
+    that is not an integer raises ValueError.
     """
     basis = enumerate_basis(space, n_photons)
     if sector is None:
@@ -440,47 +438,40 @@ def find_protected(
         sectors = (sector,)
 
     splits = basis._splits if 0 in sectors else ()  # every ray lies at m_tot = 0
-    found = [(idx, cand) for counts, idx in splits for cand in _split_candidates(space, counts, cfg.cluster_tol)]
+    found = [(idx, cand) for counts, idx in splits for cand in _split_candidates(space, counts)]
     if not found:
         # every search of a sector other than 0 ends here, and opens no scope
         return SearchResult(rays=(), subspaces=(), verdict=Verdict.PROTECTED, samples_used=0, sectors=sectors)
-    rays, subspaces, samples_used = [], [], 0
+    rays = []
     token = _SCOPE.set(_Stream(basis, cfg))
     try:
         split_of, position = basis._split_table
         for idx, cand in found:
-            samples_used += cfg.n_samples
-            if cand.shape[1] == 1:
-                # complex before the phase fix: its product sets the signs of the zero imaginary parts
-                col = cand[:, 0].astype(complex)
-                col = _phase_fixed(col / _norm(col))
-                state = FockState._on_split(basis, int(split_of[idx[0]]), col)
-                report = certify(state, cfg)
-                if report.verdict is Verdict.PROTECTED:
-                    # the mirror keeps an m_tot = 0 split
-                    tau = _parity(col[position[basis._mirror[idx]]], col)
-                    rays.append(ProtectedRay(state=state, m_tot=0, mirror_tau=tau, report=report))
-            else:
-                sub = _certify_subspace(basis, idx, cand, cfg)
-                if sub is not None:
-                    subspaces.append(sub)
+            # complex before the phase fix: its product sets the signs of the zero imaginary parts
+            col = cand[:, 0].astype(complex)
+            col = _phase_fixed(col / _norm(col))
+            state = FockState._on_split(basis, int(split_of[idx[0]]), col)
+            report = certify(state, cfg)
+            if report.verdict is Verdict.PROTECTED:
+                # the mirror keeps an m_tot = 0 split
+                tau = _parity(col[position[basis._mirror[idx]]], col)
+                rays.append(ProtectedRay(state=state, m_tot=0, mirror_tau=tau, report=report))
     finally:
         _SCOPE.reset(token)
     if len(rays) > 1:
         rays = [rays[i] for i in _ray_order(rays)]
-    subspaces.sort(key=lambda s: -s.dimension)
     return SearchResult(
         rays=tuple(rays),
-        subspaces=tuple(subspaces),
+        subspaces=(),
         verdict=Verdict.PROTECTED,
-        samples_used=samples_used,
+        samples_used=len(found) * cfg.n_samples,
         sectors=sectors,
     )
 
 
 def _certify_subspace(basis, idx, cand, cfg) -> ProtectedSubspace | None:
     """Scalar-action test of a d > 1 candidate against the certification
-    stream of ``cfg``: the search's shared one inside ``find_protected``."""
+    stream of ``cfg``; no search calls it, since every candidate is a ray."""
     vectors = np.zeros((len(basis), cand.shape[1]), dtype=complex)
     vectors[idx, :] = cand
     draws, powers = _stream(basis, cfg)
@@ -549,7 +540,6 @@ def verify_pair_uniqueness(
         result.verdict is Verdict.PROTECTED
         and ray_count == 1
         and overlap > 1.0 - overlap_tol
-        and not result.subspaces
         and coefficients_ok
     )
     return UniquenessReport(

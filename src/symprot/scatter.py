@@ -153,9 +153,9 @@ class ScatterSampler:
     ``sample`` calls on one sampler walk the stream, and ``sample(space, n)``
     takes the next n draws at once, exactly as n single calls would. Draws
     failing the genericity floor (block determinant or eigenvalue gap too
-    small) are rejected and redrawn, up to ``max_attempts``. ``seed`` is
-    anything ``np.random.default_rng`` takes; an integer seed is checked
-    here and seeds the generator on first use.
+    small) are rejected and redrawn, up to ``max_attempts``, an integer of
+    at least 1. ``seed`` is anything ``np.random.default_rng`` takes; an
+    integer seed is checked here and seeds the generator on first use.
     """
 
     seed: int = 0
@@ -168,6 +168,10 @@ class ScatterSampler:
     def __post_init__(self):
         if not 0.0 < self.genericity_floor < 1.0:
             raise ValueError("genericity_floor must lie in (0, 1)")
+        try:
+            self.max_attempts = int(operator.index(self.max_attempts))
+        except TypeError:
+            raise ValueError(f"max_attempts must be an integer, got {self.max_attempts!r}") from None
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if not isinstance(self.unitary, (bool, np.bool_)):

@@ -3,8 +3,9 @@
 Complex numbers serialize as [re, im] pairs; matrices as row-major nested
 lists of such pairs; Fock amplitudes follow the canonical basis order
 (occupation vectors lexicographically decreasing). All CLI payloads carry
-{"schema": "symprot/1"} and validate against the JSON Schema files shipped
-in symprot/schemas/.
+{"schema": "symprot/2"} and validate against the JSON Schema files shipped
+in symprot/schemas/. ``state_from_json`` does not read the tag, so state
+files written under ``symprot/1`` still load.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
     "load_schema",
 ]
 
-SCHEMA_TAG = "symprot/1"
+SCHEMA_TAG = "symprot/2"
 
 
 def complex_pair(z: complex) -> list[float]:

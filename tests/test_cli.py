@@ -86,7 +86,7 @@ def test_outputs_validate_against_shipped_schemas(tmp_path):
     for name, args in runs.items():
         doc = payload(*args)
         jsonschema.validate(doc, load_schema(name))
-        assert doc["schema"] == "symprot/1"
+        assert doc["schema"] == "symprot/2"
         assert doc["command"] == name
 
 
@@ -210,6 +210,28 @@ def test_certify_accepts_recipes_and_state_files(tmp_path):
     path.write_text(json.dumps(state_to_json(named_state("psi4"))))
     doc2 = payload("certify", "--state", str(path), "--samples", "8")
     assert doc2["verdict"] == "protected"
+
+
+def test_symprot_1_state_files_still_load(tmp_path, capsys):
+    """A state file tagged symprot/1, as earlier releases wrote it, still
+    certifies; ``dump_state_file`` writes symprot/2 and reads back bitwise."""
+    from symprot import cli
+    from symprot.serialize import dump_state_file, load_state_file
+
+    rng = np.random.default_rng(1)
+    amps = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    amps /= np.linalg.norm(amps)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"schema": "symprot/1", "space": {"kind": "hm", "m": 1}, "n": 2,
+                               "amplitudes": [[float(z.real), float(z.imag)] for z in amps]}))
+    assert cli.main(["certify", "--state", str(old)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == "symprot/2" and doc["verdict"] == "not_protected"
+    state = load_state_file(str(old))
+    new = tmp_path / "new.json"
+    dump_state_file(state, str(new))
+    assert json.loads(new.read_text())["schema"] == "symprot/2"
+    assert load_state_file(str(new)).amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
 def test_search_finds_the_expected_ray_count():

@@ -715,6 +715,20 @@ def test_postselect_validates_arguments():
         postselect_projector(basis, keep=[5])
 
 
+@pytest.mark.parametrize("keep", [[0.7], ["1"], [0, 1.0]], ids=["fraction", "str", "float"])
+def test_postselect_refuses_non_integer_modes(keep):
+    """A mode index is an integer: 0.7 is not mode 0, nor "1" mode 1."""
+    with pytest.raises(ValueError, match="^mode indices must be integers"):
+        postselect_projector(enumerate_basis(h0(), 2), keep=keep)
+
+
+def test_postselect_takes_numpy_integer_modes():
+    basis = enumerate_basis(hm(1), 2)
+    expected = postselect_projector(basis, keep=[0, 3]).matrix
+    assert np.array_equal(postselect_projector(basis, keep=np.array([0, 3])).matrix, expected)
+    assert np.array_equal(postselect_projector(basis, keep=[np.int8(0), np.uint16(3)]).matrix, expected)
+
+
 # ---------------------------------------------------------------------------
 # states
 

@@ -138,7 +138,7 @@ def test_config_validation():
         CertificationConfig(n_samples=2)
     with pytest.raises(ValueError):
         CertificationConfig(residual_tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the search sets no tolerance: every candidate is one ray
         CertificationConfig(cluster_tol=1.5)
 
 
@@ -630,12 +630,12 @@ def test_search_bookkeeping_matches_the_dense_oracle(space, n):
     cfg = CertificationConfig(n_samples=4)
     basis = enumerate_basis(space, n)
     candidates = [
-        (int(basis.m_totals[idx[0]]), idx, cand[:, 0])
+        (int(basis.m_totals[idx[0]]), idx, cand)
         for counts, idx in basis._splits
-        for cand in _split_candidates(space, counts, cfg.cluster_tol)
-        if cand.shape[1] == 1
+        for cand in _split_candidates(space, counts)
     ]
-    expected = dense_bookkeeping_oracle(basis, candidates)
+    assert all(cand.shape == (len(idx), 1) for _, idx, cand in candidates)
+    expected = dense_bookkeeping_oracle(basis, [(m, idx, cand[:, 0]) for m, idx, cand in candidates])
     rays = find_protected(space, n, cfg).rays
     assert len(rays) == len(expected)
     for ray, (m_tot, tau, amps) in zip(rays, expected):
@@ -656,6 +656,66 @@ def test_hm_kernels_exist_only_at_equal_counts():
         s, _ = _component_factors("hm", (pairs, pairs))
         assert np.count_nonzero(s < 1e-12 * s[0]) == 1
         assert s[-2] / s[0] > 0.1
+
+
+_COUNT_SPACES = [(name, space) for name, space, _ in _BOOKKEEPING_SPACES] + [("hm1+hm2", direct_sum(hm(1), hm(2)))]
+
+
+def _closed_form_ray_count(space, n):
+    """Sum of n_0 + 1 over the splits n_0 + sum_c 2 K_c = N with K_c photons
+    on each of hm component c's two pairs; without h0, n_0 is 0."""
+    comps = space.components or (space,)
+    with_h0 = any(c.kind == "h0" for c in comps)
+    count = 0
+    for ks in itertools.product(range(n // 2 + 1), repeat=sum(c.kind == "hm" for c in comps)):
+        n0 = n - 2 * sum(ks)
+        if n0 >= 0 and (with_h0 or n0 == 0):
+            count += n0 + 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "space", [pytest.param(space, id=name) for name, space in _COUNT_SPACES],
+)
+def test_every_split_candidate_is_one_column(space):
+    """The classification fixes every candidate's dimension at one, so the
+    search's candidates on every split up to the cap are single columns."""
+    for n in range(max_photons() + 1):
+        for counts, idx in enumerate_basis(space, n)._splits:
+            for cand in _split_candidates(space, counts):
+                assert cand.shape == (len(idx), 1), (n, counts)
+
+
+@pytest.mark.parametrize(
+    "space", [pytest.param(space, id=name) for name, space in _COUNT_SPACES],
+)
+def test_search_counts_match_the_closed_form_up_to_the_cap(space):
+    """No ray is lost: at every N the cap allows, the search finds the
+    classification's count of rays."""
+    cfg = CertificationConfig(n_samples=3)
+    for n in range(max_photons() + 1):
+        result = find_protected(space, n, cfg)
+        assert (len(result.rays), result.subspaces) == (_closed_form_ray_count(space, n), ()), n
+
+
+def test_search_past_the_cap_finds_the_closed_form_count(monkeypatch):
+    """With the cap raised, h0+hm(1)+hm(2) at N = 12 holds 140 rays."""
+    monkeypatch.setenv("SYMPROT_NMAX", "12")
+    space = direct_sum(h0(), hm(1), hm(2))
+    try:
+        result = find_protected(space, 12, CertificationConfig(n_samples=3))
+    finally:
+        _shared_basis.cache_clear()  # the N = 12 basis holds ~300k states
+    assert _closed_form_ray_count(space, 12) == 140
+    assert len(result.rays) == 140 and result.subspaces == ()
+
+
+def test_swap_eigenvalues_on_sym_k_are_distinct_integers():
+    """dSym^k of h0's swap has the eigenvalues -k, -k + 2, ..., k, each once,
+    so each h0 eigenvector is a candidate of its own."""
+    x = family_generators(h0())[1][1].real
+    for k in range(41):
+        assert np.allclose(np.linalg.eigvalsh(_dsym(x, k)), np.arange(-k, k + 1, 2), atol=1e-9, rtol=0), k
 
 
 def test_search_visits_only_the_splits_a_ray_can_live_on(monkeypatch):
@@ -743,12 +803,12 @@ def test_a_search_builds_no_dense_ray_until_one_is_read():
     assert not any("amplitudes" in vars(ray.state) for ray in rays)
     basis = rays[0].state.basis
     candidates = [
-        (int(basis.m_totals[idx[0]]), idx, cand[:, 0])
+        (int(basis.m_totals[idx[0]]), idx, cand)
         for counts, idx in basis._splits
-        for cand in _split_candidates(space, counts, cfg.cluster_tol)
-        if cand.shape[1] == 1
+        for cand in _split_candidates(space, counts)
     ]
-    expected = dense_bookkeeping_oracle(basis, candidates)
+    assert all(cand.shape == (len(idx), 1) for _, idx, cand in candidates)
+    expected = dense_bookkeeping_oracle(basis, [(m, idx, cand[:, 0]) for m, idx, cand in candidates])
     assert len(rays) == len(expected)
     for ray, (m_tot, tau, amps) in zip(rays, expected):
         assert (ray.m_tot, ray.mirror_tau) == (m_tot, tau)

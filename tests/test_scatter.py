@@ -99,6 +99,19 @@ def test_sampler_needs_an_attempt():
         ScatterSampler(max_attempts=0)
 
 
+@pytest.mark.parametrize("attempts", [2.5, 3.0, "3", None], ids=["fraction", "float", "str", "none"])
+def test_sampler_attempts_must_be_an_integer(attempts):
+    with pytest.raises(ValueError, match="^max_attempts must be an integer"):
+        ScatterSampler(max_attempts=attempts)
+
+
+def test_sampler_stores_attempts_as_a_python_int():
+    sampler = ScatterSampler(seed=1, max_attempts=np.int64(3))
+    clone = sampler.clone(seed=2)
+    for s in (sampler, clone):
+        assert s.max_attempts == 3 and type(s.max_attempts) is int
+
+
 def test_genericity_floor_can_exhaust_attempts():
     sampler = ScatterSampler(seed=0, unitary=False, genericity_floor=0.999, max_attempts=3)
     with pytest.raises(GenericityError):
