@@ -18,8 +18,9 @@ the mirror acts as the permutation (m, h) -> (-m, -h).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +32,9 @@ __all__ = [
     "direct_sum",
     "mirror_eigenbasis",
 ]
+
+# distinct m whose hm(m) is kept as one shared instance
+_CACHED_SPACES = 32
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,10 @@ class ModeSpace:
         return tuple(index[lab.mirrored()] for lab in self.labels)
 
 
+@cache
 def h0() -> ModeSpace:
-    """The zero-angular-momentum doublet, ordered ((0,+), (0,-))."""
+    """The zero-angular-momentum doublet, ordered ((0,+), (0,-)): one
+    shared, immutable instance."""
     return ModeSpace(labels=(ModeLabel(0, 1), ModeLabel(0, -1)), kind="h0")
 
 
@@ -118,10 +124,19 @@ def hm(m: int) -> ModeSpace:
     """The four-mode family for angular momentum m >= 1.
 
     Mode order is ((m,+), (m,-), (-m,+), (-m,-)), so the mirror is the
-    antidiagonal permutation and Jz = diag(m, m, -m, -m).
+    antidiagonal permutation and Jz = diag(m, m, -m, -m). The labels hold m
+    as a Python int. The spaces of the ``_CACHED_SPACES`` most recently
+    used m are shared, immutable instances; an m below 1 raises on every
+    call.
     """
+    m = operator.index(m)
     if m < 1:
         raise ValueError(f"hm requires m >= 1 (use h0() for m == 0), got {m}")
+    return _hm(m)
+
+
+@lru_cache(maxsize=_CACHED_SPACES)
+def _hm(m: int) -> ModeSpace:
     labels = (ModeLabel(m, 1), ModeLabel(m, -1), ModeLabel(-m, 1), ModeLabel(-m, -1))
     return ModeSpace(labels=labels, kind="hm")
 

@@ -22,19 +22,25 @@ matrices on two-mode bases and applies them pair by pair on each split
 the state occupies, with batched matmuls over the matrices; no dim x dim
 lift or dim-sized image is formed. On h0 the one block is the matrix
 itself: one lift on the state's basis and one matmul. The kernel serves
-``certify`` (on the draws of ``_draws``) and
+``certify`` (on the draws of ``_draws``), ``find_protected`` and
 ``dfs.transmit_bins`` (on the scatterers of its time bins), and keeps what
 it lifts in a dict by pair count that its caller hands in. Handed a
 state's values on one split, it applies them there directly; for a dense
-vector it finds the occupied splits in ``FockBasis._split_table``.
+vector it finds the occupied splits in ``FockBasis._split_table``. It
+takes one candidate or a stack of them; a stack rides on a leading batch
+axis of every matmul, so each candidate's eigenvalues and residuals are
+the bits a call on it alone gives.
 
 Every candidate of one search is certified against the same draws on the
 same basis, so ``find_protected`` opens a scope (``_SCOPE``, a context
 variable, so each thread and task has its own) for its certification
 phase. In it, ``certify`` calls on the search's basis with the search's
 config share one ``_Stream``: the first of them reads the draws, and each
-pair count is lifted once, for all the candidates.
-The scope closes when the search returns or raises; a search with no
+pair count is lifted once, for all the candidates. The search applies
+each split's candidates to the draws in one kernel call and leaves the
+rows in the scope; each candidate's own ``certify`` call reads its row
+there, and a lone candidate's call applies it. The scope closes when the
+search returns or raises, and drops everything with it; a search with no
 candidate opens none. Outside it every call reads and lifts afresh, and
 nothing lifted outlives the call that lifted it.
 
@@ -55,10 +61,11 @@ products (one broadcast multiply each, ``_kron``) and certifies them; it
 builds no dim x dim or per-sector table. A ray is handled on its split's
 slice: normalised, phase-fixed and compared with its mirror image there,
 and kept there as a ``FockState`` of its values on the split
-(``FockState._on_split``), which ``certify`` applies on that split alone.
-No search step builds a dense vector; a ray's ``amplitudes`` are built
-when something first reads them. The rays are ordered by their values over
-the union of their splits (``_ray_order``).
+(``FockState._on_split``); the candidates of one split are applied on it
+together. No search step builds a dense vector; a ray's ``amplitudes``
+are built when something first reads them. The rays are ordered by their
+values over the union of their splits (``_ray_order``); rays on one split
+are the rows of the stack of their values.
 """
 
 from __future__ import annotations
@@ -159,12 +166,14 @@ def _draws(space: ModeSpace, cfg: CertificationConfig) -> np.ndarray:
 
 class _Stream:
     """One search's certification stream: its draws on ``basis.space``,
-    read at the first certification, and their lifts by pair count."""
+    read at the first certification, their lifts by pair count, and the
+    ``(state, eigenvalues, residuals)`` its split's apply gave the
+    candidate about to be certified, if any."""
 
-    __slots__ = ("basis", "cfg", "draws", "powers")
+    __slots__ = ("basis", "cfg", "draws", "powers", "applied")
 
     def __init__(self, basis: FockBasis, cfg: CertificationConfig):
-        self.basis, self.cfg, self.draws, self.powers = basis, cfg, None, {}
+        self.basis, self.cfg, self.draws, self.powers, self.applied = basis, cfg, None, {}, None
 
 
 # the stream of the find_protected call certifying in this context, if any
@@ -192,14 +201,20 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, 
     ``vectors`` holds d orthonormal columns V: dense, (dim, d), or, when
     ``split`` is given, their rows on the indices of ``basis._splits[split]``,
     zero elsewhere. The eigenvalue is lam_i = tr(V^dag lift(S_i) V) / d and
-    the residual is the Frobenius norm of lift(S_i) V - lam_i V.
+    the residual is the Frobenius norm of lift(S_i) V - lam_i V; both come
+    back as (n,) arrays. A (c, rows, d) stack of c such candidates gives
+    (c, n) arrays, one row per candidate. The candidates sit on a leading
+    batch axis of every matmul, so each candidate's products are the BLAS
+    calls a one-candidate call makes on it, and its row holds that call's
+    bits.
 
     lift(S_i) is never formed. It keeps the photon count on every pair, so
     it maps each split of ``FockBasis._splits`` to itself, as the Kronecker
     product of the Sym^{k_p} of the pairs' blocks (their lifts on
     ``enumerate_basis(h0(), k_p)``). A split's indices run in that order,
-    so each pair is one batched matmul on the split's slice, and only the
-    splits the vectors occupy are visited, in O(n * support * d) memory.
+    so each pair with photons is one batched matmul on the split's slice
+    (a pair with none acts as 1), and only the splits the vectors occupy
+    are visited, in O(c * n * support * d) memory.
     Given ``split``, that is the one split; for dense vectors the occupied
     rows are looked up in ``basis._split_table`` and gathered once.
 
@@ -208,17 +223,18 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, 
     is the (P, n, 2, 2) stack of validated pair blocks and each k >= 2 their
     Sym^k, built in closed form, as (P, n, k + 1, k + 1). The kernel reads
     the dict and fills the counts it needs and misses, so the dict must
-    belong to these matrices on this basis. ``certify`` passes the open
-    search's dict, which lives as long as that ``find_protected`` call;
-    every other caller passes a fresh one.
+    belong to these matrices on this basis. ``certify`` and
+    ``find_protected`` pass the open search's dict, which lives as long as
+    that ``find_protected`` call; every other caller passes a fresh one.
     """
-    n, d, pairs = len(matrices), vectors.shape[1], len(basis.space) // 2
+    lead, d = vectors.shape[:-2], vectors.shape[-1]  # lead is (c,) for a stack of candidates, () for one
+    n, pairs = len(matrices), len(basis.space) // 2
     if pairs == 1:
         # h0: the one block is the matrix, its Sym^N the lift on this basis,
         # whose one split holds every index in order
         if basis.n_photons not in powers:
             powers[basis.n_photons] = lift(matrices, basis).matrix
-        images = powers[basis.n_photons] @ vectors
+        images = powers[basis.n_photons] @ (vectors[:, None] if lead else vectors)
     else:
         if 1 not in powers:
             # the (P, n, 2, 2) pair blocks, a view of the stack's block diagonal
@@ -227,28 +243,32 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, 
                 raise ValueError("matrices must be block diagonal over the 2x2 blocks of the mode pairs")
             powers[1] = blocks
         if split is None:
-            occupied = np.unique(basis._split_table[0][vectors.any(axis=1)]).tolist()
+            occupied = np.flatnonzero(np.bincount(basis._split_table[0][vectors.any(axis=(0, 2) if lead else 1)])).tolist()
             splits = [basis._splits[s] for s in occupied]
-            vectors = vectors[splits[0][1] if len(splits) == 1 else np.concatenate([idx for _, idx in splits])]
+            rows = splits[0][1] if len(splits) == 1 else np.concatenate([idx for _, idx in splits])
+            vectors = vectors[:, rows] if lead else vectors[rows]
         else:
             splits = [basis._splits[split]]
         for k in set(itertools.chain(*(key for key, _ in splits))) - {0} - powers.keys():
             powers[k] = _symmetric_power(powers[1].reshape(-1, 2, 2), k).reshape(pairs, n, k + 1, k + 1)
-        images = np.empty((n, len(vectors), d), dtype=complex)
+        images = np.empty(lead + (n,) + vectors.shape[-2:], dtype=complex)
         start = 0
         for key, idx in splits:
-            # the slice as a grid of pair axes, then d: each pair acts on the leading axis and moves it last
-            part = vectors[start : start + len(idx)][None]
+            # the slice as a grid of pair axes, then d, after the candidate and matrix axes:
+            # each pair acts on the first grid axis and moves it last; a pair
+            # with no photons has an axis of one, which moves nothing
+            part = vectors[:, None, start : start + len(idx)] if lead else vectors[None, start : start + len(idx)]
             for p, k in enumerate(key):
-                part = part.reshape(len(part), k + 1, -1)
-                part = (powers[k][p] @ part if k else part).swapaxes(1, 2)
-            images[:, start : start + len(idx)] = part.reshape(len(part), d, -1).swapaxes(1, 2)
+                if k:
+                    part = (powers[k][p] @ part.reshape(part.shape[:-2] + (k + 1, -1))).swapaxes(-1, -2)
+            images[..., start : start + len(idx), :] = part.reshape(part.shape[:-2] + (d, -1)).swapaxes(-1, -2)
             start += len(idx)
-    flat = images.reshape(n, vectors.size)
-    eigenvalues = flat @ vectors.conj().ravel() / d
-    flat -= eigenvalues[:, None] * vectors.ravel()
-    # np.linalg.norm(flat, axis=1) by its own formula, bit for bit, without its argument handling
-    residuals = np.sqrt(np.add.reduce((flat.conj() * flat).real, axis=1))
+    flat, column = images.reshape(lead + (n, -1)), vectors.reshape(lead + (-1,))
+    # per candidate, the gemv of a one-candidate call
+    eigenvalues = ((flat @ column.conj()[:, :, None])[:, :, 0] if lead else flat @ column.conj()) / d
+    flat -= eigenvalues[..., None] * (column[:, None] if lead else column)
+    # np.linalg.norm(flat, axis=-1) by its own formula, bit for bit, without its argument handling
+    residuals = np.sqrt(np.add.reduce((flat.conj() * flat).real, axis=-1))
     return eigenvalues, residuals
 
 
@@ -262,18 +282,25 @@ def certify(state: FockState, cfg: CertificationConfig = CertificationConfig()) 
 
     Called by ``find_protected`` on its basis with its config, it shares
     that call's stream: the draws read once and each pair count lifted
-    once for all its candidates, until the search returns. Any other call
-    reads the stream and lifts it afresh. A state that holds only its
-    values on one split (the search's rays) is checked and applied on those
-    values and that split, with no dim-sized pass; a dense state on the
-    splits its amplitudes occupy.
+    once for all its candidates, until the search returns. The search
+    applies each split's candidates in one kernel call, and each
+    candidate's own ``certify`` call reads its eigenvalues and residuals
+    from that apply, the bits it would compute alone; a lone candidate's
+    call applies it. Any other call reads the stream and lifts it afresh.
+    A state that holds only its values on one split (the search's rays)
+    is checked and applied on those values and that split, with no
+    dim-sized pass; a dense state on the splits its amplitudes occupy.
     """
     if not state.is_normalized():
         raise ValueError(f"state must be normalized (norm {state.norm:.3e})")
-    draws, powers = _stream(state.basis, cfg)
-    split = state._split
-    values = state.amplitudes if split is None else state._values
-    eigenvalues, residuals = _scalar_action(state.basis, draws, values[:, None], powers, split)
+    scope = _SCOPE.get()
+    if scope is not None and scope.applied is not None and scope.applied[0] is state and scope.cfg == cfg:
+        _, eigenvalues, residuals = scope.applied
+    else:
+        draws, powers = _stream(state.basis, cfg)
+        split = state._split
+        values = state.amplitudes if split is None else state._values
+        eigenvalues, residuals = _scalar_action(state.basis, draws, values[:, None], powers, split)
     worst = int(np.argmax(residuals))
     protected = residuals[worst] < cfg.residual_tol
     return ProtectionReport(
@@ -349,7 +376,7 @@ def _component_factors(kind: str, counts: tuple[int, ...]) -> tuple[np.ndarray, 
     return _frozen(s), _frozen(vh.conj().T)
 
 
-def _split_candidates(space: ModeSpace, counts: tuple[int, ...]):
+def _split_candidates(space: ModeSpace, counts: tuple[int, ...]) -> list[np.ndarray]:
     """Protected candidates of one split, one column each: the Kronecker
     products of the components' candidates, h0's swap eigenvectors and each
     hm's one-dimensional sl(2) kernel, none at a != b."""
@@ -359,12 +386,11 @@ def _split_candidates(space: ModeSpace, counts: tuple[int, ...]):
             options.append(_component_factors("h0", counts[p : p + 1]))
         else:
             if counts[p] != counts[p + 1]:  # sl(2) has an invariant on Sym^a x Sym^b only when a = b
-                return
+                return []
             # Clebsch-Gordan: the kernel on Sym^K x Sym^K is one-dimensional
             options.append((_component_factors("hm", counts[p : p + 2])[1][:, -1:],))
         p += len(comp) // 2
-    for factors in itertools.product(*options):
-        yield _kron(factors)
+    return [_kron(factors) for factors in itertools.product(*options)]
 
 
 def _kron(factors: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -382,14 +408,20 @@ def _kron(factors: tuple[np.ndarray, ...]) -> np.ndarray:
 def _ray_order(rays: list[ProtectedRay]) -> np.ndarray:
     """The stable lexicographic order of rays by the real and then the
     imaginary parts of the amplitudes rounded to 9 digits, over
-    the basis states some ray occupies. Each ray's values are read on its
-    support (``FockState._sparse``); the other states compare equal."""
-    sparse = [ray.state._sparse() for ray in rays]
-    supports = np.concatenate([support for support, _ in sparse])
-    cols = np.unique(supports)
-    amps = np.zeros((len(rays), len(cols)), dtype=complex)
-    rows = np.repeat(np.arange(len(rays)), [len(support) for support, _ in sparse])
-    amps[rows, np.searchsorted(cols, supports)] = np.concatenate([values for _, values in sparse])
+    the basis states some ray occupies. Rays on one split share its
+    support and are the rows of the stack of their values; otherwise each
+    ray's values are read on its support (``FockState._sparse``), and the
+    other states compare equal."""
+    split = rays[0].state._split
+    if split is not None and all(ray.state._split == split for ray in rays):
+        amps = np.array([ray.state._values for ray in rays])
+    else:
+        sparse = [ray.state._sparse() for ray in rays]
+        supports = np.concatenate([support for support, _ in sparse])
+        cols = np.unique(supports)
+        amps = np.zeros((len(rays), len(cols)), dtype=complex)
+        rows = np.repeat(np.arange(len(rays)), [len(support) for support, _ in sparse])
+        amps[rows, np.searchsorted(cols, supports)] = np.concatenate([values for _, values in sparse])
     keys = np.column_stack([np.round(amps.real, 9), np.round(amps.imag, 9)])
     return np.lexsort(keys.T[::-1])
 
@@ -421,9 +453,12 @@ def find_protected(
 
     The candidates are collected first. If there are any, they are
     certified in one scope that shares the stream: the draws are read once
-    and lifted once per pair count, and each candidate still gets its own
-    ``certify`` call, which applies it on its split alone. A ``sector``
-    that is not an integer raises ValueError.
+    and lifted once per pair count, and each split's candidates, stacked,
+    are applied to them in one ``_scalar_action`` call. Each candidate
+    still gets its own ``certify`` call (ROADMAP item 2 keeps it while the
+    benchmark's tracer counts it), which reads its row of its split's
+    apply; a lone candidate's call applies it, with no batch axis. A
+    ``sector`` that is not an integer raises ValueError.
     """
     basis = enumerate_basis(space, n_photons)
     if sector is None:
@@ -438,24 +473,40 @@ def find_protected(
         sectors = (sector,)
 
     splits = basis._splits if 0 in sectors else ()  # every ray lies at m_tot = 0
-    found = [(idx, cand) for counts, idx in splits for cand in _split_candidates(space, counts)]
+    found = []
+    for s, (counts, idx) in enumerate(splits):
+        cands = _split_candidates(space, counts)
+        if cands:
+            found.append((s, idx, cands))
     if not found:
         # every search of a sector other than 0 ends here, and opens no scope
         return SearchResult(rays=(), subspaces=(), verdict=Verdict.PROTECTED, samples_used=0, sectors=sectors)
     rays = []
-    token = _SCOPE.set(_Stream(basis, cfg))
+    scope = _Stream(basis, cfg)
+    token = _SCOPE.set(scope)
     try:
-        split_of, position = basis._split_table
-        for idx, cand in found:
-            # complex before the phase fix: its product sets the signs of the zero imaginary parts
-            col = cand[:, 0].astype(complex)
-            col = _phase_fixed(col / _norm(col))
-            state = FockState._on_split(basis, int(split_of[idx[0]]), col)
-            report = certify(state, cfg)
-            if report.verdict is Verdict.PROTECTED:
-                # the mirror keeps an m_tot = 0 split
-                tau = _parity(col[position[basis._mirror[idx]]], col)
-                rays.append(ProtectedRay(state=state, m_tot=0, mirror_tau=tau, report=report))
+        position = basis._split_table[1]
+        for s, idx, cands in found:
+            cols = []
+            for cand in cands:
+                # complex before the phase fix: its product sets the signs of the zero imaginary parts
+                col = cand[:, 0].astype(complex)
+                cols.append(_phase_fixed(col / _norm(col)))
+            applied = None
+            if len(cols) > 1:
+                # the split's candidates in one apply, whose rows their certify calls read;
+                # a lone candidate's certify call applies it with no batch axis, which costs less
+                draws, powers = _stream(basis, cfg)
+                applied = _scalar_action(basis, draws, np.array(cols)[:, :, None], powers, s)
+            for j, col in enumerate(cols):
+                state = FockState._on_split(basis, s, col)
+                if applied is not None:
+                    scope.applied = state, applied[0][j], applied[1][j]
+                report = certify(state, cfg)
+                if report.verdict is Verdict.PROTECTED:
+                    # the mirror keeps an m_tot = 0 split
+                    tau = _parity(col[position[basis._mirror[idx]]], col)
+                    rays.append(ProtectedRay(state=state, m_tot=0, mirror_tau=tau, report=report))
     finally:
         _SCOPE.reset(token)
     if len(rays) > 1:
@@ -464,7 +515,7 @@ def find_protected(
         rays=tuple(rays),
         subspaces=(),
         verdict=Verdict.PROTECTED,
-        samples_used=len(found) * cfg.n_samples,
+        samples_used=sum(len(cands) for _, _, cands in found) * cfg.n_samples,
         sectors=sectors,
     )
 

@@ -234,6 +234,25 @@ def test_symprot_1_state_files_still_load(tmp_path, capsys):
     assert load_state_file(str(new)).amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
+def test_the_state_file_schema_accepts_both_tags(tmp_path):
+    """The shipped state-file schema accepts what ``load_state_file``
+    loads: a symprot/1 file as earlier releases wrote it, and a symprot/2
+    one; any other tag is refused."""
+    from symprot.serialize import dump_state_file
+
+    schema = load_schema("fock_state")
+    amps = [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]
+    old = {"schema": "symprot/1", "space": {"kind": "h0"}, "n": 2, "amplitudes": amps}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    jsonschema.validate(json.loads(path.read_text()), schema)
+    new = tmp_path / "new.json"
+    dump_state_file(named_state("psi4"), str(new))
+    jsonschema.validate(json.loads(new.read_text()), schema)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**old, "schema": "symprot/3"}, schema)
+
+
 def test_search_finds_the_expected_ray_count():
     doc = payload("search", "--space", "h0", "--n", "4", "--samples", "8")
     assert len(doc["rays"]) == 5

@@ -1,5 +1,6 @@
 """Mode spaces, labels, and the mirror/J_z operator pair."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from symprot import (
     ModeLabel,
     direct_sum,
+    enumerate_basis,
     h0,
     hm,
     mirror_eigenbasis,
@@ -44,6 +46,21 @@ def test_hm_labels_and_generators(m):
 def test_hm_requires_positive_m(m):
     with pytest.raises(ValueError):
         hm(m)
+
+
+def test_mode_spaces_are_shared():
+    """h0() and hm(m) return one instance per m, so a state builder pays
+    for no new space and no rehash; a NumPy integer m gets the same space,
+    whose labels hold Python ints, and a bad m still raises on every call."""
+    assert h0() is h0()
+    assert hm(3) is hm(3) and hm(3) is not hm(2)
+    assert hm(np.int64(3)) is hm(3) and type(hm(np.int64(4)).labels[0].m) is int
+    assert enumerate_basis(hm(3), 2) is enumerate_basis(hm(3), 2)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            hm(0)
+        with pytest.raises(TypeError):
+            hm(1.5)
 
 
 def test_mode_label_helicity_validation():
@@ -152,7 +169,9 @@ def test_space_equality_and_hash():
 def test_separately_built_spaces_hash_and_compare_equal(build):
     """The hash is taken once per instance and is still the labels' hash, so
     spaces built apart, or read back from a pickle, are interchangeable keys."""
-    a, b = build(), build()
+    # h0() and hm(m) hand out one shared instance, so b is built apart from a's fields
+    a = build()
+    b = dataclasses.replace(a)
     unhashed = pickle.loads(pickle.dumps(build()))
     assert a is not b
     assert hash(a) == hash(b) == hash(a.labels) == hash(a)

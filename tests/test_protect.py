@@ -1050,6 +1050,71 @@ def test_search_reports_equal_standalone_certification(space, n):
         assert ray.report.residuals.tobytes() == alone.residuals.tobytes()
 
 
+@pytest.mark.parametrize(
+    "space,n,splits",
+    [(h0(), 6, 1), (direct_sum(h0(), hm(1), hm(2)), 10, 21)],
+    ids=["h0-6", "h0+hm1+hm2-10"],
+)
+def test_a_search_applies_each_split_once(monkeypatch, space, n, splits):
+    """One kernel call per split that holds candidates, however many it
+    holds, and still one certify call per candidate, each on its own ray."""
+    calls = {"apply": 0, "certify": []}
+    apply_, certify_ = protect._scalar_action, protect.certify
+
+    def apply(*args, **kwargs):
+        calls["apply"] += 1
+        return apply_(*args, **kwargs)
+
+    def certify_one(state, cfg):
+        calls["certify"].append(state)
+        return certify_(state, cfg)
+
+    monkeypatch.setattr(protect, "_scalar_action", apply)
+    monkeypatch.setattr(protect, "certify", certify_one)
+    cfg = CertificationConfig(n_samples=4)
+    result = find_protected(space, n, cfg)
+    bearing = [idx for counts, idx in enumerate_basis(space, n)._splits if _split_candidates(space, counts)]
+    assert calls["apply"] == len(bearing) == splits
+    assert len(calls["certify"]) == result.samples_used // cfg.n_samples == len(result.rays)
+    assert {id(state) for state in calls["certify"]} == {id(ray.state) for ray in result.rays}
+    assert protect._SCOPE.get() is None
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize(
+    "space",
+    [h0(), hm(1), direct_sum(h0(), hm(1)), direct_sum(h0(), hm(1), hm(2))],
+    ids=["h0", "hm1", "h0+hm1", "h0+hm1+hm2"],
+)
+def test_a_block_of_candidates_gives_each_its_one_candidate_bits(space, n):
+    """A (c, rows, d) block gives each candidate the bytes a one-candidate
+    call gives it, on a split and dense, for random unprotected candidates."""
+    basis = enumerate_basis(space, n)
+    matrices = _draws(space, CertificationConfig(n_samples=16, seed=n))
+    rng = np.random.default_rng(40 + n)
+
+    def random_block(c, rows, d):
+        block = rng.normal(size=(c, rows, d)) + 1j * rng.normal(size=(c, rows, d))
+        return block / np.linalg.norm(block, axis=(1, 2))[:, None, None]
+
+    cases = [(random_block(c, len(basis), d), None) for c, d in ((3, 1), (2, 2))]
+    for split, (_, idx) in enumerate(basis._splits):
+        if len(idx) > 1:  # one basis state is an eigenvector of every lift
+            for c, d in ((1, 1), (4, 1), (3, 2)):
+                values = random_block(c, len(idx), d)
+                dense = np.zeros((c, len(basis), d), dtype=complex)
+                dense[:, idx] = values
+                cases += [(values, split), (dense, None)]
+    for block, split in cases:
+        eigenvalues, residuals = _scalar_action(basis, matrices, block, {}, split)
+        assert eigenvalues.shape == residuals.shape == (len(block), len(matrices))
+        assert residuals.max(axis=1).min() > 1e-6
+        for j, vectors in enumerate(block):
+            alone = _scalar_action(basis, matrices, vectors, {}, split)
+            assert eigenvalues[j].tobytes() == alone[0].tobytes()
+            assert residuals[j].tobytes() == alone[1].tobytes()
+
+
 def test_a_failed_draw_leaves_no_search_scope(monkeypatch):
     def exhausted(self, space, size=None):
         raise scatter.GenericityError("no generic draw")
