@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState
+from .fock import FockState, _norm, _unit
 from .fock import lift  # noqa: F401 -- a traced call site of perfbench/tracing.py
 from .protect import CertificationConfig, Verdict, _scalar_action, certify
 from .scatter import SymmetricScattering
@@ -79,10 +79,9 @@ def time_bin_qudit(
     coeff = np.asarray(coefficients, dtype=complex)
     if not np.isfinite(coeff).all():
         raise ValueError("coefficients must be finite")
-    norm = np.linalg.norm(coeff)
-    if norm == 0.0:
+    coeff = _unit(coeff, _norm(coeff))
+    if coeff is None:
         raise ValueError("coefficients must not all vanish")
-    coeff = coeff / norm
     if cfg is not None:
         report = certify(carrier, cfg)
         if report.verdict is not Verdict.PROTECTED:

@@ -62,6 +62,7 @@ import itertools
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -356,10 +357,10 @@ class FockState:
         return abs(self.norm - 1.0) <= tol
 
     def normalized(self) -> "FockState":
-        n = self.norm
-        if n == 0.0:
+        unit = _unit(self.amplitudes, self.norm)
+        if unit is None:
             raise ValueError("cannot normalize the zero state")
-        return FockState(self.basis, self.amplitudes / n)
+        return FockState(self.basis, unit)
 
     def overlap(self, other: "FockState") -> complex:
         """Inner product <self|other> (conjugate-linear in self)."""
@@ -372,11 +373,35 @@ class FockState:
         return FockState(self.basis, _phase_fixed(self.amplitudes, threshold))
 
 
+_SMALLEST_NORM = math.sqrt(sys.float_info.min)  # the norm whose square is the smallest normal float
+# np.vdot without its __array_function__ dispatch, which takes longer than a
+# short vector's dot product; the public function where NumPy has no such attribute
+_vdot = getattr(np.vdot, "_implementation", np.vdot)
+
+
 def _norm(vector: np.ndarray) -> float:
     """The 2-norm of a 1-D complex vector by the formula ``np.linalg.norm``
-    uses for one, sqrt(re . re + im . im), so bit for bit its value."""
+    uses for one, sqrt(re . re + im . im), so bit for bit its value. It is
+    inf or 0 where the sum overflows or underflows (see ``_unit``): unlike
+    ``ndarray.dot``, ``np.vdot`` warns of neither."""
     re, im = vector.real, vector.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(_vdot(re, re) + _vdot(im, im))
+
+
+def _unit(vector: np.ndarray, norm: float) -> np.ndarray | None:
+    """A complex ``vector`` divided by ``norm``, its ``_norm``, or None if it
+    is zero. Where the squared norm overflowed to inf or underflowed below
+    the normal floats (entries above about 1e154 or below about 1e-154), the
+    parts of the vector are first divided by the largest of them, which
+    leaves a norm between 1 and sqrt(2 len); other input keeps its bits."""
+    if norm < _SMALLEST_NORM or norm == math.inf:
+        parts = np.ascontiguousarray(vector).view(float)
+        scale = np.abs(parts).max(initial=0.0)
+        if scale == 0.0:
+            return None
+        vector = (parts / scale).view(complex)  # parts one by one: a complex divide would overflow
+        norm = _norm(vector)
+    return vector / norm
 
 
 def _phase_fixed(amplitudes: np.ndarray, threshold: float = 1e-10) -> np.ndarray:

@@ -6,12 +6,22 @@ lists of such pairs; Fock amplitudes follow the canonical basis order
 {"schema": "symprot/2"} and validate against the JSON Schema files shipped
 in symprot/schemas/. ``state_from_json`` does not read the tag, so state
 files written under ``symprot/1`` still load.
+
+``dumps`` writes exactly the text of the standard library's
+``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``, which
+the tests hold it to. With any ``indent``, CPython before 3.13 leaves its C
+encoder for the pure-Python one, which formats every float of a payload in
+Python. Nearly all of every payload is lists of floats or of [re, im] float
+pairs, so ``dumps`` renders each such list with one C-level ``repr`` and
+re-indents that text; whatever it does not handle goes to the stdlib.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -42,8 +52,15 @@ def complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _pairs(array) -> list:
+    """A complex array as nested lists of [re, im] pairs of Python floats,
+    -0.0 included, built by one ``tolist`` rather than a list per entry."""
+    a = np.asarray(array, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
 def vector_to_json(vec) -> list[list[float]]:
-    return [complex_pair(z) for z in np.asarray(vec, dtype=complex)]
+    return _pairs(vec)
 
 
 def _finite(array: np.ndarray) -> np.ndarray:
@@ -53,16 +70,23 @@ def _finite(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _complex(re, im) -> complex:
+    # complex() takes JSON's true and false as 1 and 0
+    if type(re) is bool or type(im) is bool:
+        raise ValueError("entries must be numbers, not true or false")
+    return complex(re, im)
+
+
 def vector_from_json(data) -> np.ndarray:
-    return _finite(np.array([complex(re, im) for re, im in data], dtype=complex))
+    return _finite(np.array([_complex(re, im) for re, im in data], dtype=complex))
 
 
 def matrix_to_json(mat) -> list[list[list[float]]]:
-    return [vector_to_json(row) for row in np.asarray(mat, dtype=complex)]
+    return _pairs(mat)
 
 
 def matrix_from_json(data) -> np.ndarray:
-    return _finite(np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex))
+    return _finite(np.array([[_complex(re, im) for re, im in row] for row in data], dtype=complex))
 
 
 def space_to_json(space: ModeSpace) -> dict:
@@ -149,8 +173,101 @@ def dump_state_file(state: FockState, path: str) -> None:
 
 
 def dumps(payload: dict) -> str:
-    """Canonical JSON: sorted keys, two-space indent, newline at end; NaN and infinities raise ValueError."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, newline at end; NaN and infinities raise ValueError.
+
+    The text is that of ``json.dumps(payload, sort_keys=True, indent=2,
+    allow_nan=False)`` plus the newline. A payload ``_encode`` cannot render
+    (a non-finite float, a non-str key, a foreign type, a cycle) is handed
+    whole to the stdlib, which renders it or raises its own exception.
+    """
+    out: list[str] = []
+    try:
+        _encode(payload, "\n", out, set())
+    except _Unhandled:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_NUMBERS = frozenset((float, int))  # the exact types whose repr is their JSON text
+
+
+class _Unhandled(Exception):
+    """A value that ``dumps`` leaves to the stdlib encoder."""
+
+
+def _encode(value, nl: str, out: list[str], open_ids: set[int]) -> None:
+    """Append the canonical JSON of ``value`` to ``out``. ``nl`` is a newline
+    and the indentation of the line ``value`` starts on; ``open_ids`` holds
+    the ids of the containers being written, to find cycles. The type tests
+    run in the order of the stdlib's encoder."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise _Unhandled
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        text = _number_list(value, nl) if type(value) is list else None
+        if text is not None:
+            out.append(text)
+            return
+        if id(value) in open_ids:
+            raise _Unhandled
+        open_ids.add(id(value))
+        inner = nl + "  "
+        if isinstance(value, dict):
+            if any(type(key) is not str for key in value):
+                raise _Unhandled
+            out.append("{")
+            for i, (key, item) in enumerate(sorted(value.items())):
+                out.append(("," if i else "") + inner + _encode_str(key) + ": ")
+                _encode(item, inner, out, open_ids)
+            out.append(nl + "}")
+        else:
+            out.append("[")
+            for i, item in enumerate(value):
+                out.append(("," if i else "") + inner)
+                _encode(item, inner, out, open_ids)
+            out.append(nl + "]")
+        open_ids.remove(id(value))
+    else:
+        raise _Unhandled
+
+
+def _number_list(items: list, nl: str) -> str | None:
+    """The canonical JSON of a non-empty list of exact floats and ints, or of
+    non-empty lists of them, starting at indentation ``nl``; None for any
+    other list. ``repr`` writes such a list as JSON on one line, with ", "
+    only between items, so re-indenting that line is all that is left."""
+    kinds = set(map(type, items))
+    inner = nl + "  "
+    if kinds <= _NUMBERS:
+        text = repr(items)
+        body = text[1:-1].replace(", ", "," + inner)
+        rendered = f"[{inner}{body}{nl}]"
+    elif kinds == {list} and all(items) and set(map(type, chain.from_iterable(items))) <= _NUMBERS:
+        deep = inner + "  "
+        text = repr(items)
+        body = text[2:-2].replace("], [", f"{inner}],{inner}[{deep}").replace(", ", "," + deep)
+        rendered = f"[{inner}[{deep}{body}{inner}]{nl}]"
+    else:
+        return None
+    if "n" in text:  # inf or nan
+        raise _Unhandled
+    return rendered
 
 
 def load_schema(name: str) -> dict:

@@ -398,18 +398,21 @@ def test_pretty_search_kets_are_the_dense_amplitudes_above_the_cut(monkeypatch, 
 
 
 def test_state_files_are_normalized_before_use(tmp_path):
-    """Scaling a state file's amplitudes changes nothing but the state label."""
+    """Scaling a state file's amplitudes changes nothing but the state label,
+    also where the squared norm overflows (1e160) or underflows (1e-200)."""
     amps = np.zeros(10, dtype=complex)
     amps[[2, 5, 7, 9]] = [0.5, 0.5j, -0.5, 0.5]  # scaled by 3, the norm is exactly 3
-    unit, scaled = tmp_path / "unit.json", tmp_path / "scaled.json"
-    for path, factor in ((unit, 1), (scaled, 3)):
+    paths = [tmp_path / f"{name}.json" for name in ("unit", "scaled", "huge", "tiny")]
+    for path, factor in zip(paths, (1, 3, 1e160, 1e-200)):
         doc = state_to_json(named_state("psi4"))
         doc["amplitudes"] = [[factor * z.real, factor * z.imag] for z in amps]
         path.write_text(json.dumps(doc))
     for command in (("certify", "--samples", "8"), ("entangle",)):
-        docs = [payload(*command, "--state", str(path)) for path in (unit, scaled)]
-        assert [doc.pop("state") for doc in docs] == [str(unit), str(scaled)]
-        assert docs[0] == docs[1]
+        results = [run_cli(*command, "--state", str(path)) for path in paths]
+        assert [result.stderr for result in results] == [""] * len(paths)
+        docs = [json.loads(result.stdout) for result in results]
+        assert [doc.pop("state") for doc in docs] == [str(path) for path in paths]
+        assert all(doc == docs[0] for doc in docs)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +477,12 @@ _AMPS = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
          "amplitudes": [[float("nan"), 0.0], [1.0, 0.0], [0.0, 0.0]]},
         {"schema": "symprot/1", "space": {"kind": "h0"}, "n": 2,
          "amplitudes": [[1.0, 0.0], [0.0, float("-inf")], [0.0, 0.0]]},
+        # the schema asks for numbers, and complex() would read true as 1
+        {"schema": "symprot/1", "space": {"kind": "h0"}, "n": 2,
+         "amplitudes": [[True, False], [0.0, 0.0], [0.0, 0.0]]},
     ],
     ids=["no-n", "space-string", "component-string", "fractional-n",
-         "nan-amplitude", "infinite-amplitude"],
+         "nan-amplitude", "infinite-amplitude", "boolean-amplitude"],
 )
 def test_malformed_state_file_exits_two(doc, tmp_path):
     path = tmp_path / "broken.json"
@@ -497,6 +503,15 @@ def test_non_finite_matrix_file_exits_two(tmp_path):
     assert result.stdout == ""
     assert result.stderr.startswith(f"symprot: malformed matrix file {path}: ")
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_boolean_matrix_file_exits_two(tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps([[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, False]]]))
+    result = run_cli("validate", "--space", "h0", "--matrix", str(path), check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"symprot: malformed matrix file {path}: entries must be numbers, not true or false\n"
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,12 @@ def test_qudit_rejects_zero_coefficients():
         time_bin_qudit([0.0, 0.0], named_state("psi4"), cfg=None)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e-160, 1e-200])
+def test_qudit_normalizes_coefficients_whose_squared_norm_overflows_or_underflows(scale):
+    q = time_bin_qudit([3.0 * scale, 4.0j * scale], named_state("psi4"), cfg=None)
+    np.testing.assert_allclose(q.coefficients, [0.6, 0.8j], atol=1e-15, rtol=0)
+
+
 def test_qudit_refuses_unprotected_carriers():
     with pytest.raises(CarrierNotProtectedError):
         time_bin_qudit([1.0, 1.0], named_state("phi1"), cfg=FAST_CFG)

@@ -750,6 +750,34 @@ def test_zero_state_cannot_be_normalized():
         zero.normalized()
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e-160, 1e-200])
+def test_states_normalize_where_the_squared_norm_overflows_or_underflows(scale):
+    """Σ|a|² is inf above about 1e154, loses digits as a subnormal below
+    about 1e-154 and is 0 below about 1e-162; the state is still finite and
+    nonzero, so it normalizes to its unit-scale form, with no warning (the
+    test run turns warnings into errors)."""
+    basis = enumerate_basis(h0(), 2)
+    amps = np.array([3.0, 4.0j, 0.0])
+    unit = FockState(basis, amps / 5).normalized()
+    scaled = FockState(basis, scale * amps)
+    assert scaled.norm != pytest.approx(5 * scale, rel=1e-12, abs=0)
+    got = scaled.normalized()
+    assert got.is_normalized()
+    np.testing.assert_allclose(got.amplitudes, unit.amplitudes, rtol=0, atol=1e-15)
+
+
+def test_normalization_keeps_its_bits_where_the_squared_norm_is_finite():
+    """Only a norm of 0 or inf takes the rescaled path: any other vector is
+    divided by its norm as it is."""
+    basis = enumerate_basis(h0(), 4)
+    for scale in (1e150, 1.0, 1e-150):
+        amps = (np.random.default_rng(5).standard_normal(5) + 1j) * scale
+        state = FockState(basis, amps)
+        assert state.normalized().amplitudes.tobytes() == (amps / state.norm).tobytes()
+    tiny = FockState(basis, np.full(5, 5e-324, dtype=complex))  # subnormal entries
+    np.testing.assert_allclose(tiny.normalized().amplitudes, np.full(5, 5**-0.5), rtol=1e-15)
+
+
 def test_state_shape_validation():
     basis = enumerate_basis(h0(), 2)
     with pytest.raises(ValueError):
