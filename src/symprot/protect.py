@@ -32,17 +32,15 @@ axis of every matmul, so each candidate's eigenvalues and residuals are
 the bits a call on it alone gives.
 
 Every candidate of one search is certified against the same draws on the
-same basis, so ``find_protected`` opens a scope (``_SCOPE``, a context
-variable, so each thread and task has its own) for its certification
-phase. In it, ``certify`` calls on the search's basis with the search's
-config share one ``_Stream``: the first of them reads the draws, and each
-pair count is lifted once, for all the candidates. The search applies
-each split's candidates to the draws in one kernel call and leaves the
-rows in the scope; each candidate's own ``certify`` call reads its row
-there, and a lone candidate's call applies it. The scope closes when the
-search returns or raises, and drops everything with it; a search with no
-candidate opens none. Outside it every call reads and lifts afresh, and
-nothing lifted outlives the call that lifted it.
+same basis, so ``find_protected`` reads them once (``_draws``) and lifts
+each pair count once, in a dict of its own that it drops when it returns;
+a search with no candidate reads none. It applies each split's candidates
+to the draws in one kernel call, and hands each candidate's row of that
+apply to the candidate's own ``certify`` call through ``_SCOPE``, a
+context variable (so each thread and task has its own) that holds the
+candidate, the config and the row for that call alone. Every other
+``certify`` call reads and lifts afresh, and nothing lifted outlives the
+call that lifted it.
 
 The search visits the splits of the shared basis by the photon counts on
 the mode pairs (``FockBasis._splits``), where the family acts as a
@@ -164,32 +162,18 @@ def _draws(space: ModeSpace, cfg: CertificationConfig) -> np.ndarray:
     return sampler.sample(space, cfg.n_samples)
 
 
-class _Stream:
-    """One search's certification stream: its draws on ``basis.space``,
-    read at the first certification, their lifts by pair count, and the
-    ``(state, eigenvalues, residuals)`` its split's apply gave the
-    candidate about to be certified, if any."""
-
-    __slots__ = ("basis", "cfg", "draws", "powers", "applied")
-
-    def __init__(self, basis: FockBasis, cfg: CertificationConfig):
-        self.basis, self.cfg, self.draws, self.powers, self.applied = basis, cfg, None, {}, None
+# the (state, cfg, eigenvalues, residuals) that the open search's apply gave
+# the candidate it is certifying in this context, if any
+_SCOPE: contextvars.ContextVar[tuple | None] = contextvars.ContextVar("symprot_certification_scope", default=None)
 
 
-# the stream of the find_protected call certifying in this context, if any
-_SCOPE: contextvars.ContextVar[_Stream | None] = contextvars.ContextVar("symprot_certification_scope", default=None)
-
-
-def _stream(basis: FockBasis, cfg: CertificationConfig) -> tuple[np.ndarray, dict]:
-    """The draws of ``cfg`` on ``basis.space`` and the dict of their lifts
-    by pair count: the open search scope's when it certifies on this basis
-    with an equal config, else a fresh read and an empty dict."""
-    scope = _SCOPE.get()
-    if scope is None or scope.basis is not basis or scope.cfg != cfg:
-        return _draws(basis.space, cfg), {}
-    if scope.draws is None:
-        scope.draws = _draws(basis.space, cfg)
-    return scope.draws, scope.powers
+def _kernel_input(state: FockState) -> tuple[np.ndarray, int | None]:
+    """``(column, split)`` for ``_scalar_action``: a split-backed state's
+    values on its split and that split, or a dense state's amplitudes and
+    None, so that no state's dense vector is built to apply it."""
+    if state._split is None:
+        return state.amplitudes[:, None], None
+    return state._values[:, None], state._split
 
 
 def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, powers: dict, split: int | None = None):
@@ -223,9 +207,9 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, 
     is the (P, n, 2, 2) stack of validated pair blocks and each k >= 2 their
     Sym^k, built in closed form, as (P, n, k + 1, k + 1). The kernel reads
     the dict and fills the counts it needs and misses, so the dict must
-    belong to these matrices on this basis. ``certify`` and
-    ``find_protected`` pass the open search's dict, which lives as long as
-    that ``find_protected`` call; every other caller passes a fresh one.
+    belong to these matrices on this basis. ``find_protected`` passes one
+    dict for all its candidates, which lives as long as that call; every
+    other caller passes a fresh one.
     """
     lead, d = vectors.shape[:-2], vectors.shape[-1]  # lead is (c,) for a stack of candidates, () for one
     n, pairs = len(matrices), len(basis.space) // 2
@@ -280,27 +264,22 @@ def certify(state: FockState, cfg: CertificationConfig = CertificationConfig()) 
     state's mode space; this correspondence is part of the contract so
     callers can regenerate the stream and inspect individual samples.
 
-    Called by ``find_protected`` on its basis with its config, it shares
-    that call's stream: the draws read once and each pair count lifted
-    once for all its candidates, until the search returns. The search
-    applies each split's candidates in one kernel call, and each
-    candidate's own ``certify`` call reads its eigenvalues and residuals
-    from that apply, the bits it would compute alone; a lone candidate's
-    call applies it. Any other call reads the stream and lifts it afresh.
-    A state that holds only its values on one split (the search's rays)
-    is checked and applied on those values and that split, with no
-    dim-sized pass; a dense state on the splits its amplitudes occupy.
+    Called by ``find_protected`` on one of its candidates with its
+    config, it reads the candidate's eigenvalues and residuals from the
+    search's apply of its split, the bits it would compute alone. Any
+    other call reads the stream and lifts it afresh. A state that holds
+    only its values on one split (the search's rays) is checked and
+    applied on those values and that split, with no dim-sized pass; a
+    dense state on the splits its amplitudes occupy.
     """
     if not state.is_normalized():
         raise ValueError(f"state must be normalized (norm {state.norm:.3e})")
-    scope = _SCOPE.get()
-    if scope is not None and scope.applied is not None and scope.applied[0] is state and scope.cfg == cfg:
-        _, eigenvalues, residuals = scope.applied
+    applied = _SCOPE.get()
+    if applied is not None and applied[0] is state and applied[1] == cfg:
+        eigenvalues, residuals = applied[2:]
     else:
-        draws, powers = _stream(state.basis, cfg)
-        split = state._split
-        values = state.amplitudes if split is None else state._values
-        eigenvalues, residuals = _scalar_action(state.basis, draws, values[:, None], powers, split)
+        column, split = _kernel_input(state)
+        eigenvalues, residuals = _scalar_action(state.basis, _draws(state.basis.space, cfg), column, {}, split)
     worst = int(np.argmax(residuals))
     protected = residuals[worst] < cfg.residual_tol
     return ProtectionReport(
@@ -451,14 +430,13 @@ def find_protected(
     images of ``idx``, which lie in the same split at m_tot = 0. The rays
     are ordered over the union of their splits.
 
-    The candidates are collected first. If there are any, they are
-    certified in one scope that shares the stream: the draws are read once
-    and lifted once per pair count, and each split's candidates, stacked,
-    are applied to them in one ``_scalar_action`` call. Each candidate
-    still gets its own ``certify`` call (ROADMAP item 2 keeps it while the
-    benchmark's tracer counts it), which reads its row of its split's
-    apply; a lone candidate's call applies it, with no batch axis. A
-    ``sector`` that is not an integer raises ValueError.
+    The candidates are collected first. If there are any, the draws are
+    read once and lifted once per pair count, and each split's candidates,
+    stacked, are applied to them in one ``_scalar_action`` call; a lone
+    candidate is applied with no batch axis. Each candidate still gets its
+    own ``certify`` call (ROADMAP item 2 keeps it while the benchmark's
+    tracer counts it), which reads its row of that apply through
+    ``_SCOPE``. A ``sector`` that is not an integer raises ValueError.
     """
     basis = enumerate_basis(space, n_photons)
     if sector is None:
@@ -479,36 +457,33 @@ def find_protected(
         if cands:
             found.append((s, idx, cands))
     if not found:
-        # every search of a sector other than 0 ends here, and opens no scope
+        # every search of a sector other than 0 ends here, and reads no draw
         return SearchResult(rays=(), subspaces=(), verdict=Verdict.PROTECTED, samples_used=0, sectors=sectors)
     rays = []
-    scope = _Stream(basis, cfg)
-    token = _SCOPE.set(scope)
-    try:
-        position = basis._split_table[1]
-        for s, idx, cands in found:
-            cols = []
-            for cand in cands:
-                # complex before the phase fix: its product sets the signs of the zero imaginary parts
-                col = cand[:, 0].astype(complex)
-                cols.append(_phase_fixed(col / _norm(col)))
-            applied = None
-            if len(cols) > 1:
-                # the split's candidates in one apply, whose rows their certify calls read;
-                # a lone candidate's certify call applies it with no batch axis, which costs less
-                draws, powers = _stream(basis, cfg)
-                applied = _scalar_action(basis, draws, np.array(cols)[:, :, None], powers, s)
-            for j, col in enumerate(cols):
-                state = FockState._on_split(basis, s, col)
-                if applied is not None:
-                    scope.applied = state, applied[0][j], applied[1][j]
+    draws, powers = _draws(space, cfg), {}
+    position = basis._split_table[1]
+    for s, idx, cands in found:
+        cols = []
+        for cand in cands:
+            # complex before the phase fix: its product sets the signs of the zero imaginary parts
+            col = cand[:, 0].astype(complex)
+            cols.append(_phase_fixed(col / _norm(col)))
+        if len(cols) == 1:
+            # no batch axis for a lone candidate, which costs less than an axis of one
+            applied = [_scalar_action(basis, draws, cols[0][:, None], powers, s)]
+        else:
+            applied = zip(*_scalar_action(basis, draws, np.array(cols)[:, :, None], powers, s))
+        for col, (eigenvalues, residuals) in zip(cols, applied):
+            state = FockState._on_split(basis, s, col)
+            token = _SCOPE.set((state, cfg, eigenvalues, residuals))
+            try:
                 report = certify(state, cfg)
-                if report.verdict is Verdict.PROTECTED:
-                    # the mirror keeps an m_tot = 0 split
-                    tau = _parity(col[position[basis._mirror[idx]]], col)
-                    rays.append(ProtectedRay(state=state, m_tot=0, mirror_tau=tau, report=report))
-    finally:
-        _SCOPE.reset(token)
+            finally:
+                _SCOPE.reset(token)
+            if report.verdict is Verdict.PROTECTED:
+                # the mirror keeps an m_tot = 0 split
+                tau = _parity(col[position[basis._mirror[idx]]], col)
+                rays.append(ProtectedRay(state=state, m_tot=0, mirror_tau=tau, report=report))
     if len(rays) > 1:
         rays = [rays[i] for i in _ray_order(rays)]
     return SearchResult(
@@ -522,11 +497,11 @@ def find_protected(
 
 def _certify_subspace(basis, idx, cand, cfg) -> ProtectedSubspace | None:
     """Scalar-action test of a d > 1 candidate against the certification
-    stream of ``cfg``; no search calls it, since every candidate is a ray."""
+    stream of ``cfg``, read and lifted afresh as ``certify`` reads it; no
+    search calls it, since every candidate is a ray."""
     vectors = np.zeros((len(basis), cand.shape[1]), dtype=complex)
     vectors[idx, :] = cand
-    draws, powers = _stream(basis, cfg)
-    _, residuals = _scalar_action(basis, draws, vectors, powers)
+    _, residuals = _scalar_action(basis, _draws(basis.space, cfg), vectors, {})
     worst = float(np.max(residuals))
     if worst >= cfg.residual_tol:
         return None

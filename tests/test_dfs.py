@@ -16,6 +16,7 @@ from symprot import (
     direct_sum,
     drift_experiment,
     erasure_capacity,
+    find_protected,
     h0,
     hm,
     lift,
@@ -146,6 +147,27 @@ def test_transmission_memory_is_a_few_groups_of_lifts():
     dim = len(carrier.basis)
     assert dim == 165
     assert peak <= 8 * 16 * dim * dim
+
+
+@pytest.mark.parametrize(
+    "space,n",
+    [(direct_sum(h0(), hm(1)), 4), (direct_sum(h0(), hm(1), hm(2)), 4)],
+    ids=["h0+hm1-4", "h0+hm1+hm2-4"],
+)
+def test_a_search_ray_is_transmitted_on_its_split(space, n):
+    """A search ray carries a qudit without its dense vector being built,
+    and its bins read the bytes the same carrier gives as a dense state."""
+    sampler = ScatterSampler(seed=5, unitary=False)
+    static, drift = sampler.sample(space), [sampler.sample(space) for _ in range(3)]
+    for ray in find_protected(space, n, FAST_CFG).rays:
+        q = time_bin_qudit([1.0, 1.0j, -2.0], ray.state, cfg=FAST_CFG)
+        outcomes = [transmit(q, static), transmit_bins(q, drift, residual_tol=None)]
+        assert "amplitudes" not in vars(ray.state)
+        dense = TimeBinQudit(q.coefficients, FockState(ray.state.basis, ray.state.amplitudes))
+        for got, want in zip(outcomes, [transmit(dense, static), transmit_bins(dense, drift, residual_tol=None)]):
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert got.worst_residual == want.worst_residual
+            assert (got.fidelity, got.success_probability) == (want.fidelity, want.success_probability)
 
 
 def test_transmission_rejects_a_scatterer_outside_the_family_shape():

@@ -1051,33 +1051,48 @@ def test_search_reports_equal_standalone_certification(space, n):
 
 
 @pytest.mark.parametrize(
-    "space,n,splits",
-    [(h0(), 6, 1), (direct_sum(h0(), hm(1), hm(2)), 10, 21)],
-    ids=["h0-6", "h0+hm1+hm2-10"],
+    "space,n,splits,lone",
+    [(h0(), 6, 1, 0), (direct_sum(h0(), hm(1), hm(2)), 10, 21, 6), (direct_sum(hm(1), hm(2)), 4, 3, 3)],
+    ids=["h0-6", "h0+hm1+hm2-10", "hm1+hm2-4"],
 )
-def test_a_search_applies_each_split_once(monkeypatch, space, n, splits):
+def test_a_search_applies_each_split_once(monkeypatch, space, n, splits, lone):
     """One kernel call per split that holds candidates, however many it
-    holds, and still one certify call per candidate, each on its own ray."""
-    calls = {"apply": 0, "certify": []}
-    apply_, certify_ = protect._scalar_action, protect.certify
+    holds, a lone candidate with no batch axis, and still one certify call
+    per candidate, each on its own ray. The draws are read once per
+    search, and not at all by a search of a sector that holds no ray."""
+    calls = {"apply": [], "certify": [], "draws": 0}
+    apply_, certify_, draws_ = protect._scalar_action, protect.certify, protect._draws
 
-    def apply(*args, **kwargs):
-        calls["apply"] += 1
-        return apply_(*args, **kwargs)
+    def apply(basis, matrices, vectors, powers, split=None):
+        calls["apply"].append(vectors.ndim == 2)
+        return apply_(basis, matrices, vectors, powers, split)
 
     def certify_one(state, cfg):
         calls["certify"].append(state)
         return certify_(state, cfg)
 
+    def draws(space, cfg):
+        calls["draws"] += 1
+        return draws_(space, cfg)
+
     monkeypatch.setattr(protect, "_scalar_action", apply)
     monkeypatch.setattr(protect, "certify", certify_one)
+    monkeypatch.setattr(protect, "_draws", draws)
     cfg = CertificationConfig(n_samples=4)
     result = find_protected(space, n, cfg)
-    bearing = [idx for counts, idx in enumerate_basis(space, n)._splits if _split_candidates(space, counts)]
-    assert calls["apply"] == len(bearing) == splits
+    basis = enumerate_basis(space, n)
+    bearing = [len(cands) for counts, _ in basis._splits if (cands := _split_candidates(space, counts))]
+    assert len(calls["apply"]) == len(bearing) == splits
+    assert calls["apply"] == [c == 1 for c in bearing] and sum(calls["apply"]) == lone
     assert len(calls["certify"]) == result.samples_used // cfg.n_samples == len(result.rays)
     assert {id(state) for state in calls["certify"]} == {id(ray.state) for ray in result.rays}
+    assert calls["draws"] == 1
     assert protect._SCOPE.get() is None
+    if 1 in basis._sectors:
+        calls["draws"] = 0
+        assert find_protected(space, n, cfg, sector=1).rays == ()
+        assert calls["draws"] == 0
+        assert protect._SCOPE.get() is None
 
 
 @pytest.mark.parametrize("n", range(1, 5))
