@@ -54,16 +54,26 @@ configuration or random draws. The generators are dSym^k of the 2x2 pair
 blocks of ``family_generators``, the one statement of the family's Lie
 algebra. Every candidate is one column, by the algebra: dSym^k of h0's
 swap has the distinct eigenvalues k - 2j, and the (K, K) sl(2) kernel is
-one-dimensional, so a search sets no tolerance. A call only forms the
-products (one broadcast multiply each, ``_kron``) and certifies them; it
-builds no dim x dim or per-sector table. A ray is handled on its split's
-slice: normalised, phase-fixed and compared with its mirror image there,
-and kept there as a ``FockState`` of its values on the split
-(``FockState._on_split``); the candidates of one split are applied on it
-together. No search step builds a dense vector; a ray's ``amplitudes``
-are built when something first reads them. The rays are ordered by their
-values over the union of their splits (``_ray_order``); rays on one split
-are the rows of the stack of their values.
+one-dimensional, so a search sets no tolerance. The products are formed
+by one broadcast multiply each (``_kron``); no dim x dim or per-sector
+table is built. A candidate is handled on its split's slice: normalised,
+phase-fixed and compared with its mirror image there, and kept there as a
+``FockState`` of its values on the split (``FockState._on_split``); the
+candidates of one split are applied on it together. No search step builds
+a dense vector; a ray's ``amplitudes`` are built when something first
+reads them. The rays are ordered by their values over the union of their
+splits (``_ray_order``); rays on one split are the rows of the stack of
+their values.
+
+So the candidates, their values, their parities and their order depend on
+(space, N) alone, and only their certification on the draws.
+``_search_plan`` computes that draw-free half once per (space, N) and keeps
+it, like the basis tables, for the ``_CACHED_BASES`` most recently used.
+Every search of a cached (space, N) reads it, whatever its seed, sampling
+class or sample count, and only applies, certifies and wraps each
+candidate; a search of a sector other than 0 never reads it. The plan
+holds nothing of a config, the draws or a basis, and its arrays are
+read-only; each search builds its own states and rays on them.
 """
 
 from __future__ import annotations
@@ -80,6 +90,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .fock import (
+    _CACHED_BASES,
     FockBasis,
     FockState,
     _frozen,
@@ -384,25 +395,61 @@ def _kron(factors: tuple[np.ndarray, ...]) -> np.ndarray:
     return reduce(np.multiply, views).reshape(math.prod(f.shape[0] for f in factors), -1)
 
 
-def _ray_order(rays: list[ProtectedRay]) -> np.ndarray:
-    """The stable lexicographic order of rays by the real and then the
-    imaginary parts of the amplitudes rounded to 9 digits, over
-    the basis states some ray occupies. Rays on one split share its
-    support and are the rows of the stack of their values; otherwise each
-    ray's values are read on its support (``FockState._sparse``), and the
-    other states compare equal."""
-    split = rays[0].state._split
-    if split is not None and all(ray.state._split == split for ray in rays):
-        amps = np.array([ray.state._values for ray in rays])
+def _ray_order(states: list[FockState]) -> np.ndarray:
+    """The stable lexicographic order of states by the real and then the
+    imaginary parts of the amplitudes rounded to 9 digits, over the basis
+    states some state occupies. States on one split share its support and
+    are the rows of the stack of their values; otherwise each state's
+    values are read on its support (``FockState._sparse``), and the other
+    basis states compare equal."""
+    split = states[0]._split
+    if split is not None and all(state._split == split for state in states):
+        amps = np.array([state._values for state in states])
     else:
-        sparse = [ray.state._sparse() for ray in rays]
+        sparse = [state._sparse() for state in states]
         supports = np.concatenate([support for support, _ in sparse])
         cols = np.unique(supports)
-        amps = np.zeros((len(rays), len(cols)), dtype=complex)
-        rows = np.repeat(np.arange(len(rays)), [len(support) for support, _ in sparse])
+        amps = np.zeros((len(states), len(cols)), dtype=complex)
+        rows = np.repeat(np.arange(len(states)), [len(support) for support, _ in sparse])
         amps[rows, np.searchsorted(cols, supports)] = np.concatenate([values for _, values in sparse])
     keys = np.column_stack([np.round(amps.real, 9), np.round(amps.imag, 9)])
     return np.lexsort(keys.T[::-1])
+
+
+@lru_cache(maxsize=_CACHED_BASES)
+def _search_plan(space: ModeSpace, n_photons: int) -> tuple[tuple[tuple[int, np.ndarray, tuple[int, ...]], ...], np.ndarray]:
+    """The draw-free half of ``find_protected(space, n_photons)``: which
+    candidates there are, their values, their parities and their order.
+
+    Per split ``s`` of the basis that holds candidates, ``(s, stack,
+    taus)``: the read-only (c, L) stack of its c candidates
+    (``_split_candidates``) on its L indices, each normalised and
+    phase-fixed there, and their mirror parities. Each parity compares the
+    values with their own entries at the mirror images of the split's
+    indices, which lie in the same split at m_tot = 0. Then ``order``, the
+    read-only permutation ``_ray_order`` gives over all the candidates, in
+    the order of the splits and their rows. The order of any subset of the
+    candidates is ``order`` restricted to it: the lexsort is stable, and a
+    column that none of the subset occupies compares equal within it.
+
+    A search table like ``_component_factors`` and the basis tables: it
+    holds nothing of the config, the draws or a basis object, so every
+    search of (space, N) reads it, whatever its seed, sampling class or
+    sample count. It keeps the ``_CACHED_BASES`` most recently used."""
+    basis = enumerate_basis(space, n_photons)
+    position, plan, states = basis._split_table[1], [], []
+    for s, (counts, idx) in enumerate(basis._splits):
+        cands = _split_candidates(space, counts)
+        if not cands:
+            continue
+        # complex before the phase fix: its product sets the signs of the zero imaginary parts
+        cols = [cand[:, 0].astype(complex) for cand in cands]
+        stack = _frozen(np.array([_phase_fixed(col / _norm(col)) for col in cols]))
+        image = position[basis._mirror[idx]]  # the mirror keeps an m_tot = 0 split
+        plan.append((s, stack, tuple(_parity(col[image], col) for col in stack)))
+        states += [FockState._on_split(basis, s, col) for col in stack]
+    order = _ray_order(states) if states else np.empty(0, dtype=np.intp)
+    return tuple(plan), _frozen(order)
 
 
 def find_protected(
@@ -423,20 +470,21 @@ def find_protected(
     Certification phase: each candidate is certified with cfg.n_samples
     draws of cfg's sampling class; rays are phase-fixed, with their parity.
 
-    A ray lives on its split ``idx``: it is normalised and phase-fixed on
-    that slice and held there (``FockState._on_split``), so the search
-    builds no dense vector; its ``amplitudes`` are built when first read.
-    Its parity compares the slice with its own entries at the mirror
-    images of ``idx``, which lie in the same split at m_tot = 0. The rays
-    are ordered over the union of their splits.
-
-    The candidates are collected first. If there are any, the draws are
-    read once and lifted once per pair count, and each split's candidates,
-    stacked, are applied to them in one ``_scalar_action`` call; a lone
-    candidate is applied with no batch axis. Each candidate still gets its
-    own ``certify`` call (ROADMAP item 2 keeps it while the benchmark's
-    tracer counts it), which reads its row of that apply through
-    ``_SCOPE``. A ``sector`` that is not an integer raises ValueError.
+    The candidates, normalised and phase-fixed on their splits, their
+    parities and their order come from ``_search_plan(space, n_photons)``,
+    built by the first search of (space, N) and read by every later one
+    while it stays among the ``_CACHED_BASES`` most recently used. If there
+    are candidates, the draws are read once and lifted once per pair count,
+    and each split's stack of candidates is applied to them in one
+    ``_scalar_action`` call; a lone candidate is applied with no batch
+    axis. Each candidate still gets its own ``certify`` call (ROADMAP item
+    2 keeps it while the benchmark's tracer counts it), which reads its row
+    of that apply through ``_SCOPE``. Each one that passes becomes a
+    ``ProtectedRay`` on a fresh ``FockState`` of its values on its split
+    (``FockState._on_split``), so the search builds no dense vector and
+    two searches share no state; a ray's ``amplitudes`` are built when
+    first read. The rays are the passing candidates in the plan's order.
+    A ``sector`` that is not an integer raises ValueError.
     """
     basis = enumerate_basis(space, n_photons)
     if sector is None:
@@ -450,47 +498,32 @@ def find_protected(
             raise ValueError(f"no m_tot = {sector} sector at N = {n_photons}")
         sectors = (sector,)
 
-    splits = basis._splits if 0 in sectors else ()  # every ray lies at m_tot = 0
-    found = []
-    for s, (counts, idx) in enumerate(splits):
-        cands = _split_candidates(space, counts)
-        if cands:
-            found.append((s, idx, cands))
-    if not found:
+    plan, order = _search_plan(space, n_photons) if 0 in sectors else ((), None)  # every ray lies at m_tot = 0
+    if not plan:
         # every search of a sector other than 0 ends here, and reads no draw
         return SearchResult(rays=(), subspaces=(), verdict=Verdict.PROTECTED, samples_used=0, sectors=sectors)
-    rays = []
+    kept = []  # per candidate, in the plan's order, its ray or None
     draws, powers = _draws(space, cfg), {}
-    position = basis._split_table[1]
-    for s, idx, cands in found:
-        cols = []
-        for cand in cands:
-            # complex before the phase fix: its product sets the signs of the zero imaginary parts
-            col = cand[:, 0].astype(complex)
-            cols.append(_phase_fixed(col / _norm(col)))
-        if len(cols) == 1:
+    for s, stack, taus in plan:
+        if len(stack) == 1:
             # no batch axis for a lone candidate, which costs less than an axis of one
-            applied = [_scalar_action(basis, draws, cols[0][:, None], powers, s)]
+            applied = [_scalar_action(basis, draws, stack[0][:, None], powers, s)]
         else:
-            applied = zip(*_scalar_action(basis, draws, np.array(cols)[:, :, None], powers, s))
-        for col, (eigenvalues, residuals) in zip(cols, applied):
+            applied = zip(*_scalar_action(basis, draws, stack[:, :, None], powers, s))
+        for col, tau, (eigenvalues, residuals) in zip(stack, taus, applied):
             state = FockState._on_split(basis, s, col)
             token = _SCOPE.set((state, cfg, eigenvalues, residuals))
             try:
                 report = certify(state, cfg)
             finally:
                 _SCOPE.reset(token)
-            if report.verdict is Verdict.PROTECTED:
-                # the mirror keeps an m_tot = 0 split
-                tau = _parity(col[position[basis._mirror[idx]]], col)
-                rays.append(ProtectedRay(state=state, m_tot=0, mirror_tau=tau, report=report))
-    if len(rays) > 1:
-        rays = [rays[i] for i in _ray_order(rays)]
+            passed = report.verdict is Verdict.PROTECTED
+            kept.append(ProtectedRay(state=state, m_tot=0, mirror_tau=tau, report=report) if passed else None)
     return SearchResult(
-        rays=tuple(rays),
+        rays=tuple(kept[i] for i in order.tolist() if kept[i] is not None),
         subspaces=(),
         verdict=Verdict.PROTECTED,
-        samples_used=sum(len(cands) for _, _, cands in found) * cfg.n_samples,
+        samples_used=len(kept) * cfg.n_samples,
         sectors=sectors,
     )
 

@@ -49,6 +49,7 @@ from symprot.protect import (
     _kron,
     _ray_order,
     _scalar_action,
+    _search_plan,
     _split_candidates,
 )
 
@@ -486,6 +487,7 @@ def test_search_peak_memory_is_below_a_dense_generator():
     dim = len(enumerate_basis(space, 5))
     find_protected(space, 5, CFG)  # warm call: builds the shared basis tables
     _component_factors.cache_clear()
+    _search_plan.cache_clear()
     tracemalloc.start()
     try:
         find_protected(space, 5, CFG)
@@ -543,6 +545,7 @@ def _assert_same_search(a, b):
 def _clear_search_tables():
     _shared_basis.cache_clear()
     _component_factors.cache_clear()
+    _search_plan.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -579,7 +582,8 @@ def test_changing_a_sector_split_leaves_the_search_alone():
 
 def test_search_tables_are_read_only_and_bounded():
     """The component factors are keyed by kind and pair counts only, so
-    their cache is bounded by the photon cap, whatever m and the bases."""
+    their cache is bounded by the photon cap, whatever m and the bases;
+    the search plans keep the ``_CACHED_BASES`` most recently used."""
     find_protected(direct_sum(h0(), hm(1)), 2, CFG)
     swap_spaces, (s, v) = _component_factors("h0", (2,)), _component_factors("hm", (1, 1))
     assert not any(a.flags.writeable for a in (*swap_spaces, s, v))
@@ -590,6 +594,131 @@ def test_search_tables_are_read_only_and_bounded():
     assert _component_factors.cache_info().currsize == 0  # (1, 0) and (0, 1) on hm have a != b
     cap = max_photons()
     assert _component_factors.cache_info().currsize <= (cap + 1) + (cap // 2 + 1)
+    for m in range(1, _CACHED_BASES + 9):
+        assert len(find_protected(hm(m), 2, CFG).rays) == 1
+    assert _search_plan.cache_info().currsize == _CACHED_BASES
+    assert _shared_basis.cache_info().currsize <= _CACHED_BASES
+    assert _component_factors.cache_info().currsize <= (cap + 1) + (cap // 2 + 1)
+
+
+def _plan_leaves(plan):
+    """Every object in a search plan that is not a tuple."""
+    if isinstance(plan, tuple):
+        return [leaf for item in plan for leaf in _plan_leaves(item)]
+    return [plan]
+
+
+@pytest.mark.parametrize(
+    "space,n,splits,candidates",
+    [(h0(), 6, 1, 7), (direct_sum(h0(), hm(1)), 2, 2, 4), (direct_sum(h0(), hm(1), hm(2)), 4, 6, 14)],
+    ids=["h0-6", "h0+hm1-2", "h0+hm1+hm2-4"],
+)
+def test_a_search_plan_holds_read_only_arrays_and_no_basis(space, n, splits, candidates):
+    """A plan is its splits' positions, read-only candidate stacks, parities
+    and a read-only order over the candidates: no basis, state, config or draw."""
+    find_protected(space, n, CFG)
+    plan, order = _search_plan(space, n)
+    assert len(plan) == splits and sum(len(stack) for _, stack, _ in plan) == len(order) == candidates
+    assert sorted(order.tolist()) == list(range(candidates))
+    for s, stack, taus in plan:
+        assert type(s) is int and stack.dtype == complex and len(taus) == len(stack)
+        assert all(tau in (1, -1) and type(tau) is int for tau in taus)
+    leaves = _plan_leaves((plan, order))
+    assert all(type(leaf) in (int, np.ndarray) for leaf in leaves)
+    assert not any(leaf.flags.writeable for leaf in leaves if type(leaf) is np.ndarray)
+    assert _search_plan(space, n) is _search_plan(space, n)
+
+
+def _search_bytes(result):
+    """Everything a search returns, as bytes: a warm search equals a cold
+    one bit for bit exactly when these are equal."""
+    out = [repr((result.sectors, result.samples_used, result.verdict, len(result.subspaces))).encode()]
+    for ray in result.rays:
+        report = ray.report
+        out.append(repr((ray.state._split, ray.m_tot, ray.mirror_tau, report.verdict,
+                         report.worst_residual.hex(), report.witness_sample_index)).encode())
+        out += [ray.state._values.tobytes(), report.eigenvalues.tobytes(), report.residuals.tobytes()]
+    return b"|".join(out)
+
+
+_CONFIGS = [CertificationConfig(n_samples=k, seed=seed, unitary=unitary)
+            for seed in (0, 1, 7919) for k in (3, 16) for unitary in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "space,n",
+    [(h0(), 5), (hm(1), 4), (direct_sum(h0(), hm(1)), 3), (direct_sum(h0(), hm(1), hm(2)), 4)],
+    ids=["h0-5", "hm1-4", "h0+hm1-3", "h0+hm1+hm2-4"],
+)
+def test_a_search_plan_holds_nothing_of_the_config(space, n):
+    """After a search under one config, a search under another gives the
+    bits a cold search under that other config gives, for every pair of
+    seeds, sample counts and sampling classes."""
+    cold = {}
+    for cfg in _CONFIGS:
+        _clear_search_tables()
+        cold[cfg] = _search_bytes(find_protected(space, n, cfg))
+    for first, then in itertools.permutations(_CONFIGS, 2):
+        _search_plan.cache_clear()
+        find_protected(space, n, first)
+        assert _search_bytes(find_protected(space, n, then)) == cold[then], (first, then)
+    assert len(set(cold.values())) == len(_CONFIGS)
+
+
+@pytest.mark.parametrize(
+    "space,n",
+    [(h0(), 6), (direct_sum(h0(), hm(1)), 3), (direct_sum(h0(), hm(1), hm(2)), 4)],
+    ids=["h0-6", "h0+hm1-3", "h0+hm1+hm2-4"],
+)
+def test_a_search_returns_its_survivors_in_their_own_order(monkeypatch, space, n):
+    """Candidates made to fail certification are dropped: the rays are the
+    survivors in ``_ray_order`` of the survivors, and ``samples_used``
+    still counts every candidate."""
+    full = find_protected(space, n, CFG)
+    candidates = len(full.rays)
+    assert full.samples_used == candidates * CFG.n_samples
+    apply_, failing, seen = protect._scalar_action, set(), []
+
+    def apply(basis, matrices, vectors, powers, split=None):
+        eigenvalues, residuals = apply_(basis, matrices, vectors, powers, split)
+        rows = vectors[..., 0] if vectors.ndim == 3 else vectors[None, :, 0]
+        inflate = [len(seen) + j in failing for j in range(len(rows))]
+        seen.extend((split, row.tobytes()) for row in rows)
+        return eigenvalues, residuals + (np.array(inflate)[:, None] if vectors.ndim == 3 else float(inflate[0]))
+
+    monkeypatch.setattr(protect, "_scalar_action", apply)
+    rng = np.random.default_rng(candidates)
+    subsets = [set(), set(range(candidates)), set(range(0, candidates, 2)), set(range(1, candidates, 3))]
+    subsets += [set(rng.choice(candidates, size=k, replace=False).tolist()) for k in (1, candidates // 2, candidates - 1)]
+    for subset in subsets:
+        failing, seen[:] = subset, []
+        result = find_protected(space, n, CFG)
+        assert len(seen) == candidates and result.samples_used == full.samples_used
+        dropped = {seen[i] for i in subset}
+        survivors = [ray for ray in full.rays if (ray.state._split, ray.state._values.tobytes()) not in dropped]
+        assert len(survivors) == candidates - len(subset)
+        expected = [survivors[i] for i in _ray_order([ray.state for ray in survivors])] if survivors else []
+        assert [(ray.state._split, ray.state._values.tobytes()) for ray in result.rays] == [
+            (ray.state._split, ray.state._values.tobytes()) for ray in expected]
+        for got, want in zip(result.rays, expected):
+            assert got.mirror_tau == want.mirror_tau and got.report.verdict is Verdict.PROTECTED
+            assert got.report.residuals.tobytes() == want.report.residuals.tobytes()
+
+
+def test_searches_share_no_state():
+    """Each search builds its own rays and states, so reading one search's
+    dense amplitudes builds none for another's rays."""
+    space, cfg = direct_sum(h0(), hm(1), hm(2)), CertificationConfig(n_samples=4)
+    first, second = find_protected(space, 4, cfg), find_protected(space, 4, cfg)
+    assert len(first.rays) == len(second.rays) == 14
+    assert not {id(ray.state) for ray in first.rays} & {id(ray.state) for ray in second.rays}
+    for ray in first.rays:
+        ray.state.amplitudes
+    third = find_protected(space, 4, cfg)
+    assert all("amplitudes" in vars(ray.state) for ray in first.rays)
+    assert not any("amplitudes" in vars(ray.state) for ray in (*second.rays, *third.rays))
+    for ray in third.rays:
+        assert not ray.state._values.flags.writeable
 
 
 def _tuple_key(ray):
@@ -606,7 +735,7 @@ def test_ray_order_is_the_tuple_key_order():
     assert list(rays) == sorted(rays, key=_tuple_key)
     rng = np.random.default_rng(5)
     mixed = [rays[i] for i in rng.permutation(len(rays))] + [rays[3], rays[0], rays[3]]
-    assert _ray_order(mixed).tolist() == sorted(range(len(mixed)), key=lambda i: _tuple_key(mixed[i]))
+    assert _ray_order([ray.state for ray in mixed]).tolist() == sorted(range(len(mixed)), key=lambda i: _tuple_key(mixed[i]))
 
 
 _BOOKKEEPING_SPACES = [
@@ -722,6 +851,7 @@ def test_search_visits_only_the_splits_a_ray_can_live_on(monkeypatch):
     """No search factorises an hm component with a != b photons on its
     pairs, and a search of a sector other than 0 returns before it visits
     a split, with no ray and no draw."""
+    _clear_search_tables()  # a cached plan would ask for no factors
     asked = []
     factors = protect._component_factors
 
@@ -781,6 +911,7 @@ def test_search_rays_need_no_dense_bookkeeping(monkeypatch):
     the first call, are)."""
     space = direct_sum(h0(), hm(1), hm(2))
     expected = find_protected(space, 4, CFG)
+    _search_plan.cache_clear()  # the bookkeeping runs when the plan is built
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense per-ray bookkeeping in the search")
