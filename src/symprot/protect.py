@@ -35,11 +35,14 @@ Every candidate of one search is certified against the same draws on the
 same basis, so ``find_protected`` reads them once (``_draws``) and lifts
 each pair count once, in a dict of its own that it drops when it returns;
 a search with no candidate reads none. It applies each split's candidates
-to the draws in one kernel call, and hands each candidate's row of that
-apply to the candidate's own ``certify`` call through ``_SCOPE``, a
-context variable (so each thread and task has its own) that holds the
-candidate, the config and the row for that call alone. Every other
-``certify`` call reads and lifts afresh, and nothing lifted outlives the
+to the draws in one kernel call and finds every candidate's worst draw
+with one argmax over that apply. It hands each candidate's row of the
+apply and its worst draw to the candidate's own ``certify`` call through
+``_SCOPE``, a context variable (so each thread and task has its own) that
+holds the candidate, the config object and the row for that call alone;
+that call only builds the report. The norm of each candidate is checked
+once, when ``_search_plan`` normalises it. Every other ``certify`` call
+checks the norm, reads and lifts afresh, and nothing lifted outlives the
 call that lifted it.
 
 The search visits the splits of the shared basis by the photon counts on
@@ -173,9 +176,14 @@ def _draws(space: ModeSpace, cfg: CertificationConfig) -> np.ndarray:
     return sampler.sample(space, cfg.n_samples)
 
 
-# the (state, cfg, eigenvalues, residuals) that the open search's apply gave
-# the candidate it is certifying in this context, if any
+# the (state, cfg, eigenvalues, residuals, worst) that the open search's
+# apply gave the candidate it is certifying in this context, if any
 _SCOPE: contextvars.ContextVar[tuple | None] = contextvars.ContextVar("symprot_certification_scope", default=None)
+
+
+def _check_normalized(state: FockState) -> None:
+    if not state.is_normalized():
+        raise ValueError(f"state must be normalized (norm {state.norm:.3e})")
 
 
 def _kernel_input(state: FockState) -> tuple[np.ndarray, int | None]:
@@ -275,27 +283,30 @@ def certify(state: FockState, cfg: CertificationConfig = CertificationConfig()) 
     state's mode space; this correspondence is part of the contract so
     callers can regenerate the stream and inspect individual samples.
 
-    Called by ``find_protected`` on one of its candidates with its
-    config, it reads the candidate's eigenvalues and residuals from the
-    search's apply of its split, the bits it would compute alone. Any
-    other call reads the stream and lifts it afresh. A state that holds
+    A state whose norm is more than 1e-12 from 1 raises ValueError.
+    Called by ``find_protected`` on one of its candidates with its config
+    (that very state and config object), it builds the report from the
+    candidate's eigenvalues, residuals and worst draw in the search's
+    apply of its split, the bits it would compute alone, and leaves the
+    norm check to the search's plan, which made it. Any other call checks
+    the norm and reads the stream and lifts it afresh. A state that holds
     only its values on one split (the search's rays) is checked and
     applied on those values and that split, with no dim-sized pass; a
     dense state on the splits its amplitudes occupy.
     """
-    if not state.is_normalized():
-        raise ValueError(f"state must be normalized (norm {state.norm:.3e})")
     applied = _SCOPE.get()
-    if applied is not None and applied[0] is state and applied[1] == cfg:
-        eigenvalues, residuals = applied[2:]
+    if applied is not None and applied[0] is state and applied[1] is cfg:
+        eigenvalues, residuals, worst = applied[2:]
     else:
+        _check_normalized(state)
         column, split = _kernel_input(state)
         eigenvalues, residuals = _scalar_action(state.basis, _draws(state.basis.space, cfg), column, {}, split)
-    worst = int(np.argmax(residuals))
-    protected = residuals[worst] < cfg.residual_tol
+        worst = int(residuals.argmax())
+    worst_residual = float(residuals[worst])
+    protected = worst_residual < cfg.residual_tol
     return ProtectionReport(
         verdict=Verdict.PROTECTED if protected else Verdict.NOT_PROTECTED,
-        worst_residual=float(residuals[worst]),
+        worst_residual=worst_residual,
         eigenvalues=eigenvalues,
         residuals=residuals,
         witness_sample_index=None if protected else worst,
@@ -424,9 +435,11 @@ def _search_plan(space: ModeSpace, n_photons: int) -> tuple[tuple[tuple[int, np.
     Per split ``s`` of the basis that holds candidates, ``(s, stack,
     taus)``: the read-only (c, L) stack of its c candidates
     (``_split_candidates``) on its L indices, each normalised and
-    phase-fixed there, and their mirror parities. Each parity compares the
-    values with their own entries at the mirror images of the split's
-    indices, which lie in the same split at m_tot = 0. Then ``order``, the
+    phase-fixed there, and their mirror parities. Each row's norm is
+    checked as ``certify`` checks it, with the same ValueError, so a
+    search's ``certify`` calls need not check it again. Each parity
+    compares the values with their own entries at the mirror images of the
+    split's indices, which lie in the same split at m_tot = 0. Then ``order``, the
     read-only permutation ``_ray_order`` gives over all the candidates, in
     the order of the splits and their rows. The order of any subset of the
     candidates is ``order`` restricted to it: the lexsort is stable, and a
@@ -447,7 +460,9 @@ def _search_plan(space: ModeSpace, n_photons: int) -> tuple[tuple[tuple[int, np.
         stack = _frozen(np.array([_phase_fixed(col / _norm(col)) for col in cols]))
         image = position[basis._mirror[idx]]  # the mirror keeps an m_tot = 0 split
         plan.append((s, stack, tuple(_parity(col[image], col) for col in stack)))
-        states += [FockState._on_split(basis, s, col) for col in stack]
+        for col in stack:
+            states.append(FockState._on_split(basis, s, col))
+            _check_normalized(states[-1])  # certify's check, once per plan
     order = _ray_order(states) if states else np.empty(0, dtype=np.intp)
     return tuple(plan), _frozen(order)
 
@@ -477,10 +492,12 @@ def find_protected(
     are candidates, the draws are read once and lifted once per pair count,
     and each split's stack of candidates is applied to them in one
     ``_scalar_action`` call; a lone candidate is applied with no batch
-    axis. Each candidate still gets its own ``certify`` call (ROADMAP item
-    2 keeps it while the benchmark's tracer counts it), which reads its row
-    of that apply through ``_SCOPE``. Each one that passes becomes a
-    ``ProtectedRay`` on a fresh ``FockState`` of its values on its split
+    axis. One argmax over the apply's residuals gives every candidate's
+    worst draw. Each candidate still gets its own ``certify`` call (ROADMAP
+    item 2 keeps it while the benchmark's tracer counts it), which reads
+    its row of that apply and its worst draw through ``_SCOPE`` and builds
+    only its report; the plan has checked its norm. Each one that passes
+    becomes a ``ProtectedRay`` on a fresh ``FockState`` of its values on its split
     (``FockState._on_split``), so the search builds no dense vector and
     two searches share no state; a ray's ``amplitudes`` are built when
     first read. The rays are the passing candidates in the plan's order.
@@ -505,14 +522,13 @@ def find_protected(
     kept = []  # per candidate, in the plan's order, its ray or None
     draws, powers = _draws(space, cfg), {}
     for s, stack, taus in plan:
-        if len(stack) == 1:
-            # no batch axis for a lone candidate, which costs less than an axis of one
-            applied = [_scalar_action(basis, draws, stack[0][:, None], powers, s)]
-        else:
-            applied = zip(*_scalar_action(basis, draws, stack[:, :, None], powers, s))
-        for col, tau, (eigenvalues, residuals) in zip(stack, taus, applied):
+        lone = len(stack) == 1  # no batch axis for a lone candidate, which costs less than an axis of one
+        eigenvalues, residuals = _scalar_action(basis, draws, stack[0][:, None] if lone else stack[:, :, None], powers, s)
+        worst = residuals.argmax(axis=-1).tolist()  # each candidate's worst draw
+        applied = [(eigenvalues, residuals, worst)] if lone else zip(eigenvalues, residuals, worst)
+        for col, tau, row in zip(stack, taus, applied):
             state = FockState._on_split(basis, s, col)
-            token = _SCOPE.set((state, cfg, eigenvalues, residuals))
+            token = _SCOPE.set((state, cfg, *row))
             try:
                 report = certify(state, cfg)
             finally:
@@ -587,7 +603,9 @@ def verify_pair_uniqueness(
     ray_count = len(result.rays)
     overlap = 0.0
     if ray_count == 1:
-        overlap = abs(result.rays[0].state.overlap(expected))
+        # on the ray's split: the search's ray holds no dense vector
+        support, values = result.rays[0].state._sparse()
+        overlap = abs(complex(np.vdot(values, expected.amplitudes[support])))
 
     coeffs = pair_expansion_coefficients(pairs)
     expanded = _expand_pair_operator(pairs)

@@ -128,10 +128,25 @@ def test_a_repeated_certification_seeds_no_generator(monkeypatch):
 
 
 def test_certify_requires_normalized_states():
+    """Only the search's own call on its own candidate and config skips the
+    check, which the search's plan has made: a scope that holds another
+    state, or an equal but distinct config, leaves the check to certify."""
     basis = enumerate_basis(h0(), 2)
     bad = state_from_amplitudes(basis, {(2, 0): 2.0})
     with pytest.raises(ValueError):
         certify(bad, CFG)
+    ray = find_protected(h0(), 2, CFG).rays[0]
+    scaled = FockState._on_split(ray.state.basis, ray.state._split, ray.state._values * 1.01)
+    with pytest.raises(ValueError, match="must be normalized"):
+        certify(scaled, CFG)
+    report = ray.report
+    for scope in ((ray.state, CFG), (scaled, CertificationConfig(**vars(CFG)))):
+        token = protect._SCOPE.set((*scope, report.eigenvalues, report.residuals, 0))
+        try:
+            with pytest.raises(ValueError, match="must be normalized"):
+                certify(scaled, CFG)
+        finally:
+            protect._SCOPE.reset(token)
 
 
 def test_config_validation():
@@ -1182,6 +1197,47 @@ def test_search_reports_equal_standalone_certification(space, n):
 
 
 @pytest.mark.parametrize(
+    "space,n",
+    [(h0(), 6), (direct_sum(h0(), hm(1)), 3), (direct_sum(h0(), hm(1), hm(2)), 4)],
+    ids=["h0-6", "h0+hm1-3", "h0+hm1+hm2-4"],
+)
+def test_a_search_checks_each_norm_once_per_plan(monkeypatch, space, n):
+    """The plan build checks each candidate's norm, once, and a search
+    that reads a cached plan checks none; a plan row off by more than
+    the 1e-12 of ``is_normalized`` fails the search as it fails certify."""
+    checks = []
+    is_normalized = FockState.is_normalized
+
+    def counted(state, tol=1e-12):
+        checks.append(state)
+        return is_normalized(state, tol)
+
+    monkeypatch.setattr(FockState, "is_normalized", counted)
+    _clear_search_tables()
+    cold = find_protected(space, n, CFG)
+    assert len(checks) == cold.samples_used // CFG.n_samples > 0
+    checks.clear()
+    _assert_same_search(find_protected(space, n, CFG), cold)
+    assert checks == []
+    monkeypatch.undo()
+
+    def scaled(by):
+        return lambda amplitudes, threshold=1e-10: fock._phase_fixed(amplitudes, threshold) * by
+
+    try:
+        _clear_search_tables()
+        monkeypatch.setattr(protect, "_phase_fixed", scaled(1 + 1e-11))
+        with pytest.raises(ValueError, match="must be normalized"):
+            find_protected(space, n, CFG)
+        _clear_search_tables()
+        monkeypatch.setattr(protect, "_phase_fixed", scaled(1 + 1e-13))
+        assert len(find_protected(space, n, CFG).rays) == len(cold.rays)
+    finally:
+        monkeypatch.undo()
+        _clear_search_tables()
+
+
+@pytest.mark.parametrize(
     "space,n,splits,lone",
     [(h0(), 6, 1, 0), (direct_sum(h0(), hm(1), hm(2)), 10, 21, 6), (direct_sum(hm(1), hm(2)), 4, 3, 3)],
     ids=["h0-6", "h0+hm1+hm2-10", "hm1+hm2-4"],
@@ -1376,6 +1432,26 @@ def test_pair_uniqueness_holds(m, pairs):
     assert report.overlap > 1 - 1e-9
     assert report.coefficients_ok
     assert report.samples_used >= 3
+
+
+@pytest.mark.parametrize("m,pairs", [(1, 1), (1, 2), (2, 2)])
+def test_pair_uniqueness_reads_the_ray_on_its_split(monkeypatch, m, pairs):
+    """The overlap is taken on the found ray's split, which leaves the ray
+    with no dense vector, and equals the overlap of the dense vectors."""
+    found = []
+    find_ = protect.find_protected
+
+    def recording(*args, **kwargs):
+        found.append(find_(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(protect, "find_protected", recording)
+    report = verify_pair_uniqueness(m, pairs, CFG)
+    (result,) = found
+    (ray,) = result.rays
+    assert "amplitudes" not in vars(ray.state)
+    assert report.overlap == pytest.approx(abs(ray.state.overlap(pair_power(m, pairs))), abs=1e-15)
+    assert report.ok
 
 
 def test_pair_uniqueness_rejects_zero_pairs():
