@@ -226,13 +226,17 @@ def _cmd_dfs(args) -> int:
     if args.d < 1:
         raise ValueError(f"--d must be at least 1, got {args.d}")
     carrier, label = _resolve_state(args.carrier, None)
+    n = carrier.basis.n_photons
+    if n == 0 and args.loss > 0.0:
+        raise ValueError(
+            f"--loss must be 0 on a zero-photon carrier: no scatterer removes photons from the vacuum, got {args.loss}"
+        )
     cfg = CertificationConfig(n_samples=args.samples, seed=args.seed)
     qudit = time_bin_qudit(np.full(args.d, 1.0 / np.sqrt(args.d)), carrier, cfg)
     # one static channel: a unitary symmetric draw scaled so the carrier's
     # success probability is exactly 1 - loss
     sampler = ScatterSampler(seed=args.seed, unitary=True)
     drawn = sampler.sample(carrier.basis.space)
-    n = carrier.basis.n_photons
     scale = (1.0 - args.loss) ** (1.0 / (2.0 * n)) if n else 1.0
     channel = SymmetricScattering(
         space=drawn.space, matrix=drawn.matrix * scale, unitary=args.loss == 0.0
@@ -358,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dfs", help="transmit a time-bin qudit through a lossy static scatterer")
     p.add_argument("--carrier", required=True, help="carrier state (name, family recipe, or file)")
     p.add_argument("--d", type=int, default=2, help="number of time bins")
-    p.add_argument("--loss", type=float, default=0.0, help="carrier success probability is 1 - loss")
+    p.add_argument("--loss", type=float, default=0.0, help="carrier success probability is 1 - loss; 0 on a zero-photon carrier")
     p.add_argument("--samples", type=int, default=64, help="carrier certification samples")
     p.add_argument("--csv", help="also write the erasure capacity curve (eps 0..1 step 0.01)")
     common(p)

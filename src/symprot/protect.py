@@ -107,7 +107,7 @@ from .fock import (
     sector_split,  # noqa: F401 -- a traced call site of perfbench/tracing.py
 )
 from .modes import ModeSpace, h0, hm
-from .scatter import ScatterSampler, family_generators
+from .scatter import ScatterSampler, _in_unit_interval, family_generators
 from .states import pair_expansion_coefficients, pair_power
 
 __all__ = [
@@ -141,11 +141,11 @@ class CertificationConfig:
     def __post_init__(self):
         if not isinstance(self.n_samples, numbers.Integral) or self.n_samples < 3:
             raise ValueError(f"n_samples must be an integer of at least 3, got {self.n_samples!r}")
-        if not 0 < self.residual_tol < 1:
-            raise ValueError("residual_tol must lie in (0, 1)")
+        if not _in_unit_interval(self.residual_tol):
+            raise ValueError(f"residual_tol must lie in (0, 1), got {self.residual_tol!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not 0 < self.genericity_floor < 1:
+        if not _in_unit_interval(self.genericity_floor):
             raise ValueError(f"genericity_floor must lie in (0, 1), got {self.genericity_floor!r}")
         if not isinstance(self.unitary, (bool, np.bool_)):
             raise ValueError(f"unitary must be a bool, got {self.unitary!r}")

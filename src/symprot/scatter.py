@@ -28,17 +28,18 @@ which the exact protected-state search lifts.
 
 A seeded batch is drawn once per process. A sampler with an integer seed
 seeds its generator on first use, and ``sample(space, n)`` on one that
-has not drawn yet keeps the stack it draws in a memo keyed by the seed,
-the sampler's ``unitary``, ``genericity_floor`` and ``max_attempts``,
-the space and n, together with the generator's state after the draw.
-The same call on another such sampler returns a copy of the stack
-without seeding a generator, and leaves that end state for the
-generator's first use, so the stack and every later draw are bit for
-bit those of drawing again. Single draws, batches after a draw, batches
-of samplers seeded otherwise (``None``, a ``SeedSequence``) and batches
-that raise GenericityError are never kept. The memo is a
-least-recently-used cache of at most ``_MEMO_ENTRIES`` stacks and
-``_MEMO_BYTES`` bytes of them.
+has not drawn yet reads the stack from ``_seeded_batch``, an
+``lru_cache`` keyed by the seed, the sampler's ``unitary``,
+``genericity_floor`` and ``max_attempts``, the space and n, which draws
+it once on a fresh sampler and keeps it read-only with the generator's
+state after the draw. The sampler gets a writable copy without seeding a
+generator, and that end state becomes its generator's start when it is
+first used, so the stack and every later draw are bit for bit those of
+drawing again. Single draws, batches after a draw, batches of samplers
+seeded otherwise (``None``, a ``SeedSequence``), stacks over
+``_MEMO_STACK_BYTES`` and batches that raise GenericityError are never
+kept. The cache holds the ``_MEMO_ENTRIES`` most recently used stacks,
+at most 8 MiB of them.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +71,15 @@ _SQRT2 = math.sqrt(2.0)
 
 class GenericityError(RuntimeError):
     """Raised when the sampler cannot reach the genericity floor."""
+
+
+def _in_unit_interval(value) -> bool:
+    """0 < value < 1, and False for a value that does not compare with floats
+    (a check on ``numbers.Real`` would cost ten times the comparison)."""
+    try:
+        return 0.0 < value < 1.0
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +175,8 @@ class ScatterSampler:
     _resume: dict | None = field(default=None, init=False, repr=False)  # a kept batch's end state
 
     def __post_init__(self):
-        if not 0.0 < self.genericity_floor < 1.0:
-            raise ValueError("genericity_floor must lie in (0, 1)")
+        if not _in_unit_interval(self.genericity_floor):
+            raise ValueError(f"genericity_floor must lie in (0, 1), got {self.genericity_floor!r}")
         try:
             self.max_attempts = int(operator.index(self.max_attempts))
         except TypeError:
@@ -215,37 +224,38 @@ class ScatterSampler:
 
         The generator is seeded on the sampler's first draw, not at its
         construction. A batch from the seed is drawn once per process: on
-        a sampler with an integer seed that has not drawn yet, the stack
-        is kept, with the generator's state after it, under the seed,
+        a sampler with an integer seed that has not drawn yet, the call
+        returns a writable copy of ``_seeded_batch``'s stack for the seed,
         ``unitary``, ``genericity_floor``, ``max_attempts``, ``space`` and
-        ``size``. The same call on another such sampler returns a writable
-        copy of the kept stack without seeding a generator; the kept end
-        state becomes the generator's start when it is first used.
-        Single draws, batches after a draw or a read, batches of samplers
-        not seeded by an integer and failed batches are drawn and not
-        kept. The memo holds at most ``_MEMO_ENTRIES`` stacks and
-        ``_MEMO_BYTES`` bytes, dropping the least recently used.
+        ``size`` without seeding a generator; the kept end state becomes
+        the generator's start when it is first used. Single draws, batches
+        after a draw or a read, batches of samplers not seeded by an
+        integer, stacks over ``_MEMO_STACK_BYTES`` and failed batches are
+        drawn on this sampler's generator and not kept. The cache holds
+        the ``_MEMO_ENTRIES`` most recently used stacks.
         """
-        n = 1 if size is None else operator.index(size)
+        if size is None:
+            return SymmetricScattering(space=space, matrix=self._draw(space, 1)[0], unitary=self.unitary)
+        n = operator.index(size)
         if n < 0:
             raise ValueError(f"size must be non-negative, got {n}")
-        key = None
-        if size is not None and self._gen is None and self._resume is None:
-            key = (operator.index(self.seed), self.unitary, self.genericity_floor, self.max_attempts, space, n)
-            kept = _DRAWS.get(key)
-            if kept is not None:
-                stack, self._resume = kept
+        if self._gen is None and self._resume is None and n * len(space) ** 2 * 16 <= _MEMO_STACK_BYTES:
+            try:
+                stack, self._resume = _seeded_batch(
+                    operator.index(self.seed), self.unitary, self.genericity_floor, self.max_attempts, space, n
+                )
                 return stack.copy()
-        comps = space.components if space.kind == "sum" else (space,)
-        blocks = self._stream([sp.kind for sp in comps], n)
-        mats = _assemble(space, comps, blocks.reshape(n, len(comps), 2, 2))
-        if size is None:
-            return SymmetricScattering(space=space, matrix=mats[0], unitary=self.unitary)
-        if key is not None:
-            _DRAWS.put(key, mats.copy(), self._rng.bit_generator.state)
-        return mats
+            except GenericityError:
+                pass  # drawn again below, so this generator stops where single draws stop
+        return self._draw(space, n)
 
     # -- internals ---------------------------------------------------------
+
+    def _draw(self, space: ModeSpace, n: int) -> np.ndarray:
+        """The (n, M, M) stack of the next n draws on this sampler's generator."""
+        comps = space.components if space.kind == "sum" else (space,)
+        blocks = self._stream([sp.kind for sp in comps], n)
+        return _assemble(space, comps, blocks.reshape(n, len(comps), 2, 2))
 
     def _stream(self, kinds: list[str], n: int, run: int = 0) -> np.ndarray:
         """The blocks of the next n draws on components of these kinds, as an
@@ -345,48 +355,18 @@ class ScatterSampler:
         return a, b, c, d, (_sqrt(_abs2(det)) > floor) & (gap > floor)
 
 
-_MEMO_ENTRIES = 256  # batch draws kept by ScatterSampler.sample
-_MEMO_BYTES = 8 << 20  # and the most bytes their stacks take together
+_MEMO_ENTRIES = 64  # seeded batch draws kept by ScatterSampler.sample
+_MEMO_STACK_BYTES = 128 << 10  # the largest stack kept: 8 MiB in all at most
 
 
-class _DrawMemo:
-    """Least-recently-used store of batch draws: key -> (read-only stack,
-    generator state after it), within ``entries`` stacks and ``max_bytes``
-    bytes of them. Samplers in several threads may share it."""
-
-    def __init__(self, entries: int, max_bytes: int):
-        self.entries, self.max_bytes, self.nbytes = entries, max_bytes, 0
-        self._kept: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._kept)
-
-    def get(self, key):
-        with self._lock:
-            kept = self._kept.get(key)
-            if kept is not None:
-                self._kept.move_to_end(key)
-            return kept
-
-    def put(self, key, stack: np.ndarray, end_state: dict) -> None:
-        if stack.nbytes > self.max_bytes:
-            return
-        stack.setflags(write=False)
-        with self._lock:
-            old = self._kept.pop(key, None)
-            self.nbytes += stack.nbytes - (0 if old is None else old[0].nbytes)
-            self._kept[key] = (stack, end_state)
-            while len(self._kept) > self.entries or self.nbytes > self.max_bytes:
-                self.nbytes -= self._kept.popitem(last=False)[1][0].nbytes
-
-    def clear(self) -> None:
-        with self._lock:
-            self._kept.clear()
-            self.nbytes = 0
-
-
-_DRAWS = _DrawMemo(_MEMO_ENTRIES, _MEMO_BYTES)
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _seeded_batch(seed: int, unitary: bool, floor: float, attempts: int, space: ModeSpace, n: int):
+    """The read-only stack of the first n draws of a sampler with these
+    settings, and its generator's state after them."""
+    sampler = ScatterSampler(seed, unitary, floor, attempts)
+    stack = sampler._draw(space, n)
+    stack.setflags(write=False)
+    return stack, sampler._rng.bit_generator.state
 
 
 _TWO_PI = 2.0 * math.pi

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +201,7 @@ def count_mirror_fock(n: int) -> tuple[int, int, int]:
     For N photons there are N + 1 mirror Fock rays; n_anti even gives parity
     +1, so the split is (N//2 + 1, (N+1)//2, N+1).
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("photon number must be non-negative")
     return (n // 2 + 1, (n + 1) // 2, n + 1)
@@ -207,6 +209,7 @@ def count_mirror_fock(n: int) -> tuple[int, int, int]:
 
 def count_pair_states(n: int) -> int:
     """Protected-ray count on a four-mode family: 1 for even N, else 0."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("photon number must be non-negative")
     return 1 if n % 2 == 0 else 0

@@ -292,6 +292,21 @@ def test_dfs_loss_sets_the_success_probability():
     assert doc["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_dfs_refuses_loss_on_a_zero_photon_carrier():
+    """No scatterer removes photons from the vacuum, so a zero-photon
+    carrier cannot have success probability 1 - loss below 1: --loss > 0
+    is a usage error, and --loss 0 still transmits."""
+    result = run_cli("dfs", "--carrier", "mirrorfock:ns=0,na=0", "--loss", "0.5", "--samples", "8", check=False)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "symprot: --loss must be 0 on a zero-photon carrier: no scatterer removes photons from the vacuum, got 0.5\n"
+    )
+    doc = payload("dfs", "--carrier", "mirrorfock:ns=0,na=0", "--loss", "0", "--samples", "8")
+    assert doc["success_probability"] == pytest.approx(1.0, abs=1e-12)
+    assert doc["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_dfs_refuses_unprotected_carriers():
     result = run_cli("dfs", "--carrier", "phi1", "--samples", "8", check=False)
     assert result.returncode == 1

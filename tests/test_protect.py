@@ -161,14 +161,18 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "field,value",
     [("n_samples", 3.5), ("n_samples", "8"), ("seed", -1), ("seed", 1.5), ("seed", np.int64(-2)),
-     ("genericity_floor", float("nan")), ("genericity_floor", 0.0), ("genericity_floor", 1.0)],
+     ("genericity_floor", float("nan")), ("genericity_floor", 0.0), ("genericity_floor", 1.0),
+     ("genericity_floor", "0.1"), ("residual_tol", "1e-10"), ("residual_tol", float("nan"))],
     ids=["samples-float", "samples-str", "seed-negative", "seed-float", "seed-numpy-negative",
-         "floor-nan", "floor-zero", "floor-one"],
+         "floor-nan", "floor-zero", "floor-one", "floor-str", "tol-str", "tol-nan"],
 )
 def test_config_names_the_field_it_refuses(field, value):
     """A bad field is refused when the config is built, not at the first draw."""
     with pytest.raises(ValueError, match=f"^{field} must"):
         CertificationConfig(**{field: value})
+    if field == "genericity_floor":
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ScatterSampler(**{field: value})
 
 
 @pytest.mark.parametrize("value", ["no", "", 1, 0, None, 1.0], ids=repr)

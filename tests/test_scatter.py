@@ -232,6 +232,10 @@ def _no_draw(*args):
     raise AssertionError("a kept batch drew from the generator")
 
 
+def _kept() -> int:
+    return scatter._seeded_batch.cache_info().currsize
+
+
 @pytest.mark.parametrize("n", [3, 16, 64])
 @pytest.mark.parametrize("unitary", [True, False], ids=["unitary", "subunitary"])
 @pytest.mark.parametrize("space", MEMO_SPACES, ids=MEMO_IDS)
@@ -243,12 +247,12 @@ def test_a_kept_batch_is_the_draw_bit_for_bit(space, unitary, n, monkeypatch):
     def sampler():
         return ScatterSampler(seed=n, unitary=unitary)
 
-    scatter._DRAWS.clear()
+    scatter._seeded_batch.cache_clear()
     cold = sampler()
     drawn = cold.sample(space, n)
     end = cold._rng.bit_generator.state
     after = cold.sample(space).matrix
-    assert len(scatter._DRAWS) == 1  # the single draw is not kept
+    assert _kept() == 1  # the single draw is not kept
     expected = drawn.copy()
     drawn[:] = 0
 
@@ -278,7 +282,7 @@ def test_the_memo_keys_every_setting_of_a_draw():
                 (hm(1), False, 0.3, 1), (h0(), False, 1e-3, 100), (direct_sum(h0(), hm(1)), False, 1e-3, 100)]
     warm = [draw(*setting) for setting in settings]
     for setting, drawn in zip(settings, warm):
-        scatter._DRAWS.clear()
+        scatter._seeded_batch.cache_clear()
         cold = draw(*setting)
         assert (drawn is None and cold is None) or np.array_equal(drawn, cold)
     assert warm[3] is None and all(drawn is not None for drawn in warm[:3] + warm[4:])
@@ -308,13 +312,13 @@ def test_a_failed_batch_fails_again_and_is_not_kept(space):
         while True:
             single.sample(space)
             drawn += 1
-    scatter._DRAWS.clear()  # an empty memo evicts nothing, so any kept batch shows
+    scatter._seeded_batch.cache_clear()  # an empty memo evicts nothing, so any kept batch shows
     for _ in range(2):
         batch = sampler()
         with pytest.raises(GenericityError):
             batch.sample(space, drawn + 3)
         assert batch._rng.bit_generator.state == single._rng.bit_generator.state
-        assert len(scatter._DRAWS) == 0
+        assert _kept() == 0
 
 
 def _no_seeding(*args):
@@ -326,7 +330,7 @@ def test_a_sampler_that_read_a_kept_batch_goes_on_as_the_cold_one(space, monkeyp
     """The read seeds no generator; the batch after it is the stream's
     next, not the kept one again, and the single draw and the batch after
     that are bit for bit the cold sampler's."""
-    scatter._DRAWS.clear()
+    scatter._seeded_batch.cache_clear()
     cold = ScatterSampler(seed=6, unitary=False)
     first = cold.sample(space, 16)
     warm = ScatterSampler(seed=6, unitary=False)
@@ -338,27 +342,27 @@ def test_a_sampler_that_read_a_kept_batch_goes_on_as_the_cold_one(space, monkeyp
     assert np.array_equal(warm.sample(space).matrix, cold.sample(space).matrix)
     assert np.array_equal(warm.sample(space, 9), cold.sample(space, 9))
     assert warm._rng.bit_generator.state == cold._rng.bit_generator.state
-    assert len(scatter._DRAWS) == 1  # only the batch from the seed is kept
+    assert _kept() == 1  # only the batch from the seed is kept
 
 
 def test_a_numpy_integer_seed_reads_the_batch_its_int_kept(monkeypatch):
-    scatter._DRAWS.clear()
+    scatter._seeded_batch.cache_clear()
     kept = ScatterSampler(seed=5).sample(hm(1), 16)
     monkeypatch.setattr(ScatterSampler, "_stream", _no_draw)
     assert np.array_equal(ScatterSampler(seed=np.int64(5)).sample(hm(1), 16), kept)
-    assert len(scatter._DRAWS) == 1
+    assert _kept() == 1
 
 
 def test_samplers_not_seeded_by_an_integer_keep_nothing():
     """Unseeded samplers draw fresh entropy, so two of them draw different
     batches; a SeedSequence seed draws its own stream. No batch of theirs
     is kept."""
-    scatter._DRAWS.clear()
+    scatter._seeded_batch.cache_clear()
     assert not np.array_equal(ScatterSampler(seed=None).sample(hm(1), 8), ScatterSampler(seed=None).sample(hm(1), 8))
     by_sequence = ScatterSampler(seed=np.random.SeedSequence(5)).sample(hm(1), 8)
     singles = ScatterSampler(seed=np.random.SeedSequence(5))
     assert np.array_equal(by_sequence, [singles.sample(hm(1)).matrix for _ in range(8)])
-    assert len(scatter._DRAWS) == 0
+    assert _kept() == 0
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (np.int64(-1), ValueError), (1.5, TypeError), ("3", TypeError)])
@@ -367,60 +371,53 @@ def test_a_bad_seed_fails_at_construction(seed, error):
         ScatterSampler(seed=seed)
 
 
-def _within_bounds(memo):
-    stacks = [stack for stack, _ in memo._kept.values()]
-    assert memo.nbytes == sum(stack.nbytes for stack in stacks)
-    assert len(memo) <= memo.entries and memo.nbytes <= memo.max_bytes
-    assert not any(stack.flags.writeable for stack in stacks)
-
-
 def test_the_memo_keeps_to_its_bounds():
-    """Past its bounds the memo drops the least recently used stacks, and
-    keeps no stack larger than its byte bound."""
-    scatter._DRAWS.clear()
+    """The memo holds the _MEMO_ENTRIES most recently used stacks, each
+    read-only, and draws a stack over _MEMO_STACK_BYTES without keeping
+    it: the largest kept stream on a 10-mode space has 81 draws."""
+    assert scatter._MEMO_ENTRIES == 64 and scatter._MEMO_STACK_BYTES == 128 << 10
+    scatter._seeded_batch.cache_clear()
     for seed in range(scatter._MEMO_ENTRIES + 20):
         ScatterSampler(seed=seed).sample(hm(1), 3)
-        _within_bounds(scatter._DRAWS)
-    assert len(scatter._DRAWS) == scatter._MEMO_ENTRIES
+    assert _kept() == scatter._MEMO_ENTRIES
+    hits = scatter._seeded_batch.cache_info().hits
+    ScatterSampler(seed=scatter._MEMO_ENTRIES + 19).sample(hm(1), 3)
+    assert scatter._seeded_batch.cache_info().hits == hits + 1  # the most recent is kept
+    ScatterSampler(seed=0).sample(hm(1), 3)
+    assert scatter._seeded_batch.cache_info().hits == hits + 1  # the least recent is not
 
-    memo = scatter._DrawMemo(entries=4, max_bytes=3 * 16 * 36 * 16)  # three 16-draw stacks of 6x6
-    space = direct_sum(h0(), hm(1))
-    stacks = [ScatterSampler(seed=seed).sample(space, 16) for seed in range(6)]
-    for seed, stack in enumerate(stacks):
-        memo.put(("seed", seed), stack.copy(), {})
-        memo.get(("seed", 0))  # in use: stays
-        _within_bounds(memo)
-    assert list(memo._kept) == [("seed", 4), ("seed", 5), ("seed", 0)]
-    memo.put(("large",), np.zeros((3 * 16 + 1, 6, 6), dtype=complex), {})
-    assert memo.get(("large",)) is None
-    _within_bounds(memo)
-    for seed in range(10):
-        memo.put(("small", seed), stacks[seed % 6][:2].copy(), {})
-        _within_bounds(memo)
-    assert len(memo) == 4
+    space = direct_sum(h0(), hm(1), hm(2))
+    scatter._seeded_batch.cache_clear()
+    largest = ScatterSampler(seed=1).sample(space, 81)
+    assert largest.nbytes <= scatter._MEMO_STACK_BYTES and _kept() == 1
+    stack, _ = scatter._seeded_batch(1, True, 1e-3, 100, space, 81)
+    assert not stack.flags.writeable and np.array_equal(stack, largest)
+    over = ScatterSampler(seed=1)
+    drawn = over.sample(space, 82)
+    assert drawn.nbytes > scatter._MEMO_STACK_BYTES and _kept() == 1
+    singles = ScatterSampler(seed=1)
+    assert np.array_equal(drawn, [singles.sample(space).matrix for _ in range(82)])
+    assert over._rng.bit_generator.state == singles._rng.bit_generator.state
 
 
 def test_threads_share_the_memo_without_losing_an_update(monkeypatch):
     """Samplers in more threads than cores, switching often, fill and evict
-    one small memo: every stack is still its cold draw, and the memo's
-    byte count is the sum of what it holds."""
+    a memo of five entries: every stack is still its cold draw."""
+    import functools
     import sys
     import threading
 
     space, seeds = direct_sum(h0(), hm(1)), range(12)
     cold = {seed: ScatterSampler(seed=seed).sample(space, 8) for seed in seeds}
-    monkeypatch.setattr(scatter, "_DRAWS", scatter._DrawMemo(entries=5, max_bytes=4 * cold[0].nbytes))
+    small = functools.lru_cache(maxsize=5)(scatter._seeded_batch.__wrapped__)
+    monkeypatch.setattr(scatter, "_seeded_batch", small)
     wrong = []
 
     def work(offset):
-        for k in range(60):
+        for k in range(200):
             seed = seeds[(offset + k) % len(seeds)]
             if not np.array_equal(ScatterSampler(seed=seed).sample(space, 8), cold[seed]):
                 wrong.append(seed)
-        for k in range(3000):  # puts and gets alone, to crowd the memo's lock
-            key = ("put", (offset * k) % 9)
-            scatter._DRAWS.put(key, cold[k % len(seeds)][: 1 + k % 8].copy(), {})
-            scatter._DRAWS.get(key)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -434,7 +431,8 @@ def test_threads_share_the_memo_without_losing_an_update(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    _within_bounds(scatter._DRAWS)
+    info = small.cache_info()
+    assert info.currsize == 5 and info.hits > 0 and info.misses > len(seeds)
 
 
 def test_sigma_max_does_not_cancel_at_equal_singular_values():

@@ -245,6 +245,16 @@ def test_counts_reject_negative():
         count_pair_states(-2)
 
 
+@pytest.mark.parametrize("count", [count_mirror_fock, count_pair_states])
+def test_counts_take_integer_photon_numbers_only(count):
+    """N goes through operator.index, as in enumerate_basis: a NumPy integer
+    counts as its int, and a float is refused, not counted."""
+    assert count(np.int64(4)) == count(4)
+    for n in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            count(n)
+
+
 # ---------------------------------------------------------------------------
 # products
 
