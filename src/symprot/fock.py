@@ -204,8 +204,13 @@ class FockBasis:
 
     @cached_property
     def m_totals(self) -> np.ndarray:
-        """Total angular momentum sum_i n_i m_i per basis state (integers)."""
-        return _frozen(self._occupancy @ np.array([lab.m for lab in self.space.labels], dtype=np.intp))
+        """Total angular momentum sum_i n_i m_i per basis state (integers).
+        A space whose N * max|m| exceeds the intp maximum raises ValueError."""
+        ms = [lab.m for lab in self.space.labels]
+        reach = self.n_photons * max(map(abs, ms))
+        if reach > np.iinfo(np.intp).max:
+            raise ValueError(f"|m_tot| reaches N * max|m| = {reach}, beyond the intp maximum")
+        return _frozen(self._occupancy @ np.array(ms, dtype=np.intp))
 
     @cached_property
     def _sectors(self) -> dict[int, np.ndarray]:

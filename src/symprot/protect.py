@@ -37,13 +37,11 @@ each pair count once, in a dict of its own that it drops when it returns;
 a search with no candidate reads none. It applies each split's candidates
 to the draws in one kernel call and finds every candidate's worst draw
 with one argmax over that apply. It hands each candidate's row of the
-apply and its worst draw to the candidate's own ``certify`` call through
-``_SCOPE``, a context variable (so each thread and task has its own) that
-holds the candidate, the config object and the row for that call alone;
-that call only builds the report. The norm of each candidate is checked
-once, when ``_search_plan`` normalises it. Every other ``certify`` call
-checks the norm, reads and lifts afresh, and nothing lifted outlives the
-call that lifted it.
+apply and its worst draw to the candidate's own ``certify`` call as its
+``_applied`` argument, and that call only builds the report. The norm of
+each candidate is checked once, when ``_search_plan`` normalises it. Every
+other ``certify`` call checks the norm, reads and lifts afresh, and
+nothing lifted outlives the call that lifted it.
 
 The search visits the splits of the shared basis by the photon counts on
 the mode pairs (``FockBasis._splits``), where the family acts as a
@@ -65,8 +63,7 @@ phase-fixed and compared with its mirror image there, and kept there as a
 candidates of one split are applied on it together. No search step builds
 a dense vector; a ray's ``amplitudes`` are built when something first
 reads them. The rays are ordered by their values over the union of their
-splits (``_ray_order``); rays on one split are the rows of the stack of
-their values.
+supports (``_ray_order``).
 
 So the candidates, their values, their parities and their order depend on
 (space, N) alone, and only their certification on the draws.
@@ -81,7 +78,6 @@ read-only; each search builds its own states and rays on them.
 
 from __future__ import annotations
 
-import contextvars
 import enum
 import itertools
 import math
@@ -174,11 +170,6 @@ def _draws(space: ModeSpace, cfg: CertificationConfig) -> np.ndarray:
     """The (n_samples, M, M) stack of the sample stream ``certify`` documents."""
     sampler = ScatterSampler(seed=cfg.seed, unitary=cfg.unitary, genericity_floor=cfg.genericity_floor)
     return sampler.sample(space, cfg.n_samples)
-
-
-# the (state, cfg, eigenvalues, residuals, worst) that the open search's
-# apply gave the candidate it is certifying in this context, if any
-_SCOPE: contextvars.ContextVar[tuple | None] = contextvars.ContextVar("symprot_certification_scope", default=None)
 
 
 def _check_normalized(state: FockState) -> None:
@@ -275,7 +266,7 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, 
     return eigenvalues, residuals
 
 
-def certify(state: FockState, cfg: CertificationConfig = CertificationConfig()) -> ProtectionReport:
+def certify(state: FockState, cfg: CertificationConfig = CertificationConfig(), *, _applied=None) -> ProtectionReport:
     """Test a normalized state against cfg.n_samples generic scattering lifts.
 
     Sample i is the i-th draw of ScatterSampler(seed=cfg.seed,
@@ -283,25 +274,24 @@ def certify(state: FockState, cfg: CertificationConfig = CertificationConfig()) 
     state's mode space; this correspondence is part of the contract so
     callers can regenerate the stream and inspect individual samples.
 
-    A state whose norm is more than 1e-12 from 1 raises ValueError.
-    Called by ``find_protected`` on one of its candidates with its config
-    (that very state and config object), it builds the report from the
-    candidate's eigenvalues, residuals and worst draw in the search's
-    apply of its split, the bits it would compute alone, and leaves the
-    norm check to the search's plan, which made it. Any other call checks
-    the norm and reads the stream and lifts it afresh. A state that holds
-    only its values on one split (the search's rays) is checked and
-    applied on those values and that split, with no dim-sized pass; a
-    dense state on the splits its amplitudes occupy.
+    A state whose norm is more than 1e-12 from 1 raises ValueError. The
+    call reads the stream and lifts it afresh. A state that holds only its
+    values on one split (the search's rays) is checked and applied on
+    those values and that split, with no dim-sized pass; a dense state on
+    the splits its amplitudes occupy.
+
+    ``_applied`` is for ``find_protected`` alone: the ``(eigenvalues,
+    residuals, worst)`` that the search's apply of its split gave this
+    candidate, the bits a call on it alone computes. Given it, the call
+    builds the report from it, with no norm check (the search's plan made
+    it), no draw and no kernel call.
     """
-    applied = _SCOPE.get()
-    if applied is not None and applied[0] is state and applied[1] is cfg:
-        eigenvalues, residuals, worst = applied[2:]
-    else:
+    if _applied is None:
         _check_normalized(state)
         column, split = _kernel_input(state)
         eigenvalues, residuals = _scalar_action(state.basis, _draws(state.basis.space, cfg), column, {}, split)
-        worst = int(residuals.argmax())
+        _applied = (eigenvalues, residuals, int(residuals.argmax()))
+    eigenvalues, residuals, worst = _applied
     worst_residual = float(residuals[worst])
     protected = worst_residual < cfg.residual_tol
     return ProtectionReport(
@@ -409,20 +399,14 @@ def _kron(factors: tuple[np.ndarray, ...]) -> np.ndarray:
 def _ray_order(states: list[FockState]) -> np.ndarray:
     """The stable lexicographic order of states by the real and then the
     imaginary parts of the amplitudes rounded to 9 digits, over the basis
-    states some state occupies. States on one split share its support and
-    are the rows of the stack of their values; otherwise each state's
-    values are read on its support (``FockState._sparse``), and the other
-    basis states compare equal."""
-    split = states[0]._split
-    if split is not None and all(state._split == split for state in states):
-        amps = np.array([state._values for state in states])
-    else:
-        sparse = [state._sparse() for state in states]
-        supports = np.concatenate([support for support, _ in sparse])
-        cols = np.unique(supports)
-        amps = np.zeros((len(states), len(cols)), dtype=complex)
-        rows = np.repeat(np.arange(len(states)), [len(support) for support, _ in sparse])
-        amps[rows, np.searchsorted(cols, supports)] = np.concatenate([values for _, values in sparse])
+    states some state occupies. Each state's values are read on its support
+    (``FockState._sparse``), and the other basis states compare equal."""
+    sparse = [state._sparse() for state in states]
+    supports = np.concatenate([support for support, _ in sparse])
+    cols = np.unique(supports)
+    amps = np.zeros((len(states), len(cols)), dtype=complex)
+    rows = np.repeat(np.arange(len(states)), [len(support) for support, _ in sparse])
+    amps[rows, np.searchsorted(cols, supports)] = np.concatenate([values for _, values in sparse])
     keys = np.column_stack([np.round(amps.real, 9), np.round(amps.imag, 9)])
     return np.lexsort(keys.T[::-1])
 
@@ -494,9 +478,9 @@ def find_protected(
     ``_scalar_action`` call; a lone candidate is applied with no batch
     axis. One argmax over the apply's residuals gives every candidate's
     worst draw. Each candidate still gets its own ``certify`` call (ROADMAP
-    item 2 keeps it while the benchmark's tracer counts it), which reads
-    its row of that apply and its worst draw through ``_SCOPE`` and builds
-    only its report; the plan has checked its norm. Each one that passes
+    item 2 keeps it while the benchmark's tracer counts it), handed its row
+    of that apply and its worst draw as ``_applied``, and builds only its
+    report; the plan has checked its norm. Each one that passes
     becomes a ``ProtectedRay`` on a fresh ``FockState`` of its values on its split
     (``FockState._on_split``), so the search builds no dense vector and
     two searches share no state; a ray's ``amplitudes`` are built when
@@ -528,11 +512,7 @@ def find_protected(
         applied = [(eigenvalues, residuals, worst)] if lone else zip(eigenvalues, residuals, worst)
         for col, tau, row in zip(stack, taus, applied):
             state = FockState._on_split(basis, s, col)
-            token = _SCOPE.set((state, cfg, *row))
-            try:
-                report = certify(state, cfg)
-            finally:
-                _SCOPE.reset(token)
+            report = certify(state, cfg, _applied=row)
             passed = report.verdict is Verdict.PROTECTED
             kept.append(ProtectedRay(state=state, m_tot=0, mirror_tau=tau, report=report) if passed else None)
     return SearchResult(

@@ -95,6 +95,8 @@ class SymmetricScattering:
         m = len(self.space)
         if mat.shape != (m, m):
             raise ValueError(f"matrix must be {m}x{m}, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite numbers, not NaN or Infinity")
         object.__setattr__(self, "matrix", mat)
 
     def block(self, component: int = 0) -> np.ndarray:
@@ -146,6 +148,8 @@ def validate_scattering(matrix: np.ndarray, space: ModeSpace, tol: float = 1e-12
     m = len(space)
     if a.shape != (m, m):
         raise ValueError(f"matrix must be {m}x{m}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite numbers, not NaN or Infinity")
     jz, mir = space.jz, space.mirror
     jz_comm = float(np.linalg.norm(a @ jz - jz @ a))
     mir_comm = float(np.linalg.norm(a @ mir - mir @ a))

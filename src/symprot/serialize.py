@@ -30,7 +30,6 @@ from .modes import ModeSpace, direct_sum, h0, hm
 
 __all__ = [
     "SCHEMA_TAG",
-    "complex_pair",
     "vector_to_json",
     "vector_from_json",
     "matrix_to_json",
@@ -46,10 +45,6 @@ __all__ = [
 ]
 
 SCHEMA_TAG = "symprot/2"
-
-
-def complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _pairs(array) -> list:

@@ -164,6 +164,18 @@ def test_a_negative_seed_is_one_line_naming_the_seed(argv, capsys):
     assert captured.err == "symprot: seed must be a non-negative integer, got -1\n"
 
 
+@pytest.mark.parametrize("m", ["4611686018427387904", "9223372036854775807", "99999999999999999999"], ids=["2^62", "2^63-1", "1e20"])
+def test_an_m_tot_beyond_the_integer_range_is_one_line(m, capsys):
+    """At N = 2 these m put m_tot beyond the intp maximum: one error line
+    and exit 2, not a wrapped sector in a payload or a traceback."""
+    from symprot import cli
+
+    assert cli.main(["search", "--space", f"hm:{m}", "--n", "2", "--samples", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"symprot: |m_tot| reaches N * max|m| = {2 * int(m)}, beyond the intp maximum\n"
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -171,8 +171,9 @@ def test_a_search_ray_is_transmitted_on_its_split(space, n):
 
 
 def test_transmission_rejects_a_scatterer_outside_the_family_shape():
-    """A user-built SymmetricScattering only has its shape checked; one with
-    entries outside the 2x2 mode-pair blocks is refused, not misread."""
+    """A user-built SymmetricScattering only has its shape and finiteness
+    checked; one with entries outside the 2x2 mode-pair blocks is refused,
+    not misread."""
     rng = np.random.default_rng(3)
     dense = SymmetricScattering(hm(1), rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), unitary=False)
     q = time_bin_qudit([1.0, 1.0], pair_power(1, 1), cfg=None)
@@ -186,6 +187,15 @@ def test_transmission_rejects_a_scatterer_outside_the_family_shape():
     member[0, 3] = 1e-300
     with pytest.raises(ValueError, match="block diagonal"):
         transmit(q, SymmetricScattering(hm(1), member, unitary=True))
+
+
+def test_transmission_never_meets_a_non_finite_scatterer():
+    """A NaN entry is refused when the scatterer is built, so no time-bin
+    transmission reports a NaN fidelity or success probability."""
+    q = time_bin_qudit([1.0, 1.0], mirror_fock(1, 1), cfg=None)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            transmit_bins(q, [SymmetricScattering(h0(), [[bad, 0], [0, 1]], unitary=False)] * 2)
 
 
 def test_transmission_rejects_a_scatterer_on_another_space():

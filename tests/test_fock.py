@@ -265,6 +265,19 @@ def test_m_totals_sum_each_state_s_angular_momenta(space):
         assert np.array_equal(basis.m_totals, expected)
 
 
+def test_m_totals_refuse_what_intp_cannot_hold():
+    """m_tot up to N * max|m| = 2^62 is exact; beyond the intp maximum every
+    reader of m_totals raises ValueError instead of wrapping."""
+    cfg = CertificationConfig(n_samples=3)
+    assert find_protected(hm(2**61), 2, cfg).sectors == (2**62, 0, -(2**62))
+    for m in (2**62, 2**63 - 1, 10**20):
+        basis = enumerate_basis(hm(m), 2)
+        for read in (lambda: basis.m_totals, lambda: sector_split(basis), lambda: lift_jz(basis),
+                     lambda: find_protected(hm(m), 2, cfg)):
+            with pytest.raises(ValueError, match="beyond the intp maximum"):
+                read()
+
+
 def test_hm_two_photon_sectors():
     basis = enumerate_basis(hm(1), 2)
     split = sector_split(basis)

@@ -128,9 +128,9 @@ def test_a_repeated_certification_seeds_no_generator(monkeypatch):
 
 
 def test_certify_requires_normalized_states():
-    """Only the search's own call on its own candidate and config skips the
-    check, which the search's plan has made: a scope that holds another
-    state, or an equal but distinct config, leaves the check to certify."""
+    """Only a call handed the search's apply skips the check, which the
+    search's plan has made; a dense state and a split-backed one are both
+    checked."""
     basis = enumerate_basis(h0(), 2)
     bad = state_from_amplitudes(basis, {(2, 0): 2.0})
     with pytest.raises(ValueError):
@@ -139,14 +139,25 @@ def test_certify_requires_normalized_states():
     scaled = FockState._on_split(ray.state.basis, ray.state._split, ray.state._values * 1.01)
     with pytest.raises(ValueError, match="must be normalized"):
         certify(scaled, CFG)
-    report = ray.report
-    for scope in ((ray.state, CFG), (scaled, CertificationConfig(**vars(CFG)))):
-        token = protect._SCOPE.set((*scope, report.eigenvalues, report.residuals, 0))
-        try:
-            with pytest.raises(ValueError, match="must be normalized"):
-                certify(scaled, CFG)
-        finally:
-            protect._SCOPE.reset(token)
+
+
+def test_certify_handed_the_search_apply_reads_no_draw(monkeypatch):
+    """Handed ``_applied``, certify reads no draw, calls no kernel, and
+    returns the bytes of the report a call on the state alone gives."""
+    for space, n in [(h0(), 4), (direct_sum(h0(), hm(1)), 3)]:
+        for ray in find_protected(space, n, CFG).rays:
+            alone = certify(ray.state, CFG)
+            applied = (alone.eigenvalues, alone.residuals, int(alone.residuals.argmax()))
+            calls = []
+            monkeypatch.setattr(protect, "_draws", lambda *args: calls.append("draws"))
+            monkeypatch.setattr(protect, "_scalar_action", lambda *args: calls.append("apply"))
+            report = certify(ray.state, CFG, _applied=applied)
+            monkeypatch.undo()
+            assert calls == []
+            assert report.verdict is alone.verdict and report.witness_sample_index == alone.witness_sample_index
+            assert report.worst_residual == alone.worst_residual
+            assert report.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+            assert report.residuals.tobytes() == alone.residuals.tobytes()
 
 
 def test_config_validation():
@@ -1258,9 +1269,9 @@ def test_a_search_applies_each_split_once(monkeypatch, space, n, splits, lone):
         calls["apply"].append(vectors.ndim == 2)
         return apply_(basis, matrices, vectors, powers, split)
 
-    def certify_one(state, cfg):
+    def certify_one(state, cfg, **kwargs):
         calls["certify"].append(state)
-        return certify_(state, cfg)
+        return certify_(state, cfg, **kwargs)
 
     def draws(space, cfg):
         calls["draws"] += 1
@@ -1278,12 +1289,10 @@ def test_a_search_applies_each_split_once(monkeypatch, space, n, splits, lone):
     assert len(calls["certify"]) == result.samples_used // cfg.n_samples == len(result.rays)
     assert {id(state) for state in calls["certify"]} == {id(ray.state) for ray in result.rays}
     assert calls["draws"] == 1
-    assert protect._SCOPE.get() is None
     if 1 in basis._sectors:
         calls["draws"] = 0
         assert find_protected(space, n, cfg, sector=1).rays == ()
         assert calls["draws"] == 0
-        assert protect._SCOPE.get() is None
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -1328,7 +1337,6 @@ def test_a_failed_draw_leaves_no_search_scope(monkeypatch):
     monkeypatch.setattr(ScatterSampler, "sample", exhausted)
     with pytest.raises(scatter.GenericityError):
         find_protected(h0(), 4, CFG)
-    assert protect._SCOPE.get() is None
     monkeypatch.undo()
     assert certify(mirror_fock(2, 2), CFG).verdict is Verdict.PROTECTED
 
@@ -1339,9 +1347,9 @@ def test_a_certification_off_the_search_basis_reads_its_own_stream(monkeypatch):
     certify_ = protect.certify
     seen = []
 
-    def certify_and_compare(state, cfg):
+    def certify_and_compare(state, cfg, **kwargs):
         seen.append((certify_(psi, CFG), certify_(state, other)))
-        return certify_(state, cfg)
+        return certify_(state, cfg, **kwargs)
 
     monkeypatch.setattr(protect, "certify", certify_and_compare)
     find_protected(h0(), 4, CFG)
@@ -1354,18 +1362,18 @@ def test_a_certification_off_the_search_basis_reads_its_own_stream(monkeypatch):
 
 def test_concurrent_searches_keep_their_own_streams(monkeypatch):
     """Threads searching different spaces at once, more threads than cores,
-    each certifying only once every scope is open, get what they get one
+    each certifying only once every search is under way, get what they get one
     after the other."""
     jobs = [(h0(), 6), (direct_sum(h0(), hm(1)), 4), (hm(1), 4), (direct_sum(hm(1), hm(2)), 4)]
     expected = [find_protected(space, n, CFG) for space, n in jobs]
     barrier, certify_ = threading.Barrier(len(jobs), timeout=60), protect.certify
     first = threading.local()
 
-    def certify_in_step(state, cfg):
+    def certify_in_step(state, cfg, **kwargs):
         if not getattr(first, "done", False):
             first.done = True
             barrier.wait()
-        return certify_(state, cfg)
+        return certify_(state, cfg, **kwargs)
 
     monkeypatch.setattr(protect, "certify", certify_in_step)
     results = [None] * len(jobs)

@@ -474,6 +474,23 @@ def test_scattering_shape_must_match_space():
         SymmetricScattering(space=h0(), matrix=np.eye(4), unitary=True)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)], ids=["nan", "inf", "-inf", "nan-imag"])
+def test_non_finite_matrices_are_refused(bad):
+    """A NaN or infinite entry is a ValueError that names it, in the
+    scatterer and in validation alike, not a NaN fidelity or a LinAlgError."""
+    matrix = np.array([[bad, 0], [0, 1]])
+    with pytest.raises(ValueError, match="finite"):
+        SymmetricScattering(h0(), matrix, unitary=False)
+    with pytest.raises(ValueError, match="finite"):
+        validate_scattering(matrix, h0())
+    hm_matrix = np.eye(4, dtype=complex)
+    hm_matrix[3, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SymmetricScattering(hm(1), hm_matrix, unitary=True)
+    with pytest.raises(ValueError, match="finite"):
+        validate_scattering(hm_matrix, hm(1))
+
+
 def test_block_accessor_on_direct_sums():
     space = direct_sum(h0(), hm(1))
     s = ScatterSampler(seed=9).sample(space)
