@@ -48,14 +48,15 @@ the mode pairs (``FockBasis._splits``), where the family acts as a
 Kronecker product over the components. An hm component's sl(2) has an
 invariant on Sym^a x Sym^b only when a = b, so only splits with a = b on
 every hm component hold candidates, all at m_tot = 0. A split's candidates
-are Kronecker products of per-component ones, factorised from closed-form
-(k + 1) x (k + 1) generators once per component kind and pair counts
-(``_component_factors``), a cache that holds nothing of m, the basis, the
-configuration or random draws. The generators are dSym^k of the 2x2 pair
-blocks of ``family_generators``, the one statement of the family's Lie
-algebra. Every candidate is one column, by the algebra: dSym^k of h0's
-swap has the distinct eigenvalues k - 2j, and the (K, K) sl(2) kernel is
-one-dimensional, so a search sets no tolerance. The products are formed
+are Kronecker products of per-component ones, which the paper's
+classification gives in closed form: on h0 with k photons the k + 1 mirror
+Fock states (dSym^k of h0's swap has the distinct eigenvalues n_s - n_a),
+and on an hm component at (K, K) the pair power, which spans the
+one-dimensional sl(2) kernel. They come from the exact coefficients that
+``states`` builds these states from, with no dense state and no LAPACK
+call, so no ray value depends on the LAPACK build. Every candidate is one
+column, so a search sets no tolerance; the test suite's oracle factorises
+the generators and checks the closed forms. The products are formed
 by one broadcast multiply each (``_kron``); no dim x dim or per-sector
 table is built. A candidate is handled on its split's slice: normalised,
 phase-fixed and compared with its mirror image there, and kept there as a
@@ -102,9 +103,9 @@ from .fock import (
     lift_mirror,  # noqa: F401 -- a traced call site of perfbench/tracing.py
     sector_split,  # noqa: F401 -- a traced call site of perfbench/tracing.py
 )
-from .modes import ModeSpace, h0, hm
-from .scatter import ScatterSampler, _in_unit_interval, family_generators
-from .states import pair_expansion_coefficients, pair_power
+from .modes import ModeSpace, hm
+from .scatter import ScatterSampler, _in_unit_interval
+from .states import _mirror_fock_column, _pair_power_column, pair_expansion_coefficients, pair_power
 
 __all__ = [
     "Verdict",
@@ -337,50 +338,29 @@ class SearchResult:
     sectors: tuple[int, ...]
 
 
-def _dsym(block: np.ndarray, k: int) -> np.ndarray:
-    """dSym^k of a 2x2 matrix, its ``lift_generator`` on ``enumerate_basis(h0(), k)``:
-    E12 maps |k - j - 1, j + 1> to sqrt((j + 1)(k - j)) |k - j, j>."""
-    j = np.arange(k + 1)
-    hop = np.sqrt((j[:-1] + 1) * (k - j[:-1]))
-    return np.diag(block[0, 0] * (k - j) + block[1, 1] * j) + np.diag(block[0, 1] * hop, 1) + np.diag(block[1, 0] * hop, -1)
-
-
 @lru_cache(maxsize=None)
-def _component_factors(kind: str, counts: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Read-only factorisations behind a component's candidates on a split:
-    for h0 with k photons (no sl(2)), the eigenvectors of dSym^k(X), one
-    column each, by ascending eigenvalue n_s - n_a = -k, -k + 2, ..., k; for
-    hm with a and b photons on its pairs, ``(s, v)``, the singular values
-    and right singular vectors (as columns) of its stacked sl(2),
-    dSym^a(E) x 1 + 1 x dSym^b(X E X), whose kernel at a = b is the last column.
-    The 2x2 pair blocks are those of ``family_generators``: X is h0's swap,
-    and E and X E X the blocks of hm(1)'s sl(2) on its +m and -m pairs.
-    Every hm(m) has these generators, so no key holds m, and a search asks
-    for hm keys with a = b only: there are O(cap)."""
-    if kind == "h0":
-        _, vectors = np.linalg.eigh(_dsym(family_generators(h0())[1][1].real, counts[0]))
-        return tuple(_frozen(vectors[:, [j]]) for j in range(counts[0] + 1))
-    a, b = counts
-    pairs = [(gen[:2, :2].real, gen[2:, 2:].real) for gen in family_generators(hm(1))[0]]
-    stack = np.vstack([np.kron(_dsym(e, a), np.eye(b + 1)) + np.kron(np.eye(a + 1), _dsym(xex, b)) for e, xex in pairs])
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    return _frozen(s), _frozen(vh.conj().T)
+def _mirror_fock_factors(k: int) -> tuple[np.ndarray, ...]:
+    """h0's candidates with k photons, as read-only (k + 1, 1) columns: the
+    mirror Fock states |j, k - j>' from their exact coefficients
+    (``states._mirror_fock_column``), j = 0, ..., k, in the ascending order
+    of their dSym^k(X) eigenvalues n_s - n_a = 2j - k. Keyed by the photon
+    count alone, so the cache holds at most cap + 1 entries."""
+    return tuple(_frozen(_mirror_fock_column(j, k - j)[:, None]) for j in range(k + 1))
 
 
 def _split_candidates(space: ModeSpace, counts: tuple[int, ...]) -> list[np.ndarray]:
-    """Protected candidates of one split, one column each: the Kronecker
-    products of the components' candidates, h0's swap eigenvectors and each
-    hm's one-dimensional sl(2) kernel, none at a != b."""
-    options, p = [], 0
-    for comp in space.components or (space,):
-        if comp.kind == "h0":
-            options.append(_component_factors("h0", counts[p : p + 1]))
-        else:
-            if counts[p] != counts[p + 1]:  # sl(2) has an invariant on Sym^a x Sym^b only when a = b
-                return []
-            # Clebsch-Gordan: the kernel on Sym^K x Sym^K is one-dimensional
-            options.append((_component_factors("hm", counts[p : p + 2])[1][:, -1:],))
-        p += len(comp) // 2
+    """Protected candidates of one split, one column each, from the paper's
+    closed forms: the Kronecker products of the components' candidates, the
+    mirror Fock states of h0 (``_mirror_fock_factors``) and the pair power
+    of each hm (``states._pair_power_column``). A split with a != b on some
+    hm component gets none, and no factor is built for it."""
+    comps = space.components or (space,)
+    starts = list(itertools.accumulate((len(comp) // 2 for comp in comps), initial=0))
+    if any(comp.kind == "hm" and counts[p] != counts[p + 1] for comp, p in zip(comps, starts)):
+        return []  # sl(2) has an invariant on Sym^a x Sym^b only when a = b
+    # Clebsch-Gordan: the kernel on Sym^K x Sym^K is one-dimensional, the pair power's span
+    options = [_mirror_fock_factors(counts[p]) if comp.kind == "h0" else (_pair_power_column(counts[p])[:, None],)
+               for comp, p in zip(comps, starts)]
     return [_kron(factors) for factors in itertools.product(*options)]
 
 
@@ -417,7 +397,7 @@ def _search_plan(space: ModeSpace, n_photons: int) -> tuple[tuple[tuple[int, np.
     candidates there are, their values, their parities and their order.
 
     Per split ``s`` of the basis that holds candidates, ``(s, stack,
-    taus)``: the read-only (c, L) stack of its c candidates
+    taus)``: the read-only (c, L) stack of its c closed-form candidates
     (``_split_candidates``) on its L indices, each normalised and
     phase-fixed there, and their mirror parities. Each row's norm is
     checked as ``certify`` checks it, with the same ValueError, so a
@@ -429,7 +409,7 @@ def _search_plan(space: ModeSpace, n_photons: int) -> tuple[tuple[tuple[int, np.
     candidates is ``order`` restricted to it: the lexsort is stable, and a
     column that none of the subset occupies compares equal within it.
 
-    A search table like ``_component_factors`` and the basis tables: it
+    A search table like ``_mirror_fock_factors`` and the basis tables: it
     holds nothing of the config, the draws or a basis object, so every
     search of (space, N) reads it, whatever its seed, sampling class or
     sample count. It keeps the ``_CACHED_BASES`` most recently used."""
@@ -462,8 +442,9 @@ def find_protected(
     Search phase, exact and sample-free: per split of the basis over the
     mode pairs, the candidates are the joint eigenvectors of the commuting
     generators within the joint kernel of the sl(2) generators
-    (``family_generators``), from ``_split_candidates``, each one column,
-    as the classification proves. A split with a != b photons on
+    (``family_generators``). The classification gives them in closed form,
+    each one column: ``_split_candidates`` builds them from the exact
+    mirror Fock and pair-power coefficients. A split with a != b photons on
     some hm component's pairs yields none, so every ray lies at m_tot = 0,
     and a ``sector`` other than 0 returns at once with no ray and no draw.
     Certification phase: each candidate is certified with cfg.n_samples

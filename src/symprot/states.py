@@ -10,11 +10,13 @@ Two closed-form families matter:
   N = 2K, total angular momentum 0, mirror parity (-1)^K).
 
 Both constructions carry exact integer coefficients up to the final
-normalization. A small named catalog covers the two-photon states used
-throughout (phi1..phi3, s1, s2 on the doublet; psi1..psi4 on a four-mode
-family). No parity is stored with a family or a catalog entry:
-``mirror_parity`` builds the recipe's state and reads its parity off the
-basis's mirror permutation, as the search does for its rays.
+scaling and normalization, from the helpers ``_mirror_fock_column`` and
+``_pair_power_column``, which the search's candidates share. A small named
+catalog covers the two-photon states used throughout (phi1..phi3, s1, s2
+on the doublet; psi1..psi4 on a four-mode family). No parity is stored
+with a family or a catalog entry: ``mirror_parity`` builds the recipe's
+state and reads its parity off the basis's mirror permutation, as the
+search does for its rays.
 """
 
 from __future__ import annotations
@@ -63,25 +65,41 @@ _HM_CATALOG = {
 CATALOG = tuple(_H0_CATALOG) + tuple(_HM_CATALOG)
 
 
-def mirror_fock(n_sym: int, n_anti: int) -> FockState:
-    """Mirror Fock state |n_s, n_a>' on the m = 0 doublet.
-
-    Coefficients are expanded in exact integer arithmetic; floats enter only
-    at the final normalization. Mirror parity is (-1)^n_anti.
-    """
-    if n_sym < 0 or n_anti < 0:
-        raise ValueError("occupation numbers must be non-negative")
+def _mirror_fock_column(n_sym: int, n_anti: int) -> np.ndarray:
+    """The real amplitudes of |n_sym, n_anti>' on ``enumerate_basis(h0(), n)``
+    up to normalization: g_p / sqrt(C(n, p)) on the state (p, n - p), where
+    g_p is the exact integer coefficient of (a+)^p (a-)^(n-p) in
+    (a+ + a-)^n_sym (a+ - a-)^n_anti. That is g_p sqrt(p! (n - p)!) / sqrt(n!),
+    the same ray with no factorial to overflow a float."""
     n = n_sym + n_anti
-    basis = enumerate_basis(h0(), n)
-    amp = np.zeros(len(basis), dtype=complex)
+    column = np.empty(n + 1)
     for p in range(n + 1):
-        # coefficient of (a+)^p (a-)^(n-p) in (a+ + a-)^n_sym (a+ - a-)^n_anti, on state n - p = (p, n - p)
         g = sum(
             math.comb(n_sym, p - j) * math.comb(n_anti, j) * (-1) ** (n_anti - j)
             for j in range(max(0, p - n_sym), min(n_anti, p) + 1)
         )
-        amp[n - p] = g * math.sqrt(math.factorial(p) * math.factorial(n - p))
-    return FockState(basis, amp).normalized()
+        column[n - p] = g / math.sqrt(math.comb(n, p))
+    return column
+
+
+def _pair_power_column(pairs: int) -> np.ndarray:
+    """The amplitudes of the K-th pair power on the (K, K) split of its basis
+    (``FockBasis._splits``) up to normalization, the flattened (K + 1) x (K + 1)
+    diag((-1)^l): on (K - l, l, K - l, l) the exact amplitude is
+    x_l (K - l)! l! = (-1)^l K!, with x_l = pair_expansion_coefficients(K)[l]."""
+    return np.diag((-1.0) ** np.arange(pairs + 1)).ravel()
+
+
+def mirror_fock(n_sym: int, n_anti: int) -> FockState:
+    """Mirror Fock state |n_s, n_a>' on the m = 0 doublet.
+
+    Coefficients are expanded in exact integer arithmetic; floats enter only
+    at the last scaling and the normalization. Mirror parity is (-1)^n_anti.
+    """
+    if n_sym < 0 or n_anti < 0:
+        raise ValueError("occupation numbers must be non-negative")
+    basis = enumerate_basis(h0(), n_sym + n_anti)
+    return FockState(basis, _mirror_fock_column(n_sym, n_anti).astype(complex)).normalized()
 
 
 def pair_expansion_coefficients(pairs: int) -> list[int]:
@@ -106,9 +124,7 @@ def pair_power(m: int, pairs: int) -> FockState:
         raise ValueError("pairs must be non-negative")
     basis = enumerate_basis(hm(m), 2 * pairs)
     amp = np.zeros(len(basis), dtype=complex)
-    # the exact integer amplitude x_l (K-l)! l! = (-1)^l K! on (K-l, l, K-l, l), x_l = pair_expansion_coefficients(K)[l]
-    occupancy = np.array([(pairs - l, l, pairs - l, l) for l in range(pairs + 1)], dtype=np.intp)
-    amp[_rank(occupancy, 2 * pairs)] = [(-1) ** l * math.factorial(pairs) for l in range(pairs + 1)]
+    amp[dict(basis._splits)[(pairs, pairs)]] = _pair_power_column(pairs)
     return FockState(basis, amp).normalized()
 
 

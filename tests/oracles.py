@@ -212,3 +212,37 @@ def dense_bookkeeping_oracle(basis, candidates):
         return (-ray[0],) + tuple(np.round(ray[2].real, 9)) + tuple(np.round(ray[2].imag, 9))
 
     return sorted(rays, key=key)
+
+
+# the 2x2 pair blocks of the family's Lie algebra, written out: h0's swap X,
+# and the sl(2) generators E12, E21 and E11 - E22 on an hm component's +m
+# pair, each with X E X on its -m pair
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+_E12, _E21 = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
+SL2_PAIR_BLOCKS = ((_E12, _E21), (_E21, _E12), (np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])))
+
+
+def dsym(block, k):
+    """dSym^k of a 2x2 matrix, its generator lift on the k-photon basis of one
+    mode pair (states (k - j, j), j = 0..k): E12 maps |k - j - 1, j + 1> to
+    sqrt((j + 1)(k - j)) |k - j, j>."""
+    j = np.arange(k + 1)
+    hop = np.sqrt((j[:-1] + 1) * (k - j[:-1]))
+    return np.diag(block[0, 0] * (k - j) + block[1, 1] * j) + np.diag(block[0, 1] * hop, 1) + np.diag(block[1, 0] * hop, -1)
+
+
+def swap_eigen_oracle(k):
+    """``(values, vectors)`` of dSym^k(X) through LAPACK's eigh: the mirror
+    Fock states of k photons, by ascending eigenvalue n_s - n_a."""
+    return np.linalg.eigh(dsym(SWAP, k))
+
+
+def hm_kernel_oracle(a, b):
+    """``(s, v)``: the singular values and right singular vectors (as
+    columns) of an hm component's stacked sl(2) on Sym^a x Sym^b,
+    dSym^a(E) x 1 + 1 x dSym^b(X E X) over its three generators, through
+    LAPACK's SVD. The kernel is v's columns past the numerical rank."""
+    stack = np.vstack([np.kron(dsym(e, a), np.eye(b + 1)) + np.kron(np.eye(a + 1), dsym(xex, b))
+                       for e, xex in SL2_PAIR_BLOCKS])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    return s, vh.conj().T

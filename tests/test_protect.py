@@ -38,15 +38,14 @@ from symprot import (
     two_photon_matrix,
     verify_pair_uniqueness,
 )
-from oracles import dense_bookkeeping_oracle, lift_generator_oracle
+from oracles import dense_bookkeeping_oracle, dsym, hm_kernel_oracle, lift_generator_oracle
 from symprot import fock, protect, scatter, serialize
 from symprot.fock import _CACHED_BASES, FockState, _shared_basis, max_photons
 from symprot.protect import (
     _certify_subspace,
-    _component_factors,
     _draws,
-    _dsym,
     _kron,
+    _mirror_fock_factors,
     _ray_order,
     _scalar_action,
     _search_plan,
@@ -468,7 +467,7 @@ def _split_generator(blocks, counts):
     """sum_p 1 x dSym^{k_p}(B_p) x 1 over the pairs, first pair slowest."""
     sizes = [k + 1 for k in counts]
     return sum(
-        np.kron(np.kron(np.eye(math.prod(sizes[:p])), _dsym(block, k)), np.eye(math.prod(sizes[p + 1 :])))
+        np.kron(np.kron(np.eye(math.prod(sizes[:p])), dsym(block, k)), np.eye(math.prod(sizes[p + 1 :])))
         for p, (block, k) in enumerate(zip(blocks, counts))
     )
 
@@ -491,32 +490,15 @@ def test_generator_blocks_are_slices_of_the_dense_generators(space, n):
             assert np.array_equal(_split_generator(blocks, counts), dense[cut])
             covered[cut] = dense[cut]
         assert np.array_equal(covered, dense)
-    # the search's component factors, from literal pair blocks: X on h0, and
-    # E12, E21 and E11 - E22 on an hm component's +m pair with X E X on its -m pair
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    e12, e21 = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
-    sl2_pairs = ((e12, e21), (e21, e12), (np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])))
-    for k in range(n + 1):
-        values, vectors = np.linalg.eigh(_dsym(x, k))
-        labels = np.round(values)
-        eigenspaces = [vectors[:, labels == v] for v in np.unique(labels)]
-        factors = _component_factors("h0", (k,))
-        assert len(factors) == len(eigenspaces) and all(map(np.array_equal, factors, eigenspaces))
-    for a, b in itertools.product(range(n + 1), repeat=2):
-        stack = np.vstack([np.kron(_dsym(e, a), np.eye(b + 1)) + np.kron(np.eye(a + 1), _dsym(xex, b))
-                           for e, xex in sl2_pairs])
-        _, values, vh = np.linalg.svd(stack, full_matrices=False)
-        s, v = _component_factors("hm", (a, b))
-        assert np.array_equal(s, values) and np.array_equal(v, vh.conj().T)
 
 
 def test_search_peak_memory_is_below_a_dense_generator():
     """The search keeps no dim x dim or per-sector table: from cold
-    component factors it peaks under an eighth of one dense generator."""
+    mirror Fock factors it peaks under an eighth of one dense generator."""
     space = direct_sum(h0(), hm(1), hm(2))
     dim = len(enumerate_basis(space, 5))
     find_protected(space, 5, CFG)  # warm call: builds the shared basis tables
-    _component_factors.cache_clear()
+    _mirror_fock_factors.cache_clear()
     _search_plan.cache_clear()
     tracemalloc.start()
     try:
@@ -574,7 +556,7 @@ def _assert_same_search(a, b):
 
 def _clear_search_tables():
     _shared_basis.cache_clear()
-    _component_factors.cache_clear()
+    _mirror_fock_factors.cache_clear()
     _search_plan.cache_clear()
 
 
@@ -611,24 +593,25 @@ def test_changing_a_sector_split_leaves_the_search_alone():
 
 
 def test_search_tables_are_read_only_and_bounded():
-    """The component factors are keyed by kind and pair counts only, so
-    their cache is bounded by the photon cap, whatever m and the bases;
-    the search plans keep the ``_CACHED_BASES`` most recently used."""
+    """The mirror Fock factors are keyed by the photon count only, so their
+    cache is bounded by the photon cap, whatever m and the bases; the
+    search plans keep the ``_CACHED_BASES`` most recently used."""
     find_protected(direct_sum(h0(), hm(1)), 2, CFG)
-    swap_spaces, (s, v) = _component_factors("h0", (2,)), _component_factors("hm", (1, 1))
-    assert not any(a.flags.writeable for a in (*swap_spaces, s, v))
+    assert not any(a.flags.writeable for a in _mirror_fock_factors(2))
     _clear_search_tables()
     for m in range(1, _CACHED_BASES + 9):
         assert find_protected(hm(m), 1, CFG).rays == ()
     assert _shared_basis.cache_info().currsize <= _CACHED_BASES
-    assert _component_factors.cache_info().currsize == 0  # (1, 0) and (0, 1) on hm have a != b
-    cap = max_photons()
-    assert _component_factors.cache_info().currsize <= (cap + 1) + (cap // 2 + 1)
+    assert _mirror_fock_factors.cache_info().currsize == 0  # (1, 0) and (0, 1) on hm have a != b
     for m in range(1, _CACHED_BASES + 9):
         assert len(find_protected(hm(m), 2, CFG).rays) == 1
     assert _search_plan.cache_info().currsize == _CACHED_BASES
     assert _shared_basis.cache_info().currsize <= _CACHED_BASES
-    assert _component_factors.cache_info().currsize <= (cap + 1) + (cap // 2 + 1)
+    assert _mirror_fock_factors.cache_info().currsize == 0  # an hm space has no h0 factor
+    for m in range(1, _CACHED_BASES + 9):
+        assert len(find_protected(direct_sum(h0(), hm(m)), 2, CFG).rays) == 4
+    assert _mirror_fock_factors.cache_info().currsize == 2  # k = 2 and 0 on h0, whatever m; k = 1 leaves a != b
+    assert _mirror_fock_factors.cache_info().currsize <= max_photons() + 1
 
 
 def _plan_leaves(plan):
@@ -804,15 +787,15 @@ def test_search_bookkeeping_matches_the_dense_oracle(space, n):
 
 def test_hm_kernels_exist_only_at_equal_counts():
     """Clebsch-Gordan: sl(2) has an invariant on Sym^a x Sym^b only when
-    a = b. Every a != b stack has full rank far above the default
-    ``cluster_tol`` (the smallest ratio up to a + b = 16 is 0.091), and
-    each (K, K) stack has a one-dimensional kernel with a wide gap."""
+    a = b. In the oracle, every a != b stack has full rank far above the
+    default ``cluster_tol`` (the smallest ratio up to a + b = 16 is 0.091),
+    and each (K, K) stack has a one-dimensional kernel with a wide gap."""
     for a, b in itertools.product(range(17), repeat=2):
         if a != b and a + b <= 16:
-            s, _ = _component_factors("hm", (a, b))
+            s, _ = hm_kernel_oracle(a, b)
             assert s[-1] / s[0] > 0.05, (a, b)
     for pairs in range(1, 9):
-        s, _ = _component_factors("hm", (pairs, pairs))
+        s, _ = hm_kernel_oracle(pairs, pairs)
         assert np.count_nonzero(s < 1e-12 * s[0]) == 1
         assert s[-2] / s[0] > 0.1
 
@@ -874,28 +857,48 @@ def test_swap_eigenvalues_on_sym_k_are_distinct_integers():
     so each h0 eigenvector is a candidate of its own."""
     x = family_generators(h0())[1][1].real
     for k in range(41):
-        assert np.allclose(np.linalg.eigvalsh(_dsym(x, k)), np.arange(-k, k + 1, 2), atol=1e-9, rtol=0), k
+        assert np.allclose(np.linalg.eigvalsh(dsym(x, k)), np.arange(-k, k + 1, 2), atol=1e-9, rtol=0), k
+
+
+def _hm_counts(space, counts):
+    """The photon counts (a, b) on each hm component's two pairs of a split."""
+    out, p = [], 0
+    for comp in space.components or (space,):
+        if comp.kind == "hm":
+            out.append(counts[p : p + 2])
+        p += len(comp) // 2
+    return out
 
 
 def test_search_visits_only_the_splits_a_ray_can_live_on(monkeypatch):
-    """No search factorises an hm component with a != b photons on its
-    pairs, and a search of a sector other than 0 returns before it visits
-    a split, with no ray and no draw."""
+    """No search builds a factor on a split with a != b photons on some hm
+    component's pairs, and a search of a sector other than 0 returns
+    before it visits a split, with no ray and no draw."""
     _clear_search_tables()  # a cached plan would ask for no factors
-    asked = []
-    factors = protect._component_factors
+    asked, visiting = [], []
+    candidates, h0_factors, pair_column = protect._split_candidates, protect._mirror_fock_factors, protect._pair_power_column
 
-    def recording(kind, counts):
-        asked.append((kind, counts))
-        return factors(kind, counts)
+    def visit(space, counts):
+        visiting[:] = [space, counts]
+        return candidates(space, counts)
 
-    monkeypatch.setattr(protect, "_component_factors", recording)
+    def recording(kind, build):
+        def factor(k):
+            asked.append((kind, k, *visiting))
+            return build(k)
+        return factor
+
+    monkeypatch.setattr(protect, "_split_candidates", visit)
+    monkeypatch.setattr(protect, "_mirror_fock_factors", recording("h0", h0_factors))
+    monkeypatch.setattr(protect, "_pair_power_column", recording("hm", pair_column))
     cfg = CertificationConfig(n_samples=4)
     for _, space, top in _BOOKKEEPING_SPACES:
         for n in range(top + 1):
             find_protected(space, n, cfg)
-    assert {kind for kind, _ in asked} == {"h0", "hm"}
-    assert all(counts[0] == counts[1] for kind, counts in asked if kind == "hm")
+    assert {kind for kind, *_ in asked} == {"h0", "hm"}
+    for kind, k, space, counts in asked:
+        assert all(a == b for a, b in _hm_counts(space, counts)), (space, counts)
+        assert k == counts[0] if kind == "h0" else (k, k) in _hm_counts(space, counts), (kind, k, counts)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a split visited off m_tot = 0")
@@ -907,6 +910,70 @@ def test_search_visits_only_the_splits_a_ray_can_live_on(monkeypatch):
                 if m != 0:
                     result = find_protected(space, n, cfg, sector=m)
                     assert (result.rays, result.subspaces, result.samples_used, result.sectors) == ((), (), 0, (m,))
+
+
+def test_a_search_makes_no_lapack_call(monkeypatch):
+    """Every candidate comes from its closed form: from cold tables, the
+    searches of every bookkeeping space find the classification's rays with
+    no eigensolver and no SVD."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK factorisation in the search")
+
+    for name in ("eigh", "eigvalsh", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    _clear_search_tables()
+    cfg = CertificationConfig(n_samples=4)
+    for _, space, top in _BOOKKEEPING_SPACES:
+        for n in range(top + 1):
+            assert len(find_protected(space, n, cfg).rays) == _closed_form_ray_count(space, n), (space, n)
+
+
+def _relative(vector, generator, column):
+    """|vector| over |generator|_1 |column|: a residual relative to the scale
+    of its terms; a generator that vanishes on the split counts as scale 1."""
+    return np.linalg.norm(vector) / (max(np.abs(generator).sum(axis=0).max(), 1.0) * np.linalg.norm(column))
+
+
+@pytest.mark.parametrize(
+    "space", [pytest.param(space, id=name) for name, space in _COUNT_SPACES],
+)
+def test_closed_form_candidates_agree_with_the_factorisation_oracle(space):
+    """The oracle's factorisations vouch for the closed forms on every split
+    up to the cap: each hm component's stacked sl(2) has nullity 1 at a = b
+    and 0 otherwise, and every candidate lies in the split's joint sl(2)
+    kernel and is an eigenvector of each commuting generator (dSym^k of h0's
+    swap among them), to 1e-13 relative."""
+    pairs = np.arange(len(space) // 2)
+    sl2, commuting = ([gen.reshape(len(pairs), 2, len(pairs), 2)[pairs, :, pairs] for gen in gens]
+                      for gens in family_generators(space))
+    nullity = {}
+    for n in range(max_photons() + 1):
+        for counts, _ in enumerate_basis(space, n)._splits:
+            for a, b in _hm_counts(space, counts):
+                if (a, b) not in nullity:
+                    s, _ = hm_kernel_oracle(a, b)
+                    nullity[a, b] = np.count_nonzero(s <= 1e-12 * s[0])
+            for cand in _split_candidates(space, counts):
+                column = cand[:, 0]
+                for blocks in sl2:
+                    gen = _split_generator(blocks, counts)
+                    assert _relative(gen @ column, gen, column) < 1e-13, (n, counts)
+                for blocks in commuting:
+                    gen = _split_generator(blocks, counts)
+                    image = gen @ column
+                    eigenvalue = np.vdot(column, image) / np.vdot(column, column)
+                    assert _relative(image - eigenvalue * column, gen, column) < 1e-13, (n, counts)
+    assert bool(nullity) == any(comp.kind == "hm" for comp in space.components or (space,))
+    assert all(count == (a == b) for (a, b), count in nullity.items()), nullity
+
+
+def test_certification_passes_every_exact_h0_ray_at_n_40(monkeypatch):
+    """The working range of certification on h0: at N = 40 every mirror Fock
+    ray passes 16 draws. Past N of about 70 the rounding of the closed-form
+    Sym^N moves the eigenvalues off the character (a + b)^n_s (a - b)^n_a by
+    more than the residual tolerance, and exact rays start to fail."""
+    monkeypatch.setenv("SYMPROT_NMAX", "40")
+    assert len(find_protected(h0(), 40, CertificationConfig(n_samples=16)).rays) == 41
 
 
 @pytest.mark.parametrize(
@@ -937,11 +1004,11 @@ def test_search_rays_span_the_dense_joint_kernel(space, n):
 
 def test_search_rays_need_no_dense_bookkeeping(monkeypatch):
     """No ray is normalised, phase-fixed or mirrored as a dense state, and
-    no candidate is formed by np.kron (the component factors, cached by
-    the first call, are)."""
+    no candidate or factor is formed by np.kron."""
     space = direct_sum(h0(), hm(1), hm(2))
     expected = find_protected(space, 4, CFG)
     _search_plan.cache_clear()  # the bookkeeping runs when the plan is built
+    _mirror_fock_factors.cache_clear()
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense per-ray bookkeeping in the search")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import swap_eigen_oracle
 from symprot import (
     ScatterSampler,
     StateRecipe,
@@ -144,6 +145,22 @@ def test_mirror_fock_scattering_eigenvalue():
 def test_mirror_fock_rejects_negative_counts():
     with pytest.raises(ValueError):
         mirror_fock(-1, 0)
+
+
+@pytest.mark.parametrize("n_sym,n_anti", [(200, 0), (120, 80)])
+def test_mirror_fock_past_the_float_factorials_is_the_swap_eigenvector(monkeypatch, n_sym, n_anti):
+    """Past N = 170, where N! overflows a float, the state is unit-norm, has
+    mirror parity (-1)^n_anti and equals, up to phase, the oracle's
+    eigenvector of dSym^N of h0's swap with eigenvalue n_sym - n_anti."""
+    monkeypatch.setenv("SYMPROT_NMAX", "200")
+    n = n_sym + n_anti
+    state = mirror_fock(n_sym, n_anti)
+    assert abs(state.norm - 1.0) < 1e-12
+    assert mirror_parity(StateRecipe.mirror_fock(n_sym, n_anti)) == (-1) ** n_anti
+    values, vectors = swap_eigen_oracle(n)
+    assert values[n_sym] == pytest.approx(n_sym - n_anti, abs=1e-9)
+    overlap = np.vdot(vectors[:, n_sym], state.amplitudes)
+    assert np.abs(state.amplitudes - overlap / abs(overlap) * vectors[:, n_sym]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
