@@ -15,12 +15,24 @@ arXiv:2206.10549). Each of the N levels costs M products of dim x dim
 arrays, O(N * M * dim^2) in all. A (k, M, M) stack of matrices runs the
 same recursion over a leading batch axis, so k small lifts cost a few NumPy
 calls per level rather than k times as many. On two modes the lift is
-Sym^N of the 2x2 matrix, taken in closed form (``_symmetric_power``): the
-column of |N - j, j> is (S00 x + S10 y)^(N-j) (S01 x + S11 y)^j / sqrt((N-j)! j!)
-on x = a_0^dag, y = a_1^dag, expanded by the binomial theorem over a term
-table cached per N. Its C(N + 3, 3) terms would be C(N + M^2 - 1, M^2 - 1)
-on M modes, so SLOS stays the M >= 4 algorithm and, run on two modes
-(``_lift_group``), the closed form's oracle. ``lift`` is the dense
+Sym^N of the 2x2 matrix, taken in closed form, by one of two algorithms
+chosen by the stack:
+
+* a stack whose every block is mirror symmetric, S00 == S11 and S01 == S10
+  exactly (every h0 family member [[a, b], [b, a]]), by ``_mirror_power``.
+  Such a block is diag(a + b, a - b) on the mirror modes, so its Sym^N is
+  sum_j (a + b)^j (a - b)^(N-j) w_j w_j^T over the unit mirror Fock columns
+  w_j = |j, N - j>' (``_mirror_fock_column``, exact up to their scaling):
+  one matmul of the (g, N + 1) eigenvalues with a projector table cached
+  per N. Its rounding does not grow with N as the binomial sums' does.
+* any other stack by ``_symmetric_power``: the column of |N - j, j> is
+  (S00 x + S10 y)^(N-j) (S01 x + S11 y)^j / sqrt((N-j)! j!) on
+  x = a_0^dag, y = a_1^dag, expanded by the binomial theorem over a term
+  table cached per N.
+
+The binomial form's C(N + 3, 3) terms would be C(N + M^2 - 1, M^2 - 1) on
+M modes, so SLOS stays the M >= 4 algorithm and, run on two modes
+(``_lift_group``), the oracle of both closed forms. ``lift`` is the dense
 materialisation and the reference; applying family members to states never
 forms it. A matrix that is block diagonal over the mode pairs (0, 1),
 (2, 3), ... lifts to a direct sum, over the photon counts k_p on the pairs,
@@ -514,14 +526,24 @@ def lift(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:
     Works for arbitrary complex M x M matrices (no symmetry or unitarity
     assumed); lift(A @ B) = lift(A) @ lift(B) and lift(I) = I. A (k, M, M)
     stack lifts to the (k, dim, dim) stack of its lifts, in one batched call:
-    Sym^N in closed form on two modes, the SLOS recursion on more.
+    the SLOS recursion on M >= 4 modes, and Sym^N in closed form on two. There
+    a stack whose every matrix has S00 == S11 and S01 == S10 exactly, as
+    every h0 family member has, is lifted in its mirror Fock eigenbasis
+    (``_mirror_power``, one matmul); any other stack by the binomial
+    expansion (``_symmetric_power``).
     """
     a = np.asarray(matrix, dtype=complex)
     m = len(basis.space)
     if a.ndim not in (2, 3) or a.shape[-2:] != (m, m):
         raise ValueError(f"matrix must be {m}x{m} (or a stack of them) for this space, got {a.shape}")
     stack = a.reshape(-1, m, m)
-    out = _symmetric_power(stack, basis.n_photons) if m == 2 else _lift_group(stack, basis)
+    entries = stack.reshape(len(stack), m * m)
+    if m != 2:
+        out = _lift_group(stack, basis)
+    elif (entries[:, :2] == entries[:, :1:-1]).all():  # S00 == S11 and S01 == S10 in every block
+        out = _mirror_power(stack, basis.n_photons)
+    else:
+        out = _symmetric_power(stack, basis.n_photons)
     return LiftedOperator(basis, out.reshape(a.shape[:-2] + out.shape[1:]))
 
 
@@ -569,6 +591,48 @@ def _symmetric_power(blocks: np.ndarray, k: int) -> np.ndarray:
     terms = powers.reshape(len(blocks), 4 * (k + 1))[:, index].prod(axis=2)
     terms *= coeff
     return np.add.reduceat(terms, starts, axis=1).reshape(-1, k + 1, k + 1)
+
+
+def _mirror_fock_column(n_sym: int, n_anti: int) -> np.ndarray:
+    """The real amplitudes of |n_sym, n_anti>' on ``enumerate_basis(h0(), n)``
+    up to normalization: g_p / sqrt(C(n, p)) on the state (p, n - p), where
+    g_p is the exact integer coefficient of (a+)^p (a-)^(n-p) in
+    (a+ + a-)^n_sym (a+ - a-)^n_anti. That is g_p sqrt(p! (n - p)!) / sqrt(n!),
+    the same ray with no factorial to overflow a float."""
+    n = n_sym + n_anti
+    column = np.empty(n + 1)
+    for p in range(n + 1):
+        g = sum(
+            math.comb(n_sym, p - j) * math.comb(n_anti, j) * (-1) ** (n_anti - j)
+            for j in range(max(0, p - n_sym), min(n_anti, p) + 1)
+        )
+        column[n - p] = g / math.sqrt(math.comb(n, p))
+    return column
+
+
+@lru_cache(maxsize=_CACHED_BASES)  # one table per photon count, as _symmetric_terms
+def _mirror_projectors(k: int) -> np.ndarray:
+    """The projectors onto the k + 1 mirror Fock states on ``enumerate_basis(h0(), k)``,
+    a read-only (k + 1, (k + 1)^2) table: row j is w_j w_j^T flattened, w_j the unit
+    column of |j, k - j>' (``_mirror_fock_column``). The columns are real; the table is
+    stored complex so that the matmul with complex eigenvalues casts nothing per call."""
+    w = np.array([_mirror_fock_column(j, k - j) for j in range(k + 1)])
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return _frozen((w[:, :, None] * w[:, None, :]).reshape(k + 1, -1).astype(complex))
+
+
+def _mirror_power(blocks: np.ndarray, k: int) -> np.ndarray:
+    """Sym^k of a (g, 2, 2) stack of mirror-symmetric blocks [[a, b], [b, a]], a
+    (g, k + 1, k + 1) stack. Such a block is diag(a + b, a - b) on the mirror modes,
+    so its Sym^k is sum_j (a + b)^j (a - b)^(k - j) w_j w_j^T over the mirror Fock
+    states |j, k - j>': one matmul of the eigenvalues with ``_mirror_projectors``."""
+    powers = np.ones((k + 1, 2, len(blocks)), dtype=complex)
+    powers[1:, 0] = blocks[:, 0, 0] + blocks[:, 0, 1]
+    powers[1:, 1] = blocks[:, 0, 0] - blocks[:, 0, 1]
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    # eigenvalue j: (a + b)^j (a - b)^(k - j), the second factor read backwards
+    eigenvalues = (powers[:, 0] * powers[::-1, 1]).T
+    return (eigenvalues @ _mirror_projectors(k)).reshape(-1, k + 1, k + 1)
 
 
 def lift_generator(matrix: np.ndarray, basis: FockBasis) -> LiftedOperator:

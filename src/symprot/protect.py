@@ -21,8 +21,10 @@ symmetric powers. The kernel lifts the stacked 2x2 blocks of all the
 matrices on two-mode bases and applies them pair by pair on each split
 the state occupies, with batched matmuls over the matrices; no dim x dim
 lift or dim-sized image is formed. On h0 the one block is the matrix
-itself: one lift on the state's basis and one matmul. The kernel serves
-``certify`` (on the draws of ``_draws``), ``find_protected`` and
+itself: one lift on the state's basis, which ``fock.lift`` takes in the
+mirror Fock basis that diagonalises every h0 family member, and one
+matmul; the pair blocks of other spaces keep the binomial Sym^k. The
+kernel serves ``certify`` (on the draws of ``_draws``), ``find_protected`` and
 ``dfs.transmit_bins`` (on the scatterers of its time bins), and keeps what
 it lifts in a dict by pair count that its caller hands in. Handed a
 state's values on one split, it applies them there directly; for a dense
@@ -94,6 +96,7 @@ from .fock import (
     FockBasis,
     FockState,
     _frozen,
+    _mirror_fock_column,
     _norm,
     _parity,
     _phase_fixed,
@@ -105,7 +108,7 @@ from .fock import (
 )
 from .modes import ModeSpace, hm
 from .scatter import ScatterSampler, _in_unit_interval
-from .states import _mirror_fock_column, _pair_power_column, pair_expansion_coefficients, pair_power
+from .states import _pair_power_column, pair_expansion_coefficients, pair_power
 
 __all__ = [
     "Verdict",
@@ -342,7 +345,7 @@ class SearchResult:
 def _mirror_fock_factors(k: int) -> tuple[np.ndarray, ...]:
     """h0's candidates with k photons, as read-only (k + 1, 1) columns: the
     mirror Fock states |j, k - j>' from their exact coefficients
-    (``states._mirror_fock_column``), j = 0, ..., k, in the ascending order
+    (``fock._mirror_fock_column``), j = 0, ..., k, in the ascending order
     of their dSym^k(X) eigenvalues n_s - n_a = 2j - k. Keyed by the photon
     count alone, so the cache holds at most cap + 1 entries."""
     return tuple(_frozen(_mirror_fock_column(j, k - j)[:, None]) for j in range(k + 1))

@@ -10,7 +10,8 @@ Two closed-form families matter:
   N = 2K, total angular momentum 0, mirror parity (-1)^K).
 
 Both constructions carry exact integer coefficients up to the final
-scaling and normalization, from the helpers ``_mirror_fock_column`` and
+scaling and normalization, from the helpers ``fock._mirror_fock_column``
+(which ``fock.lift`` also reads, to lift h0 family members) and
 ``_pair_power_column``, which the search's candidates share. A small named
 catalog covers the two-photon states used throughout (phi1..phi3, s1, s2
 on the doublet; psi1..psi4 on a four-mode family). No parity is stored
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, _mirror_parity, _rank, enumerate_basis, state_from_amplitudes
+from .fock import FockState, _mirror_fock_column, _mirror_parity, _rank, enumerate_basis, state_from_amplitudes
 from .modes import ModeSpace, direct_sum, h0, hm
 
 __all__ = [
@@ -63,23 +64,6 @@ _HM_CATALOG = {
     "psi4": {(1, 0, 1, 0): 1 / _SQRT2, (0, 1, 0, 1): -1 / _SQRT2},
 }
 CATALOG = tuple(_H0_CATALOG) + tuple(_HM_CATALOG)
-
-
-def _mirror_fock_column(n_sym: int, n_anti: int) -> np.ndarray:
-    """The real amplitudes of |n_sym, n_anti>' on ``enumerate_basis(h0(), n)``
-    up to normalization: g_p / sqrt(C(n, p)) on the state (p, n - p), where
-    g_p is the exact integer coefficient of (a+)^p (a-)^(n-p) in
-    (a+ + a-)^n_sym (a+ - a-)^n_anti. That is g_p sqrt(p! (n - p)!) / sqrt(n!),
-    the same ray with no factorial to overflow a float."""
-    n = n_sym + n_anti
-    column = np.empty(n + 1)
-    for p in range(n + 1):
-        g = sum(
-            math.comb(n_sym, p - j) * math.comb(n_anti, j) * (-1) ** (n_anti - j)
-            for j in range(max(0, p - n_sym), min(n_anti, p) + 1)
-        )
-        column[n - p] = g / math.sqrt(math.comb(n, p))
-    return column
 
 
 def _pair_power_column(pairs: int) -> np.ndarray:

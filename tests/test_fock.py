@@ -29,7 +29,17 @@ from symprot import (
     sector_split,
     state_from_amplitudes,
 )
-from symprot.fock import _CACHED_BASES, _as_tuples, _lift_group, _occupations, _rank, _shared_basis, _symmetric_power
+from symprot.fock import (
+    _CACHED_BASES,
+    _as_tuples,
+    _lift_group,
+    _mirror_power,
+    _mirror_projectors,
+    _occupations,
+    _rank,
+    _shared_basis,
+    _symmetric_power,
+)
 from oracles import (
     apply_oracle,
     ladder_oracle,
@@ -487,6 +497,57 @@ def test_closed_form_symmetric_power_matches_the_recursion(kind, count):
         scale = max(1.0, np.abs(expected).max(initial=0.0))
         assert np.abs(closed - expected).max(initial=0.0) <= 1e-12 * scale
         assert np.array_equal(lift(stack, basis).matrix, closed)
+
+
+def _mirror_stack(kind, rng, count):
+    """``count`` blocks [[a, b], [b, a]]: h0 family draws of the sampler, or Gaussian a and b."""
+    if kind in ("unitary", "subunitary"):
+        return ScatterSampler(seed=int(rng.integers(2**32)), unitary=kind == "unitary").sample(h0(), count)
+    a, b = rng.normal(size=(2, count)) + 1j * rng.normal(size=(2, count))
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, a], axis=-1)], axis=1)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "subunitary", "gaussian"])
+@pytest.mark.parametrize("count", [0, 1, 16])
+def test_mirror_symmetric_stacks_lift_in_the_mirror_fock_basis(kind, count):
+    """A stack of blocks [[a, b], [b, a]] is lifted as sum_j (a + b)^j (a - b)^(N-j) w_j w_j^T;
+    the binomial closed form and SLOS on the same basis are its oracles."""
+    rng = np.random.default_rng(61)
+    for n in range(11):
+        stack = _mirror_stack(kind, rng, count)
+        basis = enumerate_basis(h0(), n)
+        lifted = lift(stack, basis).matrix
+        assert lifted.shape == (count, n + 1, n + 1)
+        assert np.array_equal(lifted, _mirror_power(stack, n))
+        for oracle in (_symmetric_power(stack, n), _lift_group(stack, basis)):
+            scale = max(1.0, np.abs(oracle).max(initial=0.0))
+            assert np.abs(lifted - oracle).max(initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (1, 0)])
+def test_a_block_one_ulp_off_mirror_symmetry_takes_the_binomial_form(entry):
+    """Mirror symmetry is tested exactly: one block of a stack moved by one ulp sends the
+    whole stack through ``_symmetric_power``, bit for bit."""
+    stack = np.array(ScatterSampler(seed=5).sample(h0(), 8))
+    stack[3][entry] = np.nextafter(stack[3][entry].real, np.inf) + 1j * stack[3][entry].imag
+    for n in (1, 4, 7):
+        assert np.array_equal(lift(stack, enumerate_basis(h0(), n)).matrix, _symmetric_power(stack, n))
+
+
+def test_mirror_projector_tables_are_read_only_and_bounded():
+    """Each table holds the k + 1 orthogonal projectors onto the mirror Fock states,
+    which sum to the identity; the tables are read-only, and one per photon count is
+    kept for at most ``_CACHED_BASES`` counts."""
+    draws = ScatterSampler(seed=67).sample(h0(), 4)
+    for k in range(_CACHED_BASES + 4):
+        _mirror_power(draws, k)
+        assert _mirror_projectors.cache_info().currsize <= _CACHED_BASES
+    for k in (0, 1, 6, _CACHED_BASES + 3):
+        table = _mirror_projectors(k)
+        assert not table.flags.writeable and table.shape == (k + 1, (k + 1) ** 2)
+        # w_j w_j^T . w_l w_l^T = (w_j . w_l)^2 in the Frobenius product: orthonormal rows
+        assert np.abs(table @ table.T.conj() - np.eye(k + 1)).max() < 1e-13
+        assert np.abs(table.sum(axis=0) - np.eye(k + 1).ravel()).max() < 1e-13
 
 
 def test_symmetric_powers_of_unitaries_are_unitary_past_the_photon_cap():

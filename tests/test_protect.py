@@ -968,12 +968,46 @@ def test_closed_form_candidates_agree_with_the_factorisation_oracle(space):
 
 
 def test_certification_passes_every_exact_h0_ray_at_n_40(monkeypatch):
-    """The working range of certification on h0: at N = 40 every mirror Fock
-    ray passes 16 draws. Past N of about 70 the rounding of the closed-form
-    Sym^N moves the eigenvalues off the character (a + b)^n_s (a - b)^n_a by
-    more than the residual tolerance, and exact rays start to fail."""
+    """At N = 40 every mirror Fock ray passes 16 draws. The h0 draws are lifted
+    in their mirror Fock eigenbasis, so this holds far past N = 40 (next test)."""
     monkeypatch.setenv("SYMPROT_NMAX", "40")
     assert len(find_protected(h0(), 40, CertificationConfig(n_samples=16)).rays) == 41
+
+
+def _h0_character(ray, draws: np.ndarray) -> np.ndarray:
+    """(a + b)^n_s (a - b)^n_a on each draw [[a, b], [b, a]], for the mirror Fock
+    state |n_s, n_a>' that the h0 ray spans."""
+    n = ray.state.basis.n_photons
+    overlaps = [abs(np.vdot(col[:, 0], ray.state.amplitudes)) / np.linalg.norm(col) for col in _mirror_fock_factors(n)]
+    n_s = int(np.argmax(overlaps))
+    assert overlaps[n_s] > 1 - 1e-12
+    a, b = draws[:, 0, 0], draws[:, 0, 1]
+    return (a + b) ** n_s * (a - b) ** (n - n_s)
+
+
+def test_exact_h0_rays_are_certified_far_past_the_photon_cap(monkeypatch):
+    """Every mirror Fock ray passes certification at N = 80, 100 and 150, and
+    |90, 10>' passes 4 draws: the rounding of the binomial Sym^N, which grows
+    with N, would reject some of them. At N = 80 every eigenvalue is the ray's
+    character: for subunitary draws to 1e-12 of the draw's largest character,
+    the norm of its lift, and for unitary draws, whose characters all have
+    modulus 1, to 1e-12 of itself."""
+    monkeypatch.setenv("SYMPROT_NMAX", "150")
+    cfg = CertificationConfig(n_samples=16)
+    for n in (80, 100, 150):
+        assert len(find_protected(h0(), n, cfg).rays) == n + 1, n
+    assert certify(mirror_fock(90, 10), CertificationConfig(n_samples=4)).verdict is Verdict.PROTECTED
+    for unitary in (False, True):
+        cfg = CertificationConfig(n_samples=16, unitary=unitary)
+        draws = _draws(h0(), cfg)
+        a, b = draws[:, 0, 0], draws[:, 0, 1]
+        lift_norm = np.maximum(np.abs(a + b), np.abs(a - b)) ** 80
+        rays = find_protected(h0(), 80, cfg).rays
+        assert len(rays) == 81
+        for ray in rays:
+            character = _h0_character(ray, draws)
+            scale = np.abs(character) if unitary else lift_norm
+            assert np.all(np.abs(ray.report.eigenvalues - character) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize(
