@@ -12,10 +12,10 @@ erasure channel, with the standard capacities max(0, 1 - 2*eps) one-way and
 
 The carrier must be normalized; certification's apply kernel
 (``protect._scalar_action``) applies each distinct bin scatterer to it once,
-one 2x2 mode-pair block at a time, and a search ray on its split alone, as
-``certify`` does, without building its dense vector. A scatterer on another
-mode space than the carrier's, or with entries outside those blocks, raises
-ValueError.
+one 2x2 mode-pair block at a time, on the values on its splits that the
+carrier holds from when it was built, as ``certify`` does, so no dense
+vector is built. A scatterer on another mode space than the carrier's, or
+with entries outside those blocks, raises ValueError.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .fock import FockState, _norm, _unit
 from .fock import lift  # noqa: F401 -- a traced call site of perfbench/tracing.py
-from .protect import CertificationConfig, Verdict, _kernel_input, _scalar_action, certify
+from .protect import CertificationConfig, Verdict, _scalar_action, certify
 from .scatter import SymmetricScattering
 from .serialize import space_to_json
 
@@ -137,8 +137,8 @@ def transmit_bins(
             )
     slot = {id(s): k for k, s in enumerate(distinct)}
     matrices = np.array([s.matrix for s in distinct])
-    column, split = _kernel_input(qudit.carrier)
-    lam, residuals = _scalar_action(qudit.carrier.basis, matrices, column, {}, split)
+    carrier = qudit.carrier
+    lam, residuals = _scalar_action(carrier.basis, matrices, carrier._values[:, None], {}, carrier._splits)
     bins = [slot[id(s)] for s in scatterings]
     lam, residuals = lam[bins], residuals[bins]
     if residual_tol is not None and np.any(residuals >= residual_tol):

@@ -61,11 +61,12 @@ permutation and ``lift_generator``'s images. The splits come from one
 there. The arrays are read-only, as every caller holding the basis sees them.
 ``lift_generator`` is the dense generator lift, the search's test oracle.
 
-A ``FockState`` built with ``FockState(basis, amplitudes)`` stores that
-dense vector. The search's rays are built by ``FockState._on_split`` and
-store only their values on one split; each derives its dense
-``amplitudes`` on first read and keeps them. The norm, the certification
-and the CLI's ket lines read the values alone.
+Every ``FockState`` holds the splits it occupies and its values there,
+fixed when it is built: found in a dense vector (``FockBasis._occupied``),
+or handed by the search to ``FockState._on_split``, whose state derives its
+dense ``amplitudes`` on first read. An in-place edit of either array later
+is not seen. The certification, the time bins, products and the CLI's ket
+lines read the values alone.
 """
 
 from __future__ import annotations
@@ -259,6 +260,16 @@ class FockBasis:
         table[1, order] = np.arange(len(self)) - np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
         return _frozen(table)
 
+    def _occupied(self, nonzero: np.ndarray) -> tuple[int, ...]:
+        """The ascending positions in ``_splits`` of the splits holding a state set in the (dim,) mask ``nonzero``."""
+        return tuple(np.bincount(self._split_table[0][nonzero]).nonzero()[0].tolist())
+
+    def _rows(self, splits: tuple[int, ...]) -> np.ndarray:
+        """The indices of the splits at positions ``splits`` of ``_splits``, concatenated in that order."""
+        if len(splits) == 1:
+            return self._splits[splits[0]][1]  # no copy of a lone split's indices
+        return np.concatenate([np.empty(0, dtype=np.intp), *(self._splits[s][1] for s in splits)])
+
     @cached_property
     def _ladder(self) -> tuple[tuple, ...]:
         """Creation-operator tables for the lift, one level per photon number k = 1..N.
@@ -316,59 +327,56 @@ def sector_split(basis: FockBasis) -> dict[int, list[int]]:
     return {m: idx.tolist() for m, idx in basis._sectors.items()}
 
 
-@dataclass(eq=False)
 class FockState:
-    """Amplitude vector over a Fock basis.
+    """Amplitude vector over a Fock basis. Stored: ``_splits``, the ascending
+    positions in ``basis._splits`` of the splits where it is nonzero, and
+    ``_values``, its amplitudes on their indices, concatenated in that order.
 
-    ``FockState(basis, amplitudes)`` stores the dense vector. A state built
-    by ``_on_split`` stores only its values on one split of the basis (the
-    indices ``basis._splits[_split][1]``) and derives the dense
-    ``amplitudes`` on first read, keeping them; its norm and the
-    certification read the values alone.
+    ``FockState(basis, amplitudes)`` keeps the exact vector as ``amplitudes``,
+    with its norm; ``_on_split`` takes the values on one split and derives
+    both from them on first read. The values are fixed at construction: an
+    in-place edit of the array afterwards is not seen.
     """
 
-    basis: FockBasis
-    amplitudes: np.ndarray
-    _split = None  # the position in basis._splits of a split-backed state's support
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (len(self.basis),):
-            raise ValueError(
-                f"amplitudes must have shape ({len(self.basis)},), got {amp.shape}"
-            )
-        self.amplitudes = amp
+    def __init__(self, basis: FockBasis, amplitudes) -> None:
+        amp = np.asarray(amplitudes, dtype=complex)
+        if amp.shape != (len(basis),):
+            raise ValueError(f"amplitudes must have shape ({len(basis)},), got {amp.shape}")
+        self.basis, self._splits = basis, basis._occupied(amp.astype(bool))
+        self._values = amp[basis._rows(self._splits)]
+        # the vector's own norm: its sums run in basis order, not in the values' split order
+        self.amplitudes, self.norm = amp, _norm(amp)
 
     @classmethod
     def _on_split(cls, basis: FockBasis, split: int, values: np.ndarray) -> "FockState":
         """The state that is the complex ``values`` on the indices of split
         ``split`` of ``basis._splits``, in their order, and zero elsewhere."""
         state = cls.__new__(cls)
-        state.basis, state._split, state._values = basis, split, values
+        state.basis, state._splits, state._values = basis, (split,), values
         return state
 
-    def __getattr__(self, name):
-        # reached only for attributes the instance lacks: a split-backed
-        # state's amplitudes before their first read
-        if name != "amplitudes" or "_values" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The dense amplitude vector in basis order."""
         support, values = self._sparse()
         amplitudes = np.zeros(len(self.basis), dtype=complex)
         amplitudes[support] = values
-        self.amplitudes = amplitudes
         return amplitudes
 
-    def _sparse(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(support, values)``: basis indices, ascending, outside which the
-        state is zero, and its amplitudes there. A split-backed state gives
-        its split's indices and its values, building no dense vector."""
-        if self._split is None:
-            return np.arange(len(self.basis)), self.amplitudes
-        return self.basis._splits[self._split][1], self._values
+    @cached_property
+    def norm(self) -> float:
+        return _norm(self._values)
 
     @property
-    def norm(self) -> float:
-        return _norm(self.amplitudes if self._split is None else self._values)
+    def _split(self) -> int:
+        (split,) = self._splits  # a state on one split: its position in basis._splits
+        return split
+
+    def _sparse(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(support, values)``: the indices of the occupied splits, ascending
+        within each split and the splits in split order, outside which the
+        state is zero, and its amplitudes there; no dense vector is built."""
+        return self.basis._rows(self._splits), self._values
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.norm - 1.0) <= tol

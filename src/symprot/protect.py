@@ -26,9 +26,10 @@ mirror Fock basis that diagonalises every h0 family member, and one
 matmul; the pair blocks of other spaces keep the binomial Sym^k. The
 kernel serves ``certify`` (on the draws of ``_draws``), ``find_protected`` and
 ``dfs.transmit_bins`` (on the scatterers of its time bins), and keeps what
-it lifts in a dict by pair count that its caller hands in. Handed a
-state's values on one split, it applies them there directly; for a dense
-vector it finds the occupied splits in ``FockBasis._split_table``. It
+it lifts in a dict by pair count that its caller hands in. It has one
+input: a state's values on the splits it occupies and those splits, which
+every ``FockState`` holds from when it is built (``_values``, ``_splits``),
+so it never looks for a support and builds no dense vector to apply one. It
 takes one candidate or a stack of them; a stack rides on a leading batch
 axis of every matmul, so each candidate's eigenvalues and residuals are
 the bits a call on it alone gives.
@@ -181,26 +182,18 @@ def _check_normalized(state: FockState) -> None:
         raise ValueError(f"state must be normalized (norm {state.norm:.3e})")
 
 
-def _kernel_input(state: FockState) -> tuple[np.ndarray, int | None]:
-    """``(column, split)`` for ``_scalar_action``: a split-backed state's
-    values on its split and that split, or a dense state's amplitudes and
-    None, so that no state's dense vector is built to apply it."""
-    if state._split is None:
-        return state.amplitudes[:, None], None
-    return state._values[:, None], state._split
-
-
-def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, powers: dict, split: int | None = None):
+def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, powers: dict, splits: tuple[int, ...]):
     """Per-matrix eigenvalues and residuals of lift(S_i) on the span of ``vectors``.
 
     ``matrices`` is an (n, M, M) stack of matrices that are block diagonal
     over the 2x2 blocks of the mode pairs (0, 1), (2, 3), ..., as every
     family member is; any other nonzero entry raises ValueError.
-    ``vectors`` holds d orthonormal columns V: dense, (dim, d), or, when
-    ``split`` is given, their rows on the indices of ``basis._splits[split]``,
-    zero elsewhere. The eigenvalue is lam_i = tr(V^dag lift(S_i) V) / d and
-    the residual is the Frobenius norm of lift(S_i) V - lam_i V; both come
-    back as (n,) arrays. A (c, rows, d) stack of c such candidates gives
+    ``vectors`` holds d orthonormal columns V that are zero off the splits
+    at the ascending positions ``splits`` in ``basis._splits``, as their
+    rows on those splits' indices in that order (``FockBasis._rows``): a
+    state's ``_values`` on its ``_splits``. The eigenvalue is lam_i =
+    tr(V^dag lift(S_i) V) / d and the residual is the Frobenius norm of
+    lift(S_i) V - lam_i V; both come back as (n,) arrays. A (c, rows, d) stack of c such candidates gives
     (c, n) arrays, one row per candidate. The candidates sit on a leading
     batch axis of every matmul, so each candidate's products are the BLAS
     calls a one-candidate call makes on it, and its row holds that call's
@@ -213,8 +206,6 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, 
     so each pair with photons is one batched matmul on the split's slice
     (a pair with none acts as 1), and only the splits the vectors occupy
     are visited, in O(c * n * support * d) memory.
-    Given ``split``, that is the one split; for dense vectors the occupied
-    rows are looked up in ``basis._split_table`` and gathered once.
 
     ``powers`` maps a pair count k to the lifted ``matrices``: on h0 the
     entry for N is their lift on ``basis``; on pair spaces the entry for 1
@@ -240,13 +231,7 @@ def _scalar_action(basis: FockBasis, matrices: np.ndarray, vectors: np.ndarray, 
             if np.count_nonzero(blocks) != np.count_nonzero(matrices):
                 raise ValueError("matrices must be block diagonal over the 2x2 blocks of the mode pairs")
             powers[1] = blocks
-        if split is None:
-            occupied = np.flatnonzero(np.bincount(basis._split_table[0][vectors.any(axis=(0, 2) if lead else 1)])).tolist()
-            splits = [basis._splits[s] for s in occupied]
-            rows = splits[0][1] if len(splits) == 1 else np.concatenate([idx for _, idx in splits])
-            vectors = vectors[:, rows] if lead else vectors[rows]
-        else:
-            splits = [basis._splits[split]]
+        splits = [basis._splits[s] for s in splits]
         for k in set(itertools.chain(*(key for key, _ in splits))) - {0} - powers.keys():
             powers[k] = _symmetric_power(powers[1].reshape(-1, 2, 2), k).reshape(pairs, n, k + 1, k + 1)
         images = np.empty(lead + (n,) + vectors.shape[-2:], dtype=complex)
@@ -279,10 +264,9 @@ def certify(state: FockState, cfg: CertificationConfig = CertificationConfig(), 
     callers can regenerate the stream and inspect individual samples.
 
     A state whose norm is more than 1e-12 from 1 raises ValueError. The
-    call reads the stream and lifts it afresh. A state that holds only its
-    values on one split (the search's rays) is checked and applied on
-    those values and that split, with no dim-sized pass; a dense state on
-    the splits its amplitudes occupy.
+    call reads the stream and lifts it afresh. The state is checked by its
+    norm and applied on its values on the splits it occupies, with no
+    dim-sized pass, however it was built.
 
     ``_applied`` is for ``find_protected`` alone: the ``(eigenvalues,
     residuals, worst)`` that the search's apply of its split gave this
@@ -292,8 +276,8 @@ def certify(state: FockState, cfg: CertificationConfig = CertificationConfig(), 
     """
     if _applied is None:
         _check_normalized(state)
-        column, split = _kernel_input(state)
-        eigenvalues, residuals = _scalar_action(state.basis, _draws(state.basis.space, cfg), column, {}, split)
+        draws = _draws(state.basis.space, cfg)
+        eigenvalues, residuals = _scalar_action(state.basis, draws, state._values[:, None], {}, state._splits)
         _applied = (eigenvalues, residuals, int(residuals.argmax()))
     eigenvalues, residuals, worst = _applied
     worst_residual = float(residuals[worst])
@@ -317,7 +301,7 @@ class ProtectedRay:
     report: ProtectionReport
 
 
-# kept, with SearchResult.subspaces and _certify_subspace, while perfbench/tracing.py and workloads.py read them (ROADMAP item 7)
+# kept, with SearchResult.subspaces and _certify_subspace, while perfbench/tracing.py and workloads.py read them (ROADMAP item 15)
 @dataclass(frozen=True, eq=False)
 class ProtectedSubspace:
     """A certified protected subspace of dimension > 1 (scalar action)."""
@@ -491,7 +475,7 @@ def find_protected(
     draws, powers = _draws(space, cfg), {}
     for s, stack, taus in plan:
         lone = len(stack) == 1  # no batch axis for a lone candidate, which costs less than an axis of one
-        eigenvalues, residuals = _scalar_action(basis, draws, stack[0][:, None] if lone else stack[:, :, None], powers, s)
+        eigenvalues, residuals = _scalar_action(basis, draws, stack[0][:, None] if lone else stack[:, :, None], powers, (s,))
         worst = residuals.argmax(axis=-1).tolist()  # each candidate's worst draw
         applied = [(eigenvalues, residuals, worst)] if lone else zip(eigenvalues, residuals, worst)
         for col, tau, row in zip(stack, taus, applied):
@@ -510,11 +494,14 @@ def find_protected(
 
 def _certify_subspace(basis, idx, cand, cfg) -> ProtectedSubspace | None:
     """Scalar-action test of a d > 1 candidate against the certification
-    stream of ``cfg``, read and lifted afresh as ``certify`` reads it; no
-    search calls it, since every candidate is a ray."""
+    stream of ``cfg``, read and lifted afresh as ``certify`` reads it, on
+    the splits its columns occupy (``FockBasis._occupied``, as a
+    ``FockState`` finds its own); no search calls it, since every
+    candidate is a ray."""
     vectors = np.zeros((len(basis), cand.shape[1]), dtype=complex)
     vectors[idx, :] = cand
-    _, residuals = _scalar_action(basis, _draws(basis.space, cfg), vectors, {})
+    splits = basis._occupied(vectors.any(axis=1))
+    _, residuals = _scalar_action(basis, _draws(basis.space, cfg), vectors[basis._rows(splits)], {}, splits)
     worst = float(np.max(residuals))
     if worst >= cfg.residual_tol:
         return None

@@ -126,7 +126,8 @@ def product_state(factors) -> FockState:
 
     The amplitude of a concatenated occupation vector is the product of the
     factor amplitudes; occupations that split photons differently across the
-    factors vanish.
+    factors vanish. Each factor is read on its splits (``FockState._sparse``),
+    so a search ray builds no dense vector unless it is the lone factor.
     """
     factors = list(factors)
     if not factors:
@@ -137,11 +138,14 @@ def product_state(factors) -> FockState:
     n = sum(f.basis.n_photons for f in factors)
     basis = enumerate_basis(space, n)
     amp = np.zeros(len(basis), dtype=complex)
-    supports = [np.flatnonzero(np.abs(f.amplitudes) > 0.0) for f in factors]
-    combos = list(itertools.product(*supports))  # a supported state per factor, their occupations concatenated
+    nonzero = []  # each factor's nonzero entries, so that no -0.0 entry makes a -0.0 product
+    for support, values in map(FockState._sparse, factors):
+        nonzero.append((support[np.abs(values) > 0.0], values[np.abs(values) > 0.0]))
+    combos = list(itertools.product(*(range(len(v)) for _, v in nonzero)))  # an entry per factor
     picks = np.array(combos, dtype=np.intp).reshape(len(combos), len(factors)).T
-    values = [math.prod((f.amplitudes[i] for f, i in zip(factors, combo)), start=1.0 + 0j) for combo in combos]
-    amp[_rank(np.hstack([f.basis._occupancy[c] for f, c in zip(factors, picks)]), n)] = values
+    values = [math.prod((v[j] for (_, v), j in zip(nonzero, combo)), start=1.0 + 0j) for combo in combos]
+    # their occupations concatenated
+    amp[_rank(np.hstack([f.basis._occupancy[s[c]] for f, (s, _), c in zip(factors, nonzero, picks)]), n)] = values
     return FockState(basis, amp)
 
 

@@ -403,11 +403,12 @@ def test_pretty_search_kets_are_the_dense_amplitudes_above_the_cut(monkeypatch, 
     from symprot import CertificationConfig, FockState, cli, enumerate_basis, find_protected
     from symprot.serialize import parse_space
 
-    def refuse(state, name):
-        raise AssertionError(f"a pretty search built a ray's {name}")
+    def refuse(state):
+        raise AssertionError("a pretty search built a ray's amplitudes")
 
     argv = ["search", "--space", "h0+hm:1", "--n", "4", "--samples", "8", "--seed", "7", "--output", "pretty"]
-    monkeypatch.setattr(FockState, "__getattr__", refuse)  # reached only by a ray's first dense read
+    # the derivation of the cached amplitudes, reached only by a ray's first dense read
+    monkeypatch.setattr(vars(FockState)["amplitudes"], "func", refuse)
     assert cli.main(argv) == 0
     monkeypatch.undo()
     result = find_protected(parse_space("h0+hm:1"), 4, CertificationConfig(n_samples=8, seed=7))

@@ -15,6 +15,7 @@ import pytest
 from symprot import (
     CertificationConfig,
     ScatterSampler,
+    TimeBinQudit,
     Verdict,
     certify,
     direct_sum,
@@ -35,6 +36,7 @@ from symprot import (
     state_from_amplitudes,
     time_bin_qudit,
     transmit,
+    transmit_bins,
     two_photon_matrix,
     verify_pair_uniqueness,
 )
@@ -370,16 +372,24 @@ def test_a_ray_on_one_split_is_applied_on_its_support():
     occupied = [(counts, len(idx)) for counts, idx in basis._splits if psi.amplitudes[idx].any()]
     assert occupied == [((2, 2, 2, 1, 1), 108)]
     matrices = _draws(basis.space, CertificationConfig(n_samples=16, seed=0))
-    vectors = psi.amplitudes[:, None]
-    _scalar_action(basis, matrices, vectors, {})  # warm call: builds the cached basis tables
+    vectors, splits = _on_occupied_splits(basis, psi.amplitudes[:, None])
+    _scalar_action(basis, matrices, vectors, {}, splits)  # warm call: builds the cached basis tables
     tracemalloc.start()
     try:
-        eigenvalues, residuals = _scalar_action(basis, matrices, vectors, {})
+        eigenvalues, residuals = _scalar_action(basis, matrices, vectors, {}, splits)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20 < 16 * 16 * len(basis)
     assert residuals.max() < 1e-10 and len(eigenvalues) == 16
+
+
+def _on_occupied_splits(basis, dense):
+    """Dense (dim, d) columns, or a (c, dim, d) stack of them, as
+    ``_scalar_action`` takes them: their rows on the splits they occupy,
+    found by the basis lookup ``FockState`` uses, and those splits."""
+    splits = basis._occupied((dense != 0).any(axis=-1).reshape(-1, len(basis)).any(axis=0))
+    return dense[..., basis._rows(splits), :], splits
 
 
 def _pair_block_stack(space, count, rng):
@@ -412,7 +422,8 @@ def test_factorised_apply_matches_the_dense_lift(space, n):
         images = dense @ vectors
         lam = np.einsum("nd,knd->k", vectors.conj(), images) / d
         res = np.linalg.norm(images - lam[:, None, None] * vectors, axis=(1, 2))
-        eigenvalues, residuals = _scalar_action(basis, matrices, vectors, {})
+        rows, splits = _on_occupied_splits(basis, vectors)
+        eigenvalues, residuals = _scalar_action(basis, matrices, rows, {}, splits)
         assert np.allclose(eigenvalues, lam, atol=1e-12, rtol=0)
         assert np.allclose(residuals, res, atol=1e-12, rtol=0)
     # a state on few pair photon counts, so most blocks are skipped
@@ -420,7 +431,8 @@ def test_factorised_apply_matches_the_dense_lift(space, n):
     sparse[[0, -1]] = 1 / np.sqrt(2) if len(basis) > 1 else 1
     images = dense @ sparse
     lam = (sparse.conj().T @ images)[:, 0, 0]
-    eigenvalues, residuals = _scalar_action(basis, matrices, sparse, {})
+    rows, splits = _on_occupied_splits(basis, sparse)
+    eigenvalues, residuals = _scalar_action(basis, matrices, rows, {}, splits)
     assert np.allclose(eigenvalues, lam, atol=1e-12, rtol=0)
     assert np.allclose(residuals, np.linalg.norm(images - lam[:, None, None] * sparse, axis=(1, 2)), atol=1e-12, rtol=0)
 
@@ -692,11 +704,11 @@ def test_a_search_returns_its_survivors_in_their_own_order(monkeypatch, space, n
     assert full.samples_used == candidates * CFG.n_samples
     apply_, failing, seen = protect._scalar_action, set(), []
 
-    def apply(basis, matrices, vectors, powers, split=None):
-        eigenvalues, residuals = apply_(basis, matrices, vectors, powers, split)
+    def apply(basis, matrices, vectors, powers, splits):
+        eigenvalues, residuals = apply_(basis, matrices, vectors, powers, splits)
         rows = vectors[..., 0] if vectors.ndim == 3 else vectors[None, :, 0]
         inflate = [len(seen) + j in failing for j in range(len(rows))]
-        seen.extend((split, row.tobytes()) for row in rows)
+        seen.extend((splits, row.tobytes()) for row in rows)
         return eigenvalues, residuals + (np.array(inflate)[:, None] if vectors.ndim == 3 else float(inflate[0]))
 
     monkeypatch.setattr(protect, "_scalar_action", apply)
@@ -708,11 +720,11 @@ def test_a_search_returns_its_survivors_in_their_own_order(monkeypatch, space, n
         result = find_protected(space, n, CFG)
         assert len(seen) == candidates and result.samples_used == full.samples_used
         dropped = {seen[i] for i in subset}
-        survivors = [ray for ray in full.rays if (ray.state._split, ray.state._values.tobytes()) not in dropped]
+        survivors = [ray for ray in full.rays if (ray.state._splits, ray.state._values.tobytes()) not in dropped]
         assert len(survivors) == candidates - len(subset)
         expected = [survivors[i] for i in _ray_order([ray.state for ray in survivors])] if survivors else []
-        assert [(ray.state._split, ray.state._values.tobytes()) for ray in result.rays] == [
-            (ray.state._split, ray.state._values.tobytes()) for ray in expected]
+        assert [(ray.state._splits, ray.state._values.tobytes()) for ray in result.rays] == [
+            (ray.state._splits, ray.state._values.tobytes()) for ray in expected]
         for got, want in zip(result.rays, expected):
             assert got.mirror_tau == want.mirror_tau and got.report.verdict is Verdict.PROTECTED
             assert got.report.residuals.tobytes() == want.report.residuals.tobytes()
@@ -1126,6 +1138,53 @@ def test_a_split_backed_state_matches_its_dense_twin(space, n, split):
     assert serialize.state_to_json(state) == serialize.state_to_json(twin)
 
 
+@pytest.mark.parametrize("occupied", ["one", "several", "all"])
+@pytest.mark.parametrize(
+    "space,n",
+    [(hm(1), 4), (direct_sum(h0(), hm(1)), 3), (direct_sum(hm(1), hm(2)), 3), (direct_sum(h0(), hm(1), hm(2)), 3)],
+    ids=["hm1-4", "h0+hm1-3", "hm1+hm2-3", "h0+hm1+hm2-3"],
+)
+def test_a_dense_state_keeps_the_bits_of_its_own_vector(space, n, occupied):
+    """A state built from a dense vector keeps that vector, and its norm is
+    the vector's own, bit for bit: its sums run in basis order, not in the
+    split order of the state's values. Its normalized and phase-fixed states
+    are those of the vector, and on one split its certify and transmit_bins
+    reports are those of its split-backed twin. A state that leaves a split
+    out has -0.0 on every entry of one, which occupies nothing."""
+    basis = enumerate_basis(space, n)
+    count = len(basis._splits)
+    chosen = {"one": [count // 2], "several": list(range(0, count, 3)), "all": list(range(count))}[occupied]
+    assert (len(chosen) == 1) is (occupied == "one") and (len(chosen) == count) is (occupied == "all")
+    rng = np.random.default_rng(count)
+    cfg, sampler = CertificationConfig(n_samples=8, seed=11), ScatterSampler(seed=2)
+    bins = [sampler.sample(space) for _ in range(3)]
+    coefficients = np.array([1.0, 1.0j, -2.0]) / np.sqrt(6.0)
+
+    def reports(state):
+        report = certify(state, cfg)
+        outcome = transmit_bins(TimeBinQudit(coefficients, state), bins, residual_tol=None)
+        return (report.verdict, report.worst_residual.hex(), report.witness_sample_index, report.eigenvalues.tobytes(),
+                report.residuals.tobytes(), outcome.fidelity.hex(), outcome.success_probability.hex(),
+                outcome.eigenvalues.tobytes(), outcome.worst_residual.hex())
+
+    for _ in range(20):
+        amps = np.zeros(len(basis), dtype=complex)
+        for s in chosen:
+            idx = basis._splits[s][1]
+            amps[idx] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+        if occupied != "all":
+            amps[basis._splits[min(set(range(count)) - set(chosen))][1]] = complex(-0.0, -0.0)
+        state = FockState(basis, amps)
+        assert state.amplitudes is amps and state._splits == tuple(chosen)
+        assert state.norm.hex() == np.linalg.norm(amps).hex()
+        assert state.normalized().amplitudes.tobytes() == fock._unit(amps, fock._norm(amps)).tobytes()
+        assert state.phase_fixed().amplitudes.tobytes() == fock._phase_fixed(amps).tobytes()
+        if len(chosen) == 1:
+            unit = FockState(basis, amps / np.linalg.norm(amps))
+            twin = FockState._on_split(basis, chosen[0], unit.amplitudes[basis._splits[chosen[0]][1]])
+            assert reports(unit) == reports(twin)
+
+
 @pytest.mark.parametrize("n", range(5))
 @_SPLIT_GRID
 def test_the_apply_on_a_split_equals_the_dense_apply(space, n):
@@ -1140,9 +1199,11 @@ def test_the_apply_on_a_split_equals_the_dense_apply(space, n):
             values /= np.linalg.norm(values)
             dense = np.zeros((len(basis), d), dtype=complex)
             dense[idx] = values
-            on_split = _scalar_action(basis, matrices, values, {}, split)
+            on_split = _scalar_action(basis, matrices, values, {}, (split,))
             assert not np.shares_memory(on_split[1], values)
-            for a, b in zip(on_split, _scalar_action(basis, matrices, dense, {})):
+            rows, splits = _on_occupied_splits(basis, dense)
+            assert splits == (split,)
+            for a, b in zip(on_split, _scalar_action(basis, matrices, rows, {}, splits)):
                 assert a.tobytes() == b.tobytes()
 
 
@@ -1413,20 +1474,20 @@ def test_a_block_of_candidates_gives_each_its_one_candidate_bits(space, n):
         block = rng.normal(size=(c, rows, d)) + 1j * rng.normal(size=(c, rows, d))
         return block / np.linalg.norm(block, axis=(1, 2))[:, None, None]
 
-    cases = [(random_block(c, len(basis), d), None) for c, d in ((3, 1), (2, 2))]
+    cases = [_on_occupied_splits(basis, random_block(c, len(basis), d)) for c, d in ((3, 1), (2, 2))]
     for split, (_, idx) in enumerate(basis._splits):
         if len(idx) > 1:  # one basis state is an eigenvector of every lift
             for c, d in ((1, 1), (4, 1), (3, 2)):
                 values = random_block(c, len(idx), d)
                 dense = np.zeros((c, len(basis), d), dtype=complex)
                 dense[:, idx] = values
-                cases += [(values, split), (dense, None)]
-    for block, split in cases:
-        eigenvalues, residuals = _scalar_action(basis, matrices, block, {}, split)
+                cases += [(values, (split,)), _on_occupied_splits(basis, dense)]
+    for block, splits in cases:
+        eigenvalues, residuals = _scalar_action(basis, matrices, block, {}, splits)
         assert eigenvalues.shape == residuals.shape == (len(block), len(matrices))
         assert residuals.max(axis=1).min() > 1e-6
         for j, vectors in enumerate(block):
-            alone = _scalar_action(basis, matrices, vectors, {}, split)
+            alone = _scalar_action(basis, matrices, vectors, {}, splits)
             assert eigenvalues[j].tobytes() == alone[0].tobytes()
             assert residuals[j].tobytes() == alone[1].tobytes()
 

@@ -1,5 +1,6 @@
 """Catalog states, mirror-Fock and pair-power families, recipes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,16 @@ from hypothesis import given, strategies as st
 
 from oracles import swap_eigen_oracle
 from symprot import (
+    CertificationConfig,
+    FockState,
     ScatterSampler,
     StateRecipe,
     build_state,
     count_mirror_fock,
     count_pair_states,
+    direct_sum,
     enumerate_basis,
+    find_protected,
     h0,
     hm,
     lift,
@@ -293,6 +298,38 @@ def test_product_state_single_factor_passthrough():
     p = product_state([s])
     assert p.basis == s.basis
     assert np.allclose(p.amplitudes, s.amplitudes, atol=1e-15, rtol=0)
+
+
+def _dense_product(factors):
+    """The product by its definition, read from the factors' dense amplitudes."""
+    basis = enumerate_basis(direct_sum(*(f.basis.space for f in factors)), sum(f.basis.n_photons for f in factors))
+    out = np.zeros(len(basis), dtype=complex)
+    for combo in itertools.product(*(np.flatnonzero(np.abs(f.amplitudes) > 0.0) for f in factors)):
+        occupation = sum((f.basis.states[i] for f, i in zip(factors, combo)), ())
+        out[basis.index(occupation)] = math.prod((f.amplitudes[i] for f, i in zip(factors, combo)), start=1.0 + 0j)
+    return basis, out
+
+
+@pytest.mark.parametrize("case", ["ray-first", "ray-last"])
+def test_a_product_reads_each_factor_on_its_splits(case):
+    """A search ray as a factor builds no dense vector, and the product has
+    the bytes of the dense-factor formula. A dense factor whose zeros are
+    -0.0 puts no -0.0 into the product."""
+    cfg = CertificationConfig(n_samples=4)
+    if case == "ray-first":
+        ray = find_protected(direct_sum(h0(), hm(1)), 3, cfg).rays[-1]
+        dense = pair_power(2, 1).amplitudes.copy()
+        dense[dense == 0] = complex(-0.0, -0.0)
+        factors = [ray.state, FockState(enumerate_basis(hm(2), 2), dense)]
+    else:
+        ray = find_protected(direct_sum(hm(1), hm(2)), 4, cfg).rays[-1]
+        factors = [mirror_fock(1, 2), ray.state]
+    product = product_state(factors)
+    assert "amplitudes" not in vars(ray.state)
+    basis, expected = _dense_product(factors)
+    assert product.basis is basis and len(product._values) > 1
+    assert product.amplitudes.tobytes() == expected.tobytes()
+    assert not np.signbit(product.amplitudes[product.amplitudes == 0].view(float)).any()
 
 
 def test_product_state_rejects_overlapping_sectors():
